@@ -64,7 +64,6 @@ from .skew import ProductState, SkewOrbitStats, SkewSystem, orbit_statistics, sk
 from .stats import (
     decimal_string,
     dkw_epsilon,
-    grid_cell_fractions,
     interval_cell_fractions,
     mean_and_se,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "flow_distance",
     "flow_zero_near_returns",
     "flow_zero_set_returns",
-    "grid_cell_fractions",
     "guarded_compare",
     "induce_point",
     "induced_statistics",

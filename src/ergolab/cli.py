@@ -6,10 +6,12 @@ Three subcommands::
     ergolab validate <config.json> check a config without running anything
     ergolab presets                list the built-in experiment catalog
 
-Exit codes: 0 success, 1 configuration error, 2 fixed-point precision
-exhausted, 3 iteration budget exceeded.  The output root defaults to the
-current directory and can be redirected with ``--out`` or the
-``ERGOLAB_OUTPUT_ROOT`` environment variable; the config's own
+Exit codes: 0 success, 1 configuration error (nothing written), 2
+fixed-point precision exhausted, 3 iteration budget exceeded, 4 any other
+``ErgolabError``, 5 an unexpected exception (traceback printed).  Codes 2-5
+leave ``config.json`` and an error ``manifest.json`` behind.  The output
+root defaults to the current directory and can be redirected with ``--out``
+or the ``ERGOLAB_OUTPUT_ROOT`` environment variable; the config's own
 ``output.directory`` is always the final path component.
 """
 from __future__ import annotations
@@ -17,9 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
-from .errors import BudgetExceededError, ConfigError, PrecisionExhaustedError
+from .errors import BudgetExceededError, ConfigError, ErgolabError, PrecisionExhaustedError
 from .experiments import (
     TOOL_VERSION,
     list_presets,
@@ -32,6 +35,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PRECISION = 2
 EXIT_BUDGET = 3
+EXIT_DETECTOR = 4
+EXIT_INTERNAL = 5
 
 
 def _load_config(path: str) -> dict:
@@ -98,6 +103,12 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ErgolabError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DETECTOR
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -490,6 +490,24 @@ class TrigPolynomial:
         return f"TrigPolynomial({len(self.terms)} modes)"
 
 
+def mode_frequencies(winding: TorusWinding, f: TrigPolynomial) -> list[float]:
+    """The frequency ``j + k*gamma`` of each mode of ``f`` along the winding.
+
+    Raises :class:`ResonantFrequencyError` for a vanishing frequency, whose
+    mode integrates to linear growth instead of a bounded oscillation.
+    """
+    gamma = winding.slope
+    omegas = []
+    for j, k, _, _ in f.terms:
+        omega = j + k * gamma
+        if abs(omega) < 1e-9:
+            raise ResonantFrequencyError(
+                f"resonant frequency: mode ({j}, {k}) has |j + k*gamma| < 1e-9"
+            )
+        omegas.append(omega)
+    return omegas
+
+
 def winding_integral(
     winding: TorusWinding, f: TrigPolynomial, p: TorusPoint, t: float
 ) -> float:
@@ -500,15 +518,9 @@ def winding_integral(
     :class:`ResonantFrequencyError`.  Float evaluation, ~1e-12 accuracy for
     tame mode counts.
     """
-    gamma = winding.slope
     x, y = float(p.x), float(p.y)
     total = 0.0
-    for j, k, c, s in f.terms:
-        omega = j + k * gamma
-        if abs(omega) < 1e-9:
-            raise ResonantFrequencyError(
-                f"resonant frequency: mode ({j}, {k}) has |j + k*gamma| < 1e-9"
-            )
+    for (j, k, c, s), omega in zip(f.terms, mode_frequencies(winding, f)):
         phi0 = 2 * math.pi * (j * x + k * y)
         phi1 = phi0 + 2 * math.pi * omega * t
         scale = 2 * math.pi * omega

@@ -1,8 +1,8 @@
 """Exception and warning types shared across the package.
 
-The experiment runner maps these onto process exit codes: configuration
-problems exit 1, precision exhaustion exits 2 and exceeded iteration
-budgets exit 3 (see :mod:`ergolab.cli`).
+The command line maps these onto process exit codes: configuration
+problems exit 1, precision exhaustion exits 2, exceeded iteration budgets
+exit 3 and any other error of this package exits 4 (see :mod:`ergolab.cli`).
 """
 from __future__ import annotations
 

@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 from .angles import AngleSpec, parse_angle
-from .cocycles import PhaseFunction, StepCocycle, TrigPolynomial
-from .errors import ConfigError
+from .cocycles import PhaseFunction, StepCocycle, TrigPolynomial, mode_frequencies
+from .errors import ConfigError, ResonantFrequencyError
 from .fixedpoint import SCALE, FixedReal
 from .induced import DEFAULT_RETURN_BUDGET, induced_statistics
 from .recurrence import (
@@ -387,6 +387,10 @@ def _detector_args(
         else:
             if not isinstance(cocycle, TrigPolynomial):
                 _fail("detector flow_near_returns over a winding needs a trig cocycle")
+            try:
+                mode_frequencies(system, cocycle)
+            except ResonantFrequencyError as exc:
+                _fail(f"cocycle: {exc}")
             args["start"] = _torus_start(block.get("start"))
         args["t_max"] = _positive(_number(block.get("t_max"), "detector.t_max"), "detector.t_max")
         args["eps"] = _positive(_number(block.get("eps"), "detector.eps"), "detector.eps")
@@ -435,6 +439,11 @@ def _detector_args(
         args["rectangles"] = parsed_rects
     else:
         _fail(f"detector: unknown kind {detector!r}")
+    if args.get("allow_zero_value") is False:
+        start = args["start"]
+        value = cocycle.value(start) if system_kind == "torus_winding" else cocycle.value_at(start)
+        if value == 0:
+            _fail("detector.start: the observable vanishes there (allow_zero_value overrides)")
     return args
 
 

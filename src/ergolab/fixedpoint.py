@@ -268,9 +268,6 @@ class Walls:
     def __len__(self) -> int:
         return self.count
 
-    def wall(self, i: int) -> FixedReal:
-        return FixedReal(self.mantissas[i], self.errs[i])
-
     def widths(self) -> list[Fraction]:
         """Exact nominal cell widths (used for zero-mean checks on exact walls)."""
         edges = self.mantissas + [ONE]

@@ -25,8 +25,8 @@ fixed-point comparisons back the rest; an undecidable comparison raises
 """
 from __future__ import annotations
 
+import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -54,6 +54,7 @@ from .fixedpoint import (
     ONE,
     FixedReal,
     Real,
+    Walls,
     as_fraction,
     circle_distance,
     exact_fraction,
@@ -111,9 +112,19 @@ class TargetSet:
     Endpoints are exact rationals.  For flow phase spaces the set is the
     full-height cylinder over the base intervals, unless ``band=(lo, hi)``
     restricts it to a height window (an exact rectangle union).
+
+    Guarded membership is a :class:`Walls` partition with an in/out label
+    per cell.  An integer mantissa ``m`` satisfies ``m >= r * 2**192`` iff
+    ``m >= ceil(r * 2**192)``, so exact walls at ``ceil(r * 2**192) < 2**192``
+    for the endpoints ``0 < r < 1``, plus 0, decide every arc exactly.  Cells
+    with equal labels stay apart: a wall shared by two endpoints less than an
+    ulp apart must still raise.  An arc across the 0/1 seam takes the label
+    of the first and last cells unless the seam is a boundary (the labels
+    differ, or an endpoint below 1 rounds up to ``2**192``).
+    :meth:`contains_fraction` stays the exact path for rational-angle orbits.
     """
 
-    __slots__ = ("intervals", "band")
+    __slots__ = ("intervals", "band", "_walls", "_labels", "_seam_label")
 
     def __init__(
         self,
@@ -144,6 +155,12 @@ class TargetSet:
                 raise ValueError("height band needs 0 <= lo < hi")
             band = (b_lo, b_hi)
         self.band = band
+        edges = {math.ceil(r * ONE) for pair in merged for r in pair if 0 < r < 1}
+        walls = [0, *sorted(w for w in edges if w < ONE)]
+        self._walls = Walls([FixedReal(w) for w in walls])
+        self._labels = [self.contains_fraction(Fraction(w, ONE)) for w in walls]
+        seam_open = self._labels[0] == self._labels[-1] and ONE not in edges
+        self._seam_label = self._labels[0] if seam_open else None
 
     @classmethod
     def whole(cls) -> "TargetSet":
@@ -154,57 +171,25 @@ class TargetSet:
         return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
 
     def contains_fraction(self, x: Fraction) -> bool:
-        x %= 1
-        for lo, hi in self.intervals:
-            if lo <= x < hi:
-                return True
-        return False
+        """Exact membership of a rational point."""
+        return any(lo <= x % 1 < hi for lo, hi in self.intervals)
 
     def contains(self, p: FixedReal) -> bool:
         """Guarded membership for a circle point.
 
-        Exact points decide exactly.  For a point with an error bound the
-        whole uncertainty arc must land inside the union (True) or outside
-        it (False); anything straddling an endpoint raises precision
-        exhaustion instead of guessing.
+        The whole uncertainty arc must land inside the union (True) or
+        outside it (False); anything straddling an endpoint raises
+        precision exhaustion instead of guessing.
         """
         p = p.frac()
-        if p.is_exact:
-            return self.contains_fraction(p.to_fraction())
-        lo_f, hi_f = p.interval()
-        # Decompose the uncertainty arc into sub-arcs of [0, 1).  A sub-arc
-        # clamped at 1 is open there: the value 1 itself wraps to 0 and is
-        # carried by the high-wrap piece instead.
-        if hi_f - lo_f >= 1:
-            segments = [(Fraction(0), Fraction(1), False)]
-        else:
-            segments = []
-            if hi_f < 1:
-                segments.append((max(lo_f, Fraction(0)), hi_f, True))
-            else:
-                segments.append((max(lo_f, Fraction(0)), Fraction(1), False))
-                segments.append((Fraction(0), hi_f - 1, True))
-            if lo_f < 0:
-                segments.append((lo_f + 1, Fraction(1), False))
-        if all(self._covers(s) for s in segments):
-            return True
-        if all(self._misses(s) for s in segments):
-            return False
-        raise PrecisionExhaustedError("ambiguous target-set membership")
-
-    def _covers(self, seg: tuple[Fraction, Fraction, bool]) -> bool:
-        a, b, top_closed = seg
-        return any(
-            lo <= a and (b < hi if top_closed else b <= hi)
-            for lo, hi in self.intervals
-        )
-
-    def _misses(self, seg: tuple[Fraction, Fraction, bool]) -> bool:
-        a, b, top_closed = seg
-        return all(
-            (b < lo if top_closed else b <= lo) or a >= hi
-            for lo, hi in self.intervals
-        )
+        m, e = p.mantissa, p.err_ulps
+        if e <= m < ONE - e:
+            return self._labels[self._walls.locate(p)]
+        # an arc across the seam needs its ends in the last and first cells
+        ends = [self._walls.locate(FixedReal((m + s) % ONE)) for s in (-e, e)]
+        if self._seam_label is None or ends != [len(self._walls) - 1, 0]:
+            raise PrecisionExhaustedError("ambiguous target-set membership")
+        return self._seam_label
 
     def contains_state(self, state: SpecialFlowState) -> bool:
         """Membership for a special-flow point (base test, then exact band test)."""
@@ -557,14 +542,12 @@ def sublinearity_estimate(
     satisfy it for every eps by the ergodic theorem.  The estimate is
     deterministic under ``seed``.
 
-    Sampling happens on the 2^-64 grid: starting points are uniform 64-bit
-    fixed-point values and (for irrational rotations) the orbit uses the
-    exact dynamics of the angle's top 64 bits, so every computed sum is the
-    exact sum of an angle within 2^-64 of the requested one.  For n up to
-    ~10^9 the orbit deviation stays far below any cell width in use, and
-    the threshold test ``|S_n| * den > num * n`` is exact integer
-    arithmetic.  Rational angles skip the grid and use closed-form
-    orbit-class sums per sample.
+    Starting points are uniform on the 2^-64 grid, and the threshold test
+    ``|S_n| * den > num * n`` is exact integer arithmetic.  Irrational
+    rotations run on that grid too (see :func:`_sublinearity_grid`), which
+    certifies a perturbed system rather than the requested one.  Rational
+    angles use closed-form orbit-class sums per sample; other bases step
+    each sample through the guarded :func:`birkhoff_sums`.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
@@ -596,13 +579,20 @@ def _sublinearity_grid(
     samples: int,
     seed: int,
 ) -> list[tuple[int, float]]:
+    """All samples at once on the 2^-64 grid, with the angle's top 64 bits.
+
+    The walls are truncated to 64 bits too, so each sum is exact for that
+    perturbed rotation and cocycle only; unlike the guarded detectors, this
+    path never raises a precision error.
+    """
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 1 << 64, size=samples, dtype=np.uint64)
     a64 = np.uint64(base.alpha.resolved.mantissa >> 128)
     walls64 = np.array([m >> 128 for m in f.walls.mantissas], dtype=np.uint64)
     values = np.asarray(f.values, dtype=np.int64)
     totals = np.zeros(samples, dtype=np.int64)
-    wanted = {}
+    wanted = set(n_list)
+    probabilities = {}
     num, den = eps.numerator, eps.denominator
     pts = xs.copy()
     for i in range(max(n_list)):
@@ -611,11 +601,9 @@ def _sublinearity_grid(
         pts += a64  # wraps mod 2**64
         n = i + 1
         if n in wanted:
-            continue
-        if n in set(n_list):
             exceed = np.abs(totals) * den > np.int64(num) * n
-            wanted[n] = float(np.count_nonzero(exceed)) / samples
-    return [(n, wanted[n]) for n in n_list]
+            probabilities[n] = float(np.count_nonzero(exceed)) / samples
+    return [(n, probabilities[n]) for n in n_list]
 
 
 def _sublinearity_rational(

@@ -52,23 +52,6 @@ def decimal_string(value: Fraction | int, digits: int = 30) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def grid_cell_fractions(
-    samples: Sequence[tuple[float, float]], nx: int, ny: int
-) -> list[list[float]]:
-    """Fraction of samples landing in each cell of an ``nx`` x ``ny`` grid on the unit square."""
-    if nx <= 0 or ny <= 0:
-        raise ValueError("grid dimensions must be positive")
-    counts = [[0] * ny for _ in range(nx)]
-    for x, y in samples:
-        i = min(int(x * nx), nx - 1)
-        j = min(int(y * ny), ny - 1)
-        counts[i][j] += 1
-    n = len(samples)
-    if n == 0:
-        raise ValueError("empty sample")
-    return [[c / n for c in row] for row in counts]
-
-
 def interval_cell_fractions(samples: Sequence[float], n_cells: int) -> list[float]:
     """Fraction of circle samples in each cell of a uniform partition of [0, 1)."""
     if n_cells <= 0:

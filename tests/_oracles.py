@@ -108,3 +108,30 @@ def excess_fraction_exact(p: int, q: int, walls, values, n: int, eps: Fraction) 
         if Fraction(abs(s_n)) > eps * n:
             total += hi - lo
     return total
+
+
+def target_arc_membership(intervals, lo: Fraction, hi: Fraction):
+    """Is the closed circle arc ``[lo, hi]`` inside the union of ``[a, b)`` intervals?
+
+    True when every point of the arc lies in the union, False when none
+    does, ``"ambiguous"`` otherwise.  ``lo`` and ``hi`` may lie outside
+    ``[0, 1)`` (the arc wraps past the seam) as long as ``0 <= hi - lo < 1``.
+    Membership is right-continuous, so the arc is one-coloured exactly when
+    no jump point ``t`` of the indicator lies in ``(lo, hi]`` mod 1.
+    """
+    intervals = [(Fraction(a), Fraction(b)) for a, b in intervals]
+
+    def member(x: Fraction) -> bool:
+        return any(a <= x % 1 < b for a, b in intervals)
+
+    def member_left_of(t: Fraction) -> bool:
+        # membership just below t; just below 0 means just below 1
+        t = t % 1 or Fraction(1)
+        return any(a < t <= b for a, b in intervals)
+
+    jumps = {
+        t % 1 for pair in intervals for t in pair if member(t) != member_left_of(t)
+    }
+    if any(lo < t + k <= hi for t in jumps for k in (-1, 0, 1)):
+        return "ambiguous"
+    return member(lo)

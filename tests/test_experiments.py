@@ -3,13 +3,19 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import ergolab
 from ergolab.cli import main
-from ergolab.errors import ConfigError, PrecisionExhaustedError
+from ergolab.errors import (
+    ConfigError,
+    PrecisionExhaustedError,
+    RationalAngleError,
+    RationalAngleWarning,
+)
 from ergolab.experiments import (
     check_run_directory,
     list_presets,
@@ -251,6 +257,64 @@ def test_cli_precision_exit_code(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps(small_zero_sum_config()))
     assert main(["run", str(path)]) == 2
     assert "step 17" in capsys.readouterr().err
+
+
+def zero_phase_config():
+    """The golden flow preset with a phase function that vanishes everywhere."""
+    config = preset_config("theorem-b-flow")
+    config["cocycle"]["values"] = [0, 0]
+    config["output"]["directory"] = "zero-phase"
+    return config
+
+
+def resonant_winding_config():
+    """Slope 1/2 with the mode (1, -2), whose frequency 1 - 2 * 1/2 is 0."""
+    config = preset_config("theorem-b-winding")
+    config["system"]["slope"] = "rational:1/2"
+    config["cocycle"]["terms"] = [[1, -2, "1", "0"]]
+    config["output"]["directory"] = "resonant"
+    return config
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [(zero_phase_config(), "vanishes"), (resonant_winding_config(), "resonant")],
+    ids=["zero-value-start", "resonant-mode"],
+)
+def test_cli_rejects_run_time_failures_as_config_errors(tmp_path, capsys, config, message):
+    """Both conditions are decided from the config: exit 1 and nothing written."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
+def test_zero_value_start_is_allowed_on_request():
+    config = zero_phase_config()
+    config["detector"]["allow_zero_value"] = True
+    validate_config(config)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(RationalAngleError("no expansion"), 4), (RuntimeError("bug"), 5)],
+    ids=["other-ergolab-error", "unexpected-exception"],
+)
+def test_cli_other_failures_have_distinct_exit_codes(tmp_path, monkeypatch, exc, code):
+    import ergolab.cli as cli_module
+
+    def explode(raw, out_root=None):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "run_experiment", explode)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_zero_sum_config()))
+    assert main(["run", str(path)]) == code
 
 
 def test_cli_presets_lists_catalog(capsys):

@@ -1,9 +1,12 @@
 """Recurrence detectors: zero sums, near returns, flow zeros, excess probability."""
+import math
 import warnings
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.angles import AngleSpec
 from ergolab.cocycles import PhaseFunction, StepCocycle, TrigPolynomial, birkhoff_sums
@@ -33,7 +36,12 @@ from ergolab.systems import (
     TorusWinding,
 )
 
-from _oracles import excess_fraction_exact, near_return_times, zero_sum_times
+from _oracles import (
+    excess_fraction_exact,
+    near_return_times,
+    target_arc_membership,
+    zero_sum_times,
+)
 
 HALF = Fraction(1, 2)
 PM_WALLS = [Fraction(0), HALF]
@@ -250,6 +258,104 @@ def test_target_band_restricts_height():
     below = SpecialFlowState(Fraction(1, 10), Fraction(1, 10))
     assert target.contains_state(inside)
     assert not target.contains_state(below)
+
+
+THIRD = Fraction(1, 3)
+TINY = Fraction(1, 10**70)  # far below one ulp of the 2**-192 grid
+C_THIRD = math.ceil(Fraction(ONE, 3))
+
+# targets whose seam lies inside A, outside A, or on a boundary of A
+NAMED_TARGETS = [
+    [(0, Fraction(1, 4)), (Fraction(3, 4), 1)],
+    [(Fraction(1, 4), HALF)],
+    [(0, THIRD)],
+    [(Fraction(3, 7), 1)],
+    [(Fraction(1, 10), Fraction(3, 7)), (HALF, Fraction(9, 10))],
+    [(0, THIRD), (THIRD, Fraction(3, 7))],  # touching halves join
+    [(0, 1)],
+]
+ENDPOINTS = sorted(
+    {Fraction(k, d) for d in (2, 3, 4, 7, 10) for k in range(d + 1)}
+    | {TINY, THIRD + TINY, 1 - TINY}
+)
+
+
+@st.composite
+def target_intervals(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(NAMED_TARGETS))
+    cuts = draw(
+        st.lists(st.sampled_from(ENDPOINTS), min_size=2, max_size=6, unique=True)
+    )
+    cuts.sort()
+    return [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts) - 1, 2)]
+
+
+def membership(target, p):
+    try:
+        return target.contains(p)
+    except PrecisionExhaustedError:
+        return "ambiguous"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    intervals=target_intervals(),
+    data=st.data(),
+    offset=st.integers(min_value=-4, max_value=4),
+    err=st.integers(min_value=0, max_value=5),
+)
+def test_target_contains_matches_arc_oracle(intervals, data, offset, err):
+    """Guarded membership decides exactly like the Fraction arc oracle.
+
+    Points sit within 4 ulps of every endpoint and of the seam, where the
+    grid walls ``ceil(r * 2**192)`` and the seam rule do all the work.
+    """
+    target = TargetSet(intervals)
+    anchors = [0, ONE]
+    for pair in intervals:
+        for r in pair:
+            anchors += [math.floor(r * ONE), math.ceil(r * ONE)]
+    m = data.draw(st.sampled_from(anchors)) + offset
+    expected = target_arc_membership(
+        intervals, Fraction(m - err, ONE), Fraction(m + err, ONE)
+    )
+    assert membership(target, FixedReal(m, err)) == expected
+
+
+@given(
+    m=st.integers(min_value=-ONE, max_value=2 * ONE),
+    err=st.integers(min_value=0, max_value=1 << 96),
+)
+def test_whole_target_contains_every_arc(m, err):
+    assert TargetSet.whole().contains(FixedReal(m, err))
+
+
+@pytest.mark.parametrize(
+    "intervals, decisions",
+    [
+        (
+            [(0, THIRD), (THIRD + TINY, 1)],
+            [((C_THIRD - 1, 0), True), ((C_THIRD - 1, 2), "ambiguous"),
+             ((C_THIRD + 5, 0), True), ((C_THIRD + 5, 2), True), ((0, 3), True)],
+        ),
+        (
+            [(THIRD, THIRD + TINY)],
+            [((C_THIRD - 1, 2), "ambiguous"), ((C_THIRD - 1, 0), False),
+             ((C_THIRD + 5, 0), False), ((C_THIRD + 5, 2), False), ((0, 3), False)],
+        ),
+        (
+            [(HALF, 1 - TINY)],
+            [((ONE - 1, 0), True), ((ONE - 1, 2), "ambiguous"), ((0, 3), "ambiguous")],
+        ),
+    ],
+    ids=["sub-ulp-gap", "sub-ulp-interval", "sub-ulp-below-seam"],
+)
+def test_sub_ulp_targets_keep_their_decisions(intervals, decisions):
+    """Endpoints closer than one ulp share a grid wall, which must still guard."""
+    target = TargetSet(intervals)
+    for (m, err), expected in decisions:
+        assert membership(target, FixedReal(m, err)) == expected, (m, err)
 
 
 # --------------------------------------------------------------------------- #
