@@ -51,6 +51,7 @@ from .induced import (
 from .recurrence import (
     CascadeState,
     ReturnRecord,
+    Returns,
     TargetSet,
     cascade_apply,
     find_zero_sums,
@@ -104,6 +105,7 @@ __all__ = [
     "ResonantFrequencyError",
     "ReturnBudgetError",
     "ReturnRecord",
+    "Returns",
     "Roof",
     "RunManifest",
     "SCALE",

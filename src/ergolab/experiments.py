@@ -14,7 +14,6 @@ itself; angles use the ``rational:p/q`` / ``preset:name`` /
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -22,8 +21,11 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NoReturn, Sequence
+from typing import Any, Mapping, NoReturn, Sequence
+
+import numpy as np
 
 from .angles import AngleSpec, parse_angle
 from .cocycles import PhaseFunction, StepCocycle, TrigPolynomial, mode_frequencies
@@ -32,6 +34,7 @@ from .fixedpoint import SCALE, FixedReal
 from .induced import DEFAULT_RETURN_BUDGET, induced_statistics
 from .recurrence import (
     TargetSet,
+    _is_column,
     find_zero_sums,
     flow_zero_near_returns,
     flow_zero_set_returns,
@@ -523,64 +526,43 @@ class RunManifest:
         return doc
 
 
-def _render(value: Any, digits: int) -> str:
-    """Stable text for one CSV cell: exact decimals for rationals, repr for floats."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, Fraction)):
-        return decimal_string(value, digits)
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+def _execute(config: ExperimentConfig) -> tuple[list[str], list, dict | None]:
+    """Run the detector; returns (csv header, csv columns, json summary or None).
 
-
-def _execute(config: ExperimentConfig) -> tuple[list[str], list[tuple], dict | None]:
-    """Run the detector; returns (csv header, csv rows, json summary or None)."""
+    Each column is a sequence with one cell per row or a scalar shared by
+    every row; :func:`_write_csv` renders it.
+    """
     kind = config.detector
     args = config.detector_args
     system = config.system
     f = config.cocycle
     if kind == "zero_sums":
-        records = find_zero_sums(system, f, args["x"], args["count"])
-        return ["time", "value"], [(r.time, r.value) for r in records], None
+        zeros = find_zero_sums(system, f, args["x"], args["count"])
+        return ["time", "value"], [zeros.times, zeros.value], None
     if kind == "near_returns":
         times = near_returns(system, args["x"], args["count"], args["eps"])
-        return ["time"], [(n,) for n in times], None
+        return ["time"], [times], None
     if kind == "joint_returns":
-        records = joint_zero_returns(system, f, args["x"], args["count"], args["eps"])
-        return (
-            ["time", "value", "distance"],
-            [(r.time, r.value, r.distance) for r in records],
-            None,
-        )
+        joint = joint_zero_returns(system, f, args["x"], args["count"], args["eps"])
+        return ["time", "value", "distance"], [joint.times, joint.value, joint.distance], None
     if kind == "flow_set_returns":
-        records = flow_zero_set_returns(
+        hits = flow_zero_set_returns(
             system, f, args["start"], args["t_max"], args["target"],
             allow_zero_value=args["allow_zero_value"],
         )
-        return (
-            ["time", "value", "in_set"],
-            [(r.time, r.value, r.in_set) for r in records],
-            None,
-        )
+        return ["time", "value", "in_set"], [hits.times, hits.value, hits.in_set], None
     if kind == "flow_near_returns":
-        records = flow_zero_near_returns(
+        hits = flow_zero_near_returns(
             system, f, args["start"], args["t_max"], args["eps"],
             allow_zero_value=args["allow_zero_value"],
         )
-        return (
-            ["time", "value", "distance"],
-            [(r.time, r.value, r.distance) for r in records],
-            None,
-        )
+        return ["time", "value", "distance"], [hits.times, hits.value, hits.distance], None
     if kind == "sublinearity":
         pairs = sublinearity_estimate(
             system, f, args["n_list"], args["eps"],
             samples=config.samples, seed=config.seed,
         )
-        return ["n", "probability"], pairs, None
+        return ["n", "probability"], [list(column) for column in zip(*pairs)], None
     if kind == "induced":
         stats = induced_statistics(
             system, f, args["target"],
@@ -596,16 +578,10 @@ def _execute(config: ExperimentConfig) -> tuple[list[str], list[tuple], dict | N
             "kac_product": stats.kac_product(),
             "target_measure": str(stats.target_measure),
         }
-        rows = [
-            ("mean_return", repr(stats.mean_return)),
-            ("se_return", repr(stats.se_return)),
-            ("mean_cocycle", repr(stats.mean_cocycle)),
-            ("se_cocycle", repr(stats.se_cocycle)),
-            ("kac_product", repr(stats.kac_product())),
-            ("samples", stats.samples),
-            ("censored", stats.censored),
-        ]
-        return ["metric", "value"], rows, summary
+        metrics = ["mean_return", "se_return", "mean_cocycle", "se_cocycle",
+                   "kac_product", "samples", "censored"]
+        values = [repr(summary[name]) for name in metrics]
+        return ["metric", "value"], [metrics, values], summary
     if kind == "skew_orbit":
         stats = orbit_statistics(
             args["system"], args["start"], args["steps"], args["rectangles"]
@@ -620,12 +596,13 @@ def _execute(config: ExperimentConfig) -> tuple[list[str], list[tuple], dict | N
                 "y": repr(float(stats.final_state.y)),
             },
         }
-        rows = [
-            (f"rectangle_{i}", repr(avg), repr(se))
-            for i, (avg, se) in enumerate(zip(stats.averages, stats.standard_errors))
+        names = [f"rectangle_{i}" for i in range(len(stats.averages))]
+        columns = [
+            [*names, "fiber_displacement"],
+            [*map(repr, stats.averages), str(stats.fiber_displacement)],
+            [*map(repr, stats.standard_errors), ""],
         ]
-        rows.append(("fiber_displacement", stats.fiber_displacement, ""))
-        return ["observable", "average", "standard_error"], rows, summary
+        return ["observable", "average", "standard_error"], columns, summary
     raise ConfigError(f"detector: unknown kind {kind!r}")  # unreachable after validate
 
 
@@ -679,12 +656,58 @@ def run_experiment(
     return manifest
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[tuple], digits: int) -> None:
+_CSV_BLOCK = 1 << 16  # rows rendered and written at a time
+
+
+def _column_text(column: np.ndarray | Sequence, digits: int) -> list[str]:
+    """The cells of one CSV column, rendered in one pass chosen by the column's type.
+
+    Integers print through ``str``, exact rationals through
+    :func:`decimal_string` with ``digits`` fractional digits, floats as the
+    ``repr`` of the Python float (never a numpy scalar repr), flags as
+    ``1``/``0`` and ``None`` as an empty cell.  Text cells are written as
+    they are, so they must not need CSV quoting.
+    """
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    if not column:
+        return []
+    first = column[0]
+    if first is None:
+        return [""] * len(column)
+    if isinstance(first, bool):
+        return ["1" if cell else "0" for cell in column]
+    if isinstance(first, int):
+        return list(map(str, column))
+    if isinstance(first, Fraction):
+        return [decimal_string(cell, digits) for cell in column]
+    if isinstance(first, float):  # numpy float64 scalars included
+        return [repr(float(cell)) for cell in column]
+    if isinstance(first, str):
+        return list(column)
+    raise TypeError(f"no CSV rendering for {type(first).__name__} cells")
+
+
+def _write_csv(path: Path, header: list[str], columns: list, digits: int) -> None:
+    """Write a table given column by column; a scalar column repeats on every row.
+
+    The row count is the length of the sequence columns, so a table of
+    scalars alone has no rows.
+
+    Rows end in a newline and no cell is quoted, which matches
+    ``csv.writer`` for every cell the detectors produce.
+    """
+    rows = max((len(column) for column in columns if _is_column(column)), default=0)
+    constants = [None if _is_column(c) else _column_text([c], digits)[0] for c in columns]
     with open(path, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_render(cell, digits) for cell in row])
+        handle.write(",".join(header) + "\n")
+        for lo in range(0, rows, _CSV_BLOCK):
+            cells = [
+                repeat(text) if text is not None
+                else _column_text(column[lo : lo + _CSV_BLOCK], digits)
+                for column, text in zip(columns, constants)
+            ]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:

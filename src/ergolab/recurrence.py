@@ -29,7 +29,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import repeat
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -90,20 +91,85 @@ def cascade_apply(base: BaseMap, f: StepCocycle, state: CascadeState) -> Cascade
 
 @dataclass(frozen=True, slots=True)
 class ReturnRecord:
-    """One detected recurrence event.
+    """One detected recurrence event: a row of a :class:`Returns` table.
 
     ``time`` is the step count (cascades) or the flow time (exact rational
     for special flows, float for windings).  ``value`` is the Birkhoff sum
     or orbit integral at that time — exactly zero for the zero-detectors,
     a tiny float residual for bracketed trig zeros.  ``distance`` and
     ``in_set`` carry the near-return metric / target-set membership when
-    the detector computes them.
+    the detector computes them.  Records are built on demand when a
+    ``Returns`` is indexed or iterated, always with plain Python ``int``,
+    ``float``, ``Fraction`` or ``bool`` fields, never numpy scalars.
     """
 
     time: Number
     value: Number
     distance: Number | None = None
     in_set: bool | None = None
+
+
+def _is_column(values) -> bool:
+    """A per-event column, as opposed to one scalar shared by every event."""
+    return isinstance(values, (np.ndarray, list))
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class Returns:
+    """The events of one detector run as columns (struct of arrays).
+
+    * ``times`` — an int64 array of step counts for cascades, a list of
+      exact ``Fraction`` times for special flows, of floats for windings;
+      strictly increasing.
+    * ``value`` — the constant 0 for cascade zeros and ``Fraction(0)`` for
+      special-flow zeros, a list of float residuals for winding zeros.
+    * ``distance`` — the near-return metric, or ``None`` when not computed:
+      exact ``Fraction`` lists on rational angles and special flows, a
+      float64 array (the guarded value, rounded) on irrational rotations
+      and interval exchanges, floats for windings.
+    * ``in_set`` — the constant ``True`` for target-set detectors, else ``None``.
+
+    A column is either one entry per event or one scalar shared by all of
+    them.  ``times`` and ``value`` are exact except for windings.  The
+    table also reads as a sequence of :class:`ReturnRecord`: ``len``,
+    ``bool``, indexing and iteration build record views on demand, and a
+    table equals a list or tuple holding the same records.
+    """
+
+    times: np.ndarray | list
+    value: object = 0
+    distance: object = None
+    in_set: object = None
+
+    def _columns(self) -> tuple:
+        return (self.times, self.value, self.distance, self.in_set)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index: int) -> ReturnRecord:
+        cells = []
+        for column in self._columns():
+            cell = column[index] if _is_column(column) else column
+            cells.append(cell.item() if isinstance(cell, np.generic) else cell)
+        return ReturnRecord(*cells)
+
+    def __iter__(self) -> Iterator[ReturnRecord]:
+        columns = [
+            c.tolist() if isinstance(c, np.ndarray) else c if _is_column(c) else repeat(c)
+            for c in self._columns()
+        ]
+        return map(ReturnRecord, *columns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Returns, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Returns({len(self)} events)"
 
 
 class TargetSet:
@@ -250,24 +316,24 @@ def _rational_orbit_sums(
 
 def _rational_zero_times(
     alpha: Fraction, f: StepCocycle, x0: Fraction, count: int
-) -> list[int]:
+) -> np.ndarray:
+    """Zero times ``1 <= n <= count`` of the q-periodic orbit, as a sorted int64 array."""
     prefix, cycle = _rational_orbit_sums(alpha, f, x0)
     q = alpha.denominator
-    times: list[int] = []
     if cycle == 0:
-        for r in range(1, q + 1):
-            if prefix[r] == 0:
-                times.extend(range(r, count + 1, q))
-        times.sort()
-    else:
-        for r in range(1, q + 1):
-            if prefix[r] % cycle == 0:
-                m = -(prefix[r] // cycle)
-                n = m * q + r
-                if m >= 0 and n <= count:
-                    times.append(n)
-        times.sort()
-    return times
+        # every lap repeats the zeros of the first: r + m q for each P_r = 0
+        residues = np.array([r for r in range(1, q + 1) if prefix[r] == 0], dtype=np.int64)
+        laps = np.arange(count // q + 1, dtype=np.int64) * q
+        times = (laps[:, None] + residues).ravel()
+        return times[times <= count]
+    times = []
+    for r in range(1, q + 1):
+        if prefix[r] % cycle == 0:
+            m = -(prefix[r] // cycle)
+            n = m * q + r
+            if m >= 0 and n <= count:
+                times.append(n)
+    return np.array(sorted(times), dtype=np.int64)
 
 
 def _rational_residue_distances(alpha: Fraction) -> list[Fraction]:
@@ -294,15 +360,20 @@ def _kernel_safe(f: StepCocycle, count: int) -> bool:
 # --------------------------------------------------------------------------- #
 
 
-def find_zero_sums(
-    base: BaseMap, f: StepCocycle, x: Real, count: int
-) -> list[ReturnRecord]:
+def _concat_times(chunks: list[np.ndarray]) -> np.ndarray:
+    if not chunks:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(chunks).astype(np.int64, copy=False)
+
+
+def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Returns:
     """All times ``1 <= n <= count`` with exact Birkhoff sum ``S_n(x) = 0``.
 
     Rational rotation angles dispatch to closed-form enumeration of the
     q-periodic orbit (with a :class:`RationalAngleWarning`, since the
     recurrence theorems assume ergodicity); irrational rotations run the
     exact fast kernel; interval exchanges fall back to the guarded loop.
+    The result has an int64 ``times`` column and the constant value 0.
     """
     if not f.is_integer:
         raise ValueError("zero-sum detection needs an integer-valued cocycle")
@@ -313,25 +384,18 @@ def find_zero_sums(
     if isinstance(base, CircleRotation) and base.is_rational:
         _warn_rational("the zero-sum scan")
         if x_exact is not None:
-            times = _rational_zero_times(
-                base.alpha.as_fraction(), f, x_exact % 1, count
-            )
-            return [ReturnRecord(time=n, value=0) for n in times]
+            return Returns(_rational_zero_times(base.alpha.as_fraction(), f, x_exact % 1, count))
     if isinstance(base, CircleRotation) and _kernel_safe(f, count):
         values = np.asarray(f.values, dtype=np.int64)
         total = 0
-        times: list[int] = []
+        chunks = []
         for offset, cells in iter_rotation_cells(base, f.walls, x, count):
             sums = np.cumsum(values[cells]) + total
-            for j in np.nonzero(sums == 0)[0].tolist():
-                times.append(offset + 1 + j)
+            chunks.append(np.flatnonzero(sums == 0) + (offset + 1))
             total = int(sums[-1])
-        return [ReturnRecord(time=n, value=0) for n in times]
-    return [
-        ReturnRecord(time=n, value=0)
-        for n, s in enumerate(birkhoff_sums(base, f, x, count), start=1)
-        if s == 0
-    ]
+        return Returns(_concat_times(chunks))
+    sums = birkhoff_sums(base, f, x, count)
+    return Returns(np.fromiter((n for n, s in enumerate(sums, start=1) if s == 0), np.int64))
 
 
 def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
@@ -353,11 +417,11 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
             q = len(dist)
             passes = [d < eps for d in dist]
             return [n for n in range(1, count + 1) if passes[n % q]]
-        out: list[int] = []
-        for offset, flags in iter_rotation_near_flags(base, eps, count):
-            for j in np.nonzero(flags)[0].tolist():
-                out.append(offset + 1 + j)
-        return out
+        chunks = [
+            np.flatnonzero(flags) + (offset + 1)
+            for offset, flags in iter_rotation_near_flags(base, eps, count)
+        ]
+        return _concat_times(chunks).tolist()
     out = []
     p = x
     for n in range(1, count + 1):
@@ -369,52 +433,51 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
 
 def joint_zero_returns(
     base: BaseMap, f: StepCocycle, x: Real, count: int, eps: Real
-) -> list[ReturnRecord]:
+) -> Returns:
     """Times with ``S_n(x) = 0`` and ``d(S^n x, x) < eps`` simultaneously.
 
     The intersection of :func:`find_zero_sums` and :func:`near_returns`,
-    with the distance recorded on each surviving record (exact rational
-    for rational angles, float rendering of the guarded value otherwise).
+    with a distance column (exact rationals for rational angles, float
+    rendering of the guarded value otherwise), computed for the surviving
+    times only.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    zeros = find_zero_sums(base, f, x, count)
+    zeros = find_zero_sums(base, f, x, count).times
     x_exact = exact_fraction(x)
     x = FixedReal.of(x).frac()
-    records: list[ReturnRecord] = []
     if isinstance(base, CircleRotation) and base.is_rational and x_exact is not None:
         dist = _rational_residue_distances(base.alpha.as_fraction())
-        q = len(dist)
-        for rec in zeros:
-            d = dist[rec.time % q]
-            if d < eps:
-                records.append(ReturnRecord(time=rec.time, value=0, distance=d))
-        return records
+        passes = np.array([d < eps for d in dist], dtype=bool)
+        residues = zeros % len(dist)
+        keep = passes[residues]
+        return Returns(zeros[keep], distance=[dist[r] for r in residues[keep].tolist()])
     if isinstance(base, CircleRotation):
         flags = np.zeros(count + 1, dtype=bool)
         for offset, chunk in iter_rotation_near_flags(base, eps, count):
             flags[offset + 1 : offset + 1 + len(chunk)] = chunk
+        times = zeros[flags[zeros]]
         a_m = base.alpha.resolved.mantissa
         a_e = base.alpha.resolved.err_ulps
-        for rec in zeros:
-            n = rec.time
-            if flags[n]:
-                disp = (n * a_m) % ONE
-                d = FixedReal(min(disp, ONE - disp), n * a_e)
-                records.append(
-                    ReturnRecord(time=n, value=0, distance=float(d))
-                )
-        return records
-    zero_times = {rec.time for rec in zeros}
+        distances = []
+        for n in times.tolist():
+            disp = (n * a_m) % ONE
+            distances.append(float(FixedReal(min(disp, ONE - disp), n * a_e)))
+        return Returns(times, distance=np.array(distances, dtype=np.float64))
+    zero_times = set(zeros.tolist())
+    times, distances = [], []
     p = x
     for n in range(1, count + 1):
         p = base.apply(p)
         if n in zero_times:
             d = circle_distance(p, x)
             if _guarded_less(d, eps, step=n):
-                records.append(ReturnRecord(time=n, value=0, distance=float(d)))
-    return records
+                times.append(n)
+                distances.append(float(d))
+    return Returns(
+        np.array(times, dtype=np.int64), distance=np.array(distances, dtype=np.float64)
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -446,25 +509,26 @@ def flow_zero_set_returns(
     target: TargetSet,
     allow_zero_value: bool = False,
     max_crossings: int | None = None,
-) -> list[ReturnRecord]:
+) -> Returns:
     """Times ``0 < t <= t_max`` with orbit integral exactly 0 and ``T_t x`` in the target.
 
     Zero times come from the exact piecewise-linear integral profile
     (interval zeros reported by their left endpoint); the orbit is then
     re-stepped incrementally to each zero time and tested for membership.
-    Only in-set events are emitted, each flagged ``in_set=True``.  The
-    starting point itself need not lie in the target.
+    Only in-set events are emitted, so ``in_set`` is the constant True;
+    times are exact ``Fraction``s and the value is the constant
+    ``Fraction(0)``.  The starting point itself need not lie in the target.
     """
     _flow_preamble(roof, f, start, allow_zero_value, "the flow zero/set scan")
     profile = integral_profile(roof, f, start, t_max, max_crossings)
-    records: list[ReturnRecord] = []
+    times: list[Fraction] = []
     state, t_cur = start, Fraction(0)
     for t in profile.zeros():
         state, _ = special_flow_step(roof, state, t - t_cur)
         t_cur = t
         if target.contains_state(state):
-            records.append(ReturnRecord(time=t, value=Fraction(0), in_set=True))
-    return records
+            times.append(t)
+    return Returns(times, value=Fraction(0), in_set=True)
 
 
 def flow_zero_near_returns(
@@ -476,18 +540,20 @@ def flow_zero_near_returns(
     allow_zero_value: bool = False,
     grid_step: float | None = None,
     max_crossings: int | None = None,
-) -> list[ReturnRecord]:
+) -> Returns:
     """Times with vanishing orbit integral and phase point ``eps``-close to the start.
 
     Two engines share the signature:
 
     * special flow (``system`` is a :class:`Roof`): exact rational zero
       times, distances in the product chart ``max(base circle distance,
-      height difference)``;
+      height difference)``, as exact ``Fraction`` columns with the constant
+      value ``Fraction(0)``;
     * torus winding: zeros of the closed-form trigonometric integral by
       sign-change bracketing (tolerance 1e-12 in t; tangential zeros
       between grid points are missed by design), distances as the max of
-      the two coordinate distances.
+      the two coordinate distances; times, residuals and distances are
+      float lists.
     """
     if isinstance(system, TorusWinding):
         if not allow_zero_value and f.value(start) == 0:
@@ -498,28 +564,30 @@ def flow_zero_near_returns(
         eps_f = float(eps)
         if eps_f <= 0:
             raise ValueError("eps must be positive")
-        records = []
+        times, residuals, distances = [], [], []
         for t in winding_zero_times(system, f, start, float(t_max), grid_step):
             moved = system.flow(start, t)
             d = float(system.distance(start, moved))
             if d < eps_f:
-                residual = winding_integral(system, f, start, t)
-                records.append(ReturnRecord(time=t, value=residual, distance=d))
-        return records
+                times.append(t)
+                residuals.append(winding_integral(system, f, start, t))
+                distances.append(d)
+        return Returns(times, value=residuals, distance=distances)
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     _flow_preamble(system, f, start, allow_zero_value, "the flow zero/near scan")
     profile = integral_profile(system, f, start, t_max, max_crossings)
-    records = []
+    times, distances = [], []
     state, t_cur = start, Fraction(0)
     for t in profile.zeros():
         state, _ = special_flow_step(system, state, t - t_cur)
         t_cur = t
         d = flow_distance(system, start, state)
         if d < eps:
-            records.append(ReturnRecord(time=t, value=Fraction(0), distance=d))
-    return records
+            times.append(t)
+            distances.append(d)
+    return Returns(times, value=Fraction(0), distance=distances)
 
 
 # --------------------------------------------------------------------------- #

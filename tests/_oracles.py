@@ -8,9 +8,13 @@ against these dumb-but-obviously-correct routes.
 """
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 
 import mpmath
+
+from ergolab.stats import decimal_string
 
 mpmath.mp.dps = 60
 
@@ -135,3 +139,30 @@ def target_arc_membership(intervals, lo: Fraction, hi: Fraction):
     if any(lo < t + k <= hi for t in jumps for k in (-1, 0, 1)):
         return "ambiguous"
     return member(lo)
+
+
+def _render_cell(value, digits: int) -> str:
+    """Stable text for one CSV cell: exact decimals for rationals, repr for floats."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, Fraction)):
+        return decimal_string(value, digits)
+    if isinstance(value, float):
+        return repr(value)
+    if value is None:
+        return ""
+    return str(value)
+
+
+def reference_csv_bytes(header, rows, digits: int) -> bytes:
+    """The result-file bytes of a table given row by row, one cell at a time.
+
+    ``csv.writer`` with newline line endings and a type test per cell; the
+    oracle for the experiment runner's column-wise writer.
+    """
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_render_cell(cell, digits) for cell in row])
+    return buffer.getvalue().encode("ascii")

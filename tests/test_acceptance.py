@@ -8,6 +8,7 @@ fiber telescoping, and byte-level determinism of the preset catalog.  The
 tolerances and sample sizes are part of the contract; loosening them to
 make a red line green is never acceptable.
 """
+import hashlib
 import itertools
 import math
 import time
@@ -544,11 +545,39 @@ def test_09_fiber_displacement_telescopes(gate):
 # --------------------------------------------------------------------------- #
 
 
+# SHA-256 of every preset result file: a change to these bytes is a change
+# of output format, and only an intended one may record new digests.
+PRESET_RESULT_SHA256 = {
+    ("krygin-atkinson", "results.csv"):
+        "9c6faf4d42391e66320d5a7907240e2ea5a1d258978f01defaf9d34c8bcbd0b1",
+    ("shneiberg", "results.csv"):
+        "da142ae8f597edddb3b210e45882f0e219546d32ca449c8cd05bd7e9a1c7261c",
+    ("theorem-a", "results.csv"):
+        "9321f53581eb0af63689b41d09b28735989df04e0e3a0ee5be79d64b163be8a3",
+    ("theorem-b-flow", "results.csv"):
+        "dc11732f4929e10eef52dc164c46e4589c5948784873cecb6fda77a3f7bbab9d",
+    ("theorem-b-winding", "results.csv"):
+        "b522d286b9672cce8f1e4d7e52fb249b8bdc188fafcdf726bacd5fae5c88ae91",
+    ("theorem-c-induced", "results.csv"):
+        "25793788e6f619c0eb5c9397e182a08334542e2f5fcf74f1f46c3018d6b984ab",
+    ("theorem-c-induced", "results.json"):
+        "94491dc68c00204f503c27966461d579e255e1bbdb9d2f1e1a9d098f3937133e",
+    ("theorem-d-weiss", "results.csv"):
+        "2bb911db938d6bb03cf833f2293e8fa8b7f275447ea51f16a0709f490042fdc6",
+    ("skew-construct", "results.csv"):
+        "f308f7eb807b91f37e0e2e0210a35135df712d720f0103ad50613b531e5a7f6c",
+    ("skew-construct", "results.json"):
+        "7ee40fd46cf416df99e60fdbce03d3e6220c01c87bf3a029573ad922ac916298",
+}
+
+
 def test_10_presets_rerun_byte_identical(gate, tmp_path):
     """Every preset, run twice with its stored seed, produces byte-identical
-    config and result files, each run well under a minute."""
+    config and result files, each run well under a minute, and its result
+    files hash to the recorded digests."""
     mismatches = []
     slow = []
+    pinned = set()
     for name, _ in list_presets():
         config = preset_config(name)
         first = run_experiment(config, out_root=tmp_path / "a")
@@ -560,6 +589,13 @@ def test_10_presets_rerun_byte_identical(gate, tmp_path):
             b = (tmp_path / "b" / config["output"]["directory"] / artifact).read_bytes()
             if a != b:
                 mismatches.append(f"{name}/{artifact}")
+            if artifact.startswith("results."):
+                pinned.add((name, artifact))
+                if hashlib.sha256(a).hexdigest() != PRESET_RESULT_SHA256.get((name, artifact)):
+                    mismatches.append(f"{name}/{artifact} digest")
+    mismatches += [
+        f"{name}/{artifact} missing" for name, artifact in PRESET_RESULT_SHA256.keys() - pinned
+    ]
     ok = not mismatches and not slow
     gate(
         "10 preset determinism",

@@ -1,14 +1,22 @@
 """Config validation, artifact layout and exit codes of the experiment runner."""
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ergolab
+from _oracles import reference_csv_bytes
+from ergolab import experiments
 from ergolab.cli import main
 from ergolab.errors import (
     ConfigError,
@@ -17,6 +25,7 @@ from ergolab.errors import (
     RationalAngleWarning,
 )
 from ergolab.experiments import (
+    _write_csv,
     check_run_directory,
     list_presets,
     preset_config,
@@ -355,3 +364,85 @@ def test_cli_module_entry_point(tmp_path):
         assert (cli_dir / name).read_bytes() == (
             tmp_path / "inproc" / "theorem-a" / name
         ).read_bytes(), name
+
+
+# --------------------------------------------------------------------------- #
+# column-wise CSV writer against the per-cell csv.writer oracle
+# --------------------------------------------------------------------------- #
+
+SUMMARY_TEXT = [
+    "mean_return", "se_return", "kac_product", "samples", "censored",
+    "rectangle_0", "rectangle_12", "fiber_displacement", "0.2629", "-1.5e-07", "",
+]
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, 1e300, 0.1]
+
+
+def half_up_fractions(digits):
+    """Values exactly halfway between two neighbours at ``digits`` decimals."""
+    return st.builds(
+        lambda k, sign: sign * Fraction(2 * k + 1, 2 * 10**digits),
+        st.integers(0, 10**12),
+        st.sampled_from([1, -1]),
+    )
+
+
+@st.composite
+def csv_column(draw, rows, digits):
+    """(kind, what the writer is given, the cells the per-cell oracle is given)."""
+    kind = draw(st.sampled_from(
+        ["int64", "zero", "fraction", "float", "bool", "true", "none", "text"]
+    ))
+
+    def cells_of(elements):
+        return draw(st.lists(elements, min_size=rows, max_size=rows))
+
+    if kind == "int64":
+        cells = cells_of(st.integers(-(2**63), 2**63 - 1) | st.integers(2**31, 2**40))
+        return kind, np.array(cells, dtype=np.int64), cells
+    if kind == "zero":
+        constant = draw(st.sampled_from([0, Fraction(0)]))
+        return kind, constant, [constant] * rows
+    if kind == "fraction":
+        integers = st.integers(-(10**20), 10**20).map(Fraction)
+        cells = cells_of(st.fractions() | half_up_fractions(digits) | integers)
+        return kind, cells, cells
+    if kind == "float":
+        cells = cells_of(st.floats() | st.sampled_from(EDGE_FLOATS))
+        given = draw(st.sampled_from([
+            list(cells), [np.float64(c) for c in cells], np.array(cells, dtype=np.float64),
+        ]))
+        return kind, given, cells
+    if kind == "bool":
+        cells = cells_of(st.booleans())
+        return kind, draw(st.sampled_from([list(cells), np.array(cells, dtype=bool)])), cells
+    if kind == "true":
+        return kind, True, [True] * rows
+    if kind == "none":
+        return kind, draw(st.sampled_from([None, [None] * rows])), [None] * rows
+    cells = cells_of(st.sampled_from(SUMMARY_TEXT))
+    return kind, cells, cells
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer") / "results.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_column_writer_matches_per_cell_csv(data, csv_path):
+    rows = data.draw(st.integers(0, 12), label="rows")
+    digits = data.draw(st.integers(1, 40), label="digits")
+    columns = data.draw(st.lists(csv_column(rows, digits), min_size=1, max_size=4))
+    # the rows come from the sequence columns; scalars repeat on each of them
+    assume(rows == 0 or any(isinstance(given, (list, np.ndarray)) for _, given, _ in columns))
+    # csv.writer quotes a lone empty field; no single-column table has one
+    assume(len(columns) > 1 or columns[0][0] not in ("none", "text"))
+    header = [f"c{i}" for i in range(len(columns))]
+    block = data.draw(st.integers(1, 8), label="rows per written block")
+    with mock.patch.object(experiments, "_CSV_BLOCK", block):
+        _write_csv(csv_path, header, [given for _, given, _ in columns], digits)
+    written = csv_path.read_bytes()
+    want = reference_csv_bytes(header, zip(*(cells for _, _, cells in columns)), digits)
+    assert written == want
+    assert b"np." not in written

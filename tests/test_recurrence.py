@@ -4,10 +4,12 @@ import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab import cocycles
 from ergolab.angles import AngleSpec
 from ergolab.cocycles import PhaseFunction, StepCocycle, TrigPolynomial, birkhoff_sums
 from ergolab.errors import (
@@ -142,6 +144,50 @@ def test_count_must_be_positive():
         find_zero_sums(golden(), pm_one(), 0, 0)
 
 
+KERNEL_CHUNK = 1 << 16
+SEAM_STEPS = 200_000  # more than three kernel chunks
+NEAR_WALL_STEP = 3 * KERNEL_CHUNK + 7
+
+
+@pytest.mark.parametrize(
+    "angle, wall_offset",
+    [("golden", None), ("sqrt2", None), ("golden", 1 << 100), ("sqrt2", -(1 << 100))],
+    ids=["golden", "sqrt2", "golden-above-wall", "sqrt2-below-wall"],
+)
+def test_kernel_zero_times_stitch_across_chunks(angle, wall_offset, monkeypatch):
+    """Zero times across the kernel's chunk seams equal the big-integer reference.
+
+    With a wall offset, the start is chosen so that the orbit point at
+    ``NEAR_WALL_STEP`` lies that many 192-bit ulps from the wall at 1/2:
+    inside the coarse 64-bit margin, so the step must take the exact
+    fallback, yet far outside the accumulated error, so it is decided.
+    """
+    rot, f = CircleRotation(AngleSpec.preset(angle)), pm_one()
+    if wall_offset is None:
+        x = FixedReal.of(Fraction(1, 10))
+    else:
+        shift = NEAR_WALL_STEP * rot.alpha.resolved.mantissa
+        x = FixedReal((ONE // 2 + wall_offset - shift) % ONE)
+    fallback_steps = []
+    exact_cell = cocycles._exact_cell
+
+    def spy(walls, mantissa, err, step):
+        fallback_steps.append(step)
+        return exact_cell(walls, mantissa, err, step)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cocycles, "_exact_cell", spy)
+        zeros = find_zero_sums(rot, f, x, SEAM_STEPS)
+    want = [n for n, s in enumerate(birkhoff_sums(rot, f, x, SEAM_STEPS), start=1) if s == 0]
+    assert zeros.times.dtype == np.int64
+    assert np.all(np.diff(zeros.times) > 0)
+    assert zeros.times.tolist() == want
+    assert set(((zeros.times - 1) // KERNEL_CHUNK).tolist()) == {0, 1, 2, 3}
+    assert all(type(r.time) is int and r.value == 0 for r in zeros)
+    if wall_offset is not None:
+        assert NEAR_WALL_STEP in fallback_steps
+
+
 # --------------------------------------------------------------------------- #
 # near_returns
 # --------------------------------------------------------------------------- #
@@ -215,6 +261,19 @@ def test_joint_golden_is_exact_intersection():
     near_times = set(near_returns(rot, x, 10**4, eps))
     assert {r.time for r in records} == zero_times & near_times
     assert all(0 < r.distance < float(eps) for r in records)
+
+
+def test_returns_rows_are_plain_python_views():
+    rot, f = golden(), pm_one()
+    joint = joint_zero_returns(rot, f, Fraction(1, 10), 10**4, Fraction(1, 100))
+    assert joint.times.dtype == np.int64 and joint.distance.dtype == np.float64
+    rows = list(joint)
+    assert rows == joint and len(rows) == len(joint) > 0
+    for rec in (joint[0], joint[-1], *rows):
+        assert type(rec.time) is int and type(rec.distance) is float and rec.value == 0
+    assert joint[-1] == rows[-1] and f"{joint[0].distance:.3e}"
+    empty = find_zero_sums(rot, StepCocycle([0, HALF], [1, -1]), Fraction(1, 10), 1)
+    assert not empty and empty == [] and list(empty) == []
 
 
 def test_joint_min_distance_shrinks_with_horizon():
