@@ -34,10 +34,10 @@ from .fixedpoint import SCALE, FixedReal
 from .induced import DEFAULT_RETURN_BUDGET, induced_statistics
 from .recurrence import (
     TargetSet,
-    _is_column,
     find_zero_sums,
     flow_zero_near_returns,
     flow_zero_set_returns,
+    is_column,
     joint_zero_returns,
     near_returns,
     sublinearity_estimate,
@@ -656,9 +656,6 @@ def run_experiment(
     return manifest
 
 
-_CSV_BLOCK = 1 << 16  # rows rendered and written at a time
-
-
 def _column_text(column: np.ndarray | Sequence, digits: int) -> list[str]:
     """The cells of one CSV column, rendered in one pass chosen by the column's type.
 
@@ -691,22 +688,22 @@ def _column_text(column: np.ndarray | Sequence, digits: int) -> list[str]:
 def _write_csv(path: Path, header: list[str], columns: list, digits: int) -> None:
     """Write a table given column by column; a scalar column repeats on every row.
 
-    The row count is the length of the sequence columns, so a table of
-    scalars alone has no rows.
+    Columns follow :func:`~ergolab.recurrence.is_column`.  The row count is
+    the length of the sequence columns, so a table of scalars alone has no
+    rows.
 
     Rows end in a newline and no cell is quoted, which matches
     ``csv.writer`` for every cell the detectors produce.
     """
-    rows = max((len(column) for column in columns if _is_column(column)), default=0)
-    constants = [None if _is_column(c) else _column_text([c], digits)[0] for c in columns]
+    rows = max((len(column) for column in columns if is_column(column)), default=0)
+    cells = [
+        _column_text(column, digits) if is_column(column)
+        else repeat(_column_text([column], digits)[0])
+        for column in columns
+    ]
     with open(path, "w", newline="", encoding="ascii") as handle:
         handle.write(",".join(header) + "\n")
-        for lo in range(0, rows, _CSV_BLOCK):
-            cells = [
-                repeat(text) if text is not None
-                else _column_text(column[lo : lo + _CSV_BLOCK], digits)
-                for column, text in zip(columns, constants)
-            ]
+        if rows:
             handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -109,9 +109,13 @@ class ReturnRecord:
     in_set: bool | None = None
 
 
-def _is_column(values) -> bool:
-    """A per-event column, as opposed to one scalar shared by every event."""
-    return isinstance(values, (np.ndarray, list))
+def is_column(values) -> bool:
+    """Whether ``values`` holds one cell per event (an array, list or tuple).
+
+    Anything else is a scalar shared by every event.  :class:`Returns` and
+    the experiment runner's CSV writer both read their columns by this rule.
+    """
+    return isinstance(values, (np.ndarray, list, tuple))
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -130,10 +134,11 @@ class Returns:
     * ``in_set`` — the constant ``True`` for target-set detectors, else ``None``.
 
     A column is either one entry per event or one scalar shared by all of
-    them.  ``times`` and ``value`` are exact except for windings.  The
-    table also reads as a sequence of :class:`ReturnRecord`: ``len``,
-    ``bool``, indexing and iteration build record views on demand, and a
-    table equals a list or tuple holding the same records.
+    them (see :func:`is_column`).  ``times`` and ``value`` are exact except
+    for windings.  The table also reads as a sequence of
+    :class:`ReturnRecord`: ``len``, ``bool``, indexing and iteration build
+    record views on demand, a slice is the ``Returns`` of the selected
+    events, and a table equals a list or tuple holding the same records.
     """
 
     times: np.ndarray | list
@@ -147,16 +152,18 @@ class Returns:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, index: int) -> ReturnRecord:
+    def __getitem__(self, index: int | slice) -> "ReturnRecord | Returns":
+        if isinstance(index, slice):
+            return Returns(*(c[index] if is_column(c) else c for c in self._columns()))
         cells = []
         for column in self._columns():
-            cell = column[index] if _is_column(column) else column
+            cell = column[index] if is_column(column) else column
             cells.append(cell.item() if isinstance(cell, np.generic) else cell)
         return ReturnRecord(*cells)
 
     def __iter__(self) -> Iterator[ReturnRecord]:
         columns = [
-            c.tolist() if isinstance(c, np.ndarray) else c if _is_column(c) else repeat(c)
+            c.tolist() if isinstance(c, np.ndarray) else c if is_column(c) else repeat(c)
             for c in self._columns()
         ]
         return map(ReturnRecord, *columns)

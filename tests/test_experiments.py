@@ -7,7 +7,6 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 import ergolab
 from _oracles import reference_csv_bytes
-from ergolab import experiments
 from ergolab.cli import main
 from ergolab.errors import (
     ConfigError,
@@ -439,9 +437,7 @@ def test_column_writer_matches_per_cell_csv(data, csv_path):
     # csv.writer quotes a lone empty field; no single-column table has one
     assume(len(columns) > 1 or columns[0][0] not in ("none", "text"))
     header = [f"c{i}" for i in range(len(columns))]
-    block = data.draw(st.integers(1, 8), label="rows per written block")
-    with mock.patch.object(experiments, "_CSV_BLOCK", block):
-        _write_csv(csv_path, header, [given for _, given, _ in columns], digits)
+    _write_csv(csv_path, header, [given for _, given, _ in columns], digits)
     written = csv_path.read_bytes()
     want = reference_csv_bytes(header, zip(*(cells for _, _, cells in columns)), digits)
     assert written == want

@@ -20,6 +20,7 @@ from ergolab.errors import (
 from ergolab.fixedpoint import ONE, FixedReal
 from ergolab.recurrence import (
     CascadeState,
+    Returns,
     TargetSet,
     cascade_apply,
     find_zero_sums,
@@ -272,6 +273,9 @@ def test_returns_rows_are_plain_python_views():
     for rec in (joint[0], joint[-1], *rows):
         assert type(rec.time) is int and type(rec.distance) is float and rec.value == 0
     assert joint[-1] == rows[-1] and f"{joint[0].distance:.3e}"
+    head = joint[:3]
+    assert isinstance(head, Returns) and list(head) == rows[:3] and head == rows[:3]
+    assert list(joint[1::2]) == rows[1::2] and list(joint[len(joint):]) == []
     empty = find_zero_sums(rot, StepCocycle([0, HALF], [1, -1]), Fraction(1, 10), 1)
     assert not empty and empty == [] and list(empty) == []
 
