@@ -130,6 +130,109 @@ def test_config_error_writes_no_files(tmp_path):
     assert not (tmp_path / "nothing").exists()
 
 
+MATRIX_SYSTEMS = {
+    "rotation": {"kind": "rotation", "angle": "preset:golden"},
+    "interval_exchange": {
+        "kind": "interval_exchange",
+        "lengths": ["1/2", "1/4", "1/4"],
+        "permutation": [3, 2, 1],
+    },
+    "special_flow": {
+        "kind": "special_flow",
+        "angle": "preset:golden",
+        "roof_breakpoints": ["0", "1/2"],
+        "roof_heights": ["1", "1"],
+    },
+    "torus_winding": {"kind": "torus_winding", "slope": "preset:sqrt2"},
+}
+MATRIX_COCYCLES = {
+    "none": None,
+    "integer-step": {"kind": "step", "breakpoints": ["0", "1/2"], "values": [1, -1]},
+    "rational-step": {"kind": "step", "breakpoints": ["0", "1/2"], "values": ["1", "-1"]},
+    "phase": {"kind": "phase", "values": [1, -1]},
+    "trig": {"kind": "trig", "terms": [[1, 0, "1", "0"]]},
+}
+# every (detector, system, cocycle) cell that validate_config accepts; the
+# other cells of the matrix raise ConfigError
+ACCEPTED_CELLS = {
+    ("zero_sums", "rotation", "integer-step"),
+    ("zero_sums", "rotation", "rational-step"),
+    ("zero_sums", "interval_exchange", "integer-step"),
+    ("zero_sums", "interval_exchange", "rational-step"),
+    ("near_returns", "rotation", "none"),
+    ("near_returns", "rotation", "integer-step"),
+    ("near_returns", "rotation", "rational-step"),
+    ("near_returns", "interval_exchange", "none"),
+    ("near_returns", "interval_exchange", "integer-step"),
+    ("near_returns", "interval_exchange", "rational-step"),
+    ("joint_returns", "rotation", "integer-step"),
+    ("joint_returns", "rotation", "rational-step"),
+    ("joint_returns", "interval_exchange", "integer-step"),
+    ("joint_returns", "interval_exchange", "rational-step"),
+    ("sublinearity", "rotation", "integer-step"),
+    ("sublinearity", "rotation", "rational-step"),
+    ("sublinearity", "interval_exchange", "integer-step"),
+    ("sublinearity", "interval_exchange", "rational-step"),
+    ("induced", "rotation", "integer-step"),
+    ("induced", "rotation", "rational-step"),
+    ("induced", "interval_exchange", "integer-step"),
+    ("induced", "interval_exchange", "rational-step"),
+    ("skew_orbit", "rotation", "integer-step"),
+    ("skew_orbit", "interval_exchange", "integer-step"),
+    ("flow_set_returns", "special_flow", "phase"),
+    ("flow_near_returns", "special_flow", "phase"),
+    ("flow_near_returns", "torus_winding", "trig"),
+}
+
+
+def matrix_config(detector, system, cocycle):
+    """A config that is well formed in every block, for one cell of the matrix."""
+    if system == "torus_winding":
+        flow_start = {"x": "0", "y": "0"}
+    else:
+        flow_start = {"x": "1/10", "height": "0"}
+    block = {
+        "zero_sums": {"start": "1/10", "count": 10},
+        "near_returns": {"start": "1/10", "count": 10, "eps": "1/10"},
+        "joint_returns": {"start": "1/10", "count": 10, "eps": "1/10"},
+        "sublinearity": {"n_list": [10], "eps": "1/10"},
+        "induced": {"target": {"intervals": [["0", "1/2"]]}},
+        "skew_orbit": {
+            "fiber": {"kind": "rotation", "angle": "preset:sqrt2"},
+            "start": {"x": "1/10", "y": "1/4"},
+            "steps": 10,
+            "rectangles": [[["0", "1/2"], ["0", "1/2"]]],
+        },
+        "flow_set_returns": {
+            "start": flow_start, "t_max": "10", "target": {"intervals": [["0", "1"]]}
+        },
+        "flow_near_returns": {"start": flow_start, "t_max": "10", "eps": "1/20"},
+    }[detector]
+    config = {
+        "system": MATRIX_SYSTEMS[system],
+        "detector": {"kind": detector, **block},
+        "output": {"directory": "matrix"},
+    }
+    if MATRIX_COCYCLES[cocycle] is not None:
+        config["cocycle"] = MATRIX_COCYCLES[cocycle]
+    if detector in ("sublinearity", "induced"):
+        config["sampling"] = {"samples": 100, "seed": 0}
+    return json.loads(json.dumps(config))
+
+
+@pytest.mark.parametrize("cocycle", list(MATRIX_COCYCLES))
+@pytest.mark.parametrize("system", list(MATRIX_SYSTEMS))
+@pytest.mark.parametrize("detector", sorted({cell[0] for cell in ACCEPTED_CELLS}))
+def test_validation_matrix(detector, system, cocycle):
+    """Each cell is accepted or refused with a ConfigError, never another exception."""
+    config = matrix_config(detector, system, cocycle)
+    if (detector, system, cocycle) in ACCEPTED_CELLS:
+        validate_config(config)
+    else:
+        with pytest.raises(ConfigError):
+            validate_config(config)
+
+
 # --------------------------------------------------------------------------- #
 # artifacts
 # --------------------------------------------------------------------------- #
