@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import ConfigError, ResonantFrequencyError
 from .fixedpoint import SCALE, FixedReal
 from .induced import DEFAULT_RETURN_BUDGET, induced_statistics
 from .recurrence import (
+    Returns,
     TargetSet,
     find_zero_sums,
     flow_zero_near_returns,
@@ -54,9 +55,6 @@ from .systems import (
 )
 
 TOOL_VERSION = "0.1.0"
-
-_CASCADE_DETECTORS = {"zero_sums", "near_returns", "joint_returns", "sublinearity"}
-_SAMPLED_DETECTORS = {"sublinearity", "induced"}
 
 
 # --------------------------------------------------------------------------- #
@@ -89,10 +87,21 @@ def _number(value: Any, where: str) -> Fraction:
 
 
 def _count(value: Any, where: str, minimum: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{where}: expected an integer, got {value!r}")
-    if value < minimum:
+    if _integer(value, where) < minimum:
         _fail(f"{where}: must be at least {minimum}, got {value}")
+    return value
+
+
+def _positive(value: Any, where: str) -> Fraction:
+    number = _number(value, where)
+    if number <= 0:
+        _fail(f"{where}: must be positive, got {number}")
+    return number
+
+
+def _flag(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        _fail(f"{where}: expected true/false, got {value!r}")
     return value
 
 
@@ -105,12 +114,38 @@ def _angle(value: Any, where: str) -> AngleSpec:
         _fail(f"{where}: {exc}")
 
 
-def _block(raw: Mapping[str, Any], name: str, required: bool = True) -> dict:
+def _numbers(values: Any, where: str) -> list[Fraction]:
+    if not isinstance(values, Sequence):
+        _fail(f"{where}: expected a list of numbers")
+    return [_number(v, where) for v in values]
+
+
+def _counts(values: Any, where: str) -> list[int]:
+    if not isinstance(values, Sequence) or not values:
+        _fail(f"{where} must be a non-empty list of counts")
+    return [_count(n, where) for n in values]
+
+
+def _values(values: Any, where: str) -> list[int | Fraction]:
+    """Cocycle values: JSON integers stay ``int`` (an integer-valued cocycle), the rest exact."""
+    if not isinstance(values, Sequence):
+        _fail(f"{where}: expected a list of values")
+    return [
+        v if isinstance(v, int) and not isinstance(v, bool) else _number(v, where)
+        for v in values
+    ]
+
+
+def _pair(value: Any, where: str) -> tuple[Fraction, Fraction]:
+    if not isinstance(value, Sequence) or len(value) != 2:
+        _fail(f"{where}: expected a [lo, hi] pair")
+    return _number(value[0], where), _number(value[1], where)
+
+
+def _block(raw: Mapping[str, Any], name: str) -> dict:
     block = raw.get(name)
     if block is None:
-        if required:
-            _fail(f"missing config block {name!r}")
-        return {}
+        _fail(f"missing config block {name!r}")
     if not isinstance(block, Mapping):
         _fail(f"config block {name!r} must be an object")
     return dict(block)
@@ -122,24 +157,22 @@ def _no_extras(block: Mapping[str, Any], allowed: set, where: str) -> None:
         _fail(f"{where}: unknown keys {sorted(extras)}")
 
 
+def _lookup(table: Mapping[str, Any], kind: Any, where: str) -> Any:
+    if not isinstance(kind, str) or kind not in table:
+        _fail(f"{where}: unknown kind {kind!r}")
+    return table[kind]
+
+
 def _target_set(spec: Any, where: str) -> TargetSet:
     if not isinstance(spec, Mapping):
         _fail(f"{where}: expected an object with 'intervals'")
     intervals = spec.get("intervals")
     if not isinstance(intervals, Sequence) or not intervals:
         _fail(f"{where}: 'intervals' must be a non-empty list of [lo, hi] pairs")
-    pairs = []
-    for pair in intervals:
-        if not isinstance(pair, Sequence) or len(pair) != 2:
-            _fail(f"{where}: each interval must be a [lo, hi] pair")
-        pairs.append((_number(pair[0], where), _number(pair[1], where)))
     band = spec.get("band")
-    if band is not None:
-        if not isinstance(band, Sequence) or len(band) != 2:
-            _fail(f"{where}: 'band' must be a [lo, hi] pair")
-        band = (_number(band[0], where), _number(band[1], where))
+    band = None if band is None else _pair(band, f"{where}.band")
     try:
-        return TargetSet(pairs, band=band)
+        return TargetSet([_pair(pair, where) for pair in intervals], band=band)
     except ValueError as exc:
         _fail(f"{where}: {exc}")
 
@@ -169,108 +202,275 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
 
-def _build_system(block: Mapping[str, Any]) -> tuple[str, object]:
-    kind = block.get("kind")
-    if kind == "rotation":
-        _no_extras(block, {"kind", "angle"}, "system")
-        return kind, CircleRotation(_angle(block.get("angle"), "system.angle"))
-    if kind == "interval_exchange":
-        _no_extras(block, {"kind", "lengths", "permutation"}, "system")
-        lengths = block.get("lengths")
-        perm = block.get("permutation")
-        if not isinstance(lengths, Sequence) or not isinstance(perm, Sequence):
-            _fail("system: interval_exchange needs 'lengths' and 'permutation' lists")
-        try:
-            return kind, IntervalExchange(
-                [_number(v, "system.lengths") for v in lengths],
-                tuple(_count(p, "system.permutation") for p in perm),
-            )
-        except ValueError as exc:
-            _fail(f"system: {exc}")
-    if kind == "special_flow":
-        _no_extras(block, {"kind", "angle", "roof_breakpoints", "roof_heights"}, "system")
-        base = CircleRotation(_angle(block.get("angle"), "system.angle"))
-        breaks = block.get("roof_breakpoints")
-        heights = block.get("roof_heights")
-        if not isinstance(breaks, Sequence) or not isinstance(heights, Sequence):
-            _fail("system: special_flow needs 'roof_breakpoints' and 'roof_heights'")
-        try:
-            roof = Roof(
-                [_number(b, "system.roof_breakpoints") for b in breaks],
-                [_number(h, "system.roof_heights") for h in heights],
-                base,
-            )
-        except ValueError as exc:
-            _fail(f"system: {exc}")
-        return kind, roof
-    if kind == "torus_winding":
-        _no_extras(block, {"kind", "slope"}, "system")
-        return kind, TorusWinding(_angle(block.get("slope"), "system.slope"))
-    _fail(f"system: unknown kind {kind!r}")
+# --------------------------------------------------------------------------- #
+# systems and cocycles: kind -> (block keys with their parsers, builder)
+# --------------------------------------------------------------------------- #
 
 
-def _build_cocycle(block: Mapping[str, Any], system_kind: str, system: object):
+def _terms(terms: Any, where: str) -> list[tuple[int, int, float, float]]:
+    if not isinstance(terms, Sequence) or not terms:
+        _fail(f"{where}: trig needs a non-empty list of terms")
+    for term in terms:
+        if not isinstance(term, Sequence) or len(term) != 4:
+            _fail(f"{where}: each trig term is [j, k, cos_amp, sin_amp]")
+    return [
+        (_integer(j, where), _integer(k, where),
+         float(_number(c, where)), float(_number(s, where)))
+        for j, k, c, s in terms
+    ]
+
+
+def _phase(system: object, values: list) -> PhaseFunction:
+    if not isinstance(system, Roof):
+        _fail("cocycle: phase functions require a special_flow system")
+    return PhaseFunction.from_base_values(system, values)
+
+
+def _trig(system: object, terms: list) -> TrigPolynomial:
+    """A trigonometric polynomial with no resonant mode along the winding."""
+    if not isinstance(system, TorusWinding):
+        _fail("cocycle: trig polynomials require a torus_winding system")
+    polynomial = TrigPolynomial(terms)
+    mode_frequencies(system, polynomial)
+    return polynomial
+
+
+# builders take the parsed fields in order (cocycle builders the system first)
+_SYSTEMS: dict[str, tuple[dict[str, Callable], Callable]] = {
+    "rotation": ({"angle": _angle}, CircleRotation),
+    "interval_exchange": ({"lengths": _numbers, "permutation": _counts}, IntervalExchange),
+    "special_flow": (
+        {"angle": _angle, "roof_breakpoints": _numbers, "roof_heights": _numbers},
+        lambda angle, breakpoints, heights: Roof(breakpoints, heights, CircleRotation(angle)),
+    ),
+    "torus_winding": ({"slope": _angle}, TorusWinding),
+}
+_COCYCLES: dict[str, tuple[dict[str, Callable], Callable]] = {
+    "step": ({"breakpoints": _numbers, "values": _values},
+             lambda system, breakpoints, values: StepCocycle(breakpoints, values)),
+    "phase": ({"values": _values}, _phase),
+    "trig": ({"terms": _terms}, _trig),
+}
+
+
+def _build(table: Mapping[str, tuple], block: Mapping[str, Any], where: str, *context) -> tuple:
+    """Look up ``block['kind']``, parse its fields and build; returns (kind, object)."""
     kind = block.get("kind")
-    if kind == "step":
-        _no_extras(block, {"kind", "breakpoints", "values"}, "cocycle")
-        breaks = block.get("breakpoints")
-        values = block.get("values")
-        if not isinstance(breaks, Sequence) or not isinstance(values, Sequence):
-            _fail("cocycle: step needs 'breakpoints' and 'values' lists")
-        parsed = [
-            v if isinstance(v, int) and not isinstance(v, bool)
-            else _number(v, "cocycle.values")
-            for v in values
-        ]
-        try:
-            return StepCocycle([_number(b, "cocycle.breakpoints") for b in breaks], parsed)
-        except ValueError as exc:
-            _fail(f"cocycle: {exc}")
-    if kind == "phase":
-        if system_kind != "special_flow":
-            _fail("cocycle: phase functions require a special_flow system")
-        _no_extras(block, {"kind", "values"}, "cocycle")
-        values = block.get("values")
-        if not isinstance(values, Sequence):
-            _fail("cocycle: phase needs a 'values' list (one per roof cell)")
-        parsed = [
-            v if isinstance(v, int) and not isinstance(v, bool)
-            else _number(v, "cocycle.values")
-            for v in values
-        ]
-        try:
-            return PhaseFunction.from_base_values(system, parsed)
-        except ValueError as exc:
-            _fail(f"cocycle: {exc}")
-    if kind == "trig":
-        if system_kind != "torus_winding":
-            _fail("cocycle: trig polynomials require a torus_winding system")
-        _no_extras(block, {"kind", "terms"}, "cocycle")
-        terms = block.get("terms")
-        if not isinstance(terms, Sequence) or not terms:
-            _fail("cocycle: trig needs a non-empty 'terms' list")
-        tuples = []
-        for term in terms:
-            if not isinstance(term, Sequence) or len(term) != 4:
-                _fail("cocycle: each trig term is [j, k, cos_amp, sin_amp]")
-            tuples.append(
-                (_integer(term[0], "cocycle.terms"),
-                 _integer(term[1], "cocycle.terms"),
-                 float(_number(term[2], "cocycle.terms")),
-                 float(_number(term[3], "cocycle.terms")))
-            )
-        try:
-            return TrigPolynomial(tuples)
-        except ValueError as exc:
-            _fail(f"cocycle: {exc}")
-    _fail(f"cocycle: unknown kind {kind!r}")
+    fields, build = _lookup(table, kind, where)
+    _no_extras(block, {"kind", *fields}, where)
+    parsed = [parse(block.get(key), f"{where}.{key}") for key, parse in fields.items()]
+    try:
+        return kind, build(*context, *parsed)
+    except (ValueError, ResonantFrequencyError) as exc:
+        _fail(f"{where}: {exc}")
+
+
+# --------------------------------------------------------------------------- #
+# detectors: kind -> systems, cocycles, block fields, sampling, runner
+# --------------------------------------------------------------------------- #
+
+
+class _Field(NamedTuple):
+    """A detector-block key: the detector argument it fills, its parser, its default.
+
+    Parsers are called as ``parse(value, where, system, cocycle)``.
+    """
+
+    arg: str
+    parse: Callable[[Any, str, object, object], Any]
+    default: Any = None
+
+
+def _plain(parse: Callable[[Any, str], Any]) -> Callable[[Any, str, object, object], Any]:
+    """A field parser that needs neither the system nor the cocycle."""
+    return lambda value, where, system, cocycle: parse(value, where)
+
+
+def _xy(spec: Any, where: str, what: str) -> tuple[Fraction, Fraction]:
+    if not isinstance(spec, Mapping) or "x" not in spec or "y" not in spec:
+        _fail(f"{where} for a {what} is {{'x': ..., 'y': ...}}")
+    return _number(spec["x"], f"{where}.x"), _number(spec["y"], f"{where}.y")
+
+
+def _flow_start(
+    spec: Any, where: str, system: object, cocycle: object
+) -> SpecialFlowState | TorusPoint:
+    """A torus point, or a point ``(x, height)`` under the roof: ``0 <= height < r(x)``."""
+    if isinstance(system, TorusWinding):
+        return TorusPoint(*_xy(spec, where, "winding"))
+    if not isinstance(spec, Mapping) or "x" not in spec:
+        _fail(f"{where} for a flow is {{'x': ..., 'height': ...}}")
+    x = _number(spec["x"], f"{where}.x")
+    height = _number(spec.get("height", 0), f"{where}.height")
+    if not 0 <= x < 1 or not 0 <= height < system.height_at(FixedReal.of(x)):
+        _fail(f"{where}: need 0 <= x < 1 and 0 <= height < the roof height at x")
+    return SpecialFlowState(x, height)
+
+
+def _product_start(spec: Any, where: str) -> ProductState:
+    x, y = _xy(spec, where, "skew orbit")
+    if not (0 <= x < 1 and 0 <= y < 1):
+        _fail(f"{where}: need 0 <= x < 1 and 0 <= y < 1")
+    return ProductState(FixedReal.of(x), FixedReal.of(y))
+
+
+def _skew_system(spec: Any, where: str, base: object, cocycle: object) -> SkewSystem:
+    """The skew product over the configured base with the fiber map ``spec``."""
+    if not isinstance(spec, Mapping):
+        _fail(f"{where} must be a system object")
+    fiber_kind, fiber = _build(_SYSTEMS, spec, "system")
+    if fiber_kind not in _CASCADE_BASES:
+        _fail(f"{where} must be a rotation or interval_exchange")
+    return SkewSystem(base, fiber, cocycle)
+
+
+def _rectangles(rects: Any, where: str) -> list:
+    if not isinstance(rects, Sequence) or not rects:
+        _fail(f"{where} must be a non-empty list")
+    for rect in rects:
+        if not isinstance(rect, Sequence) or len(rect) != 2:
+            _fail(f"{where} entries are [[x_lo,x_hi],[y_lo,y_hi]]")
+    parsed = [(_pair(rect[0], where), _pair(rect[1], where)) for rect in rects]
+    if not all(0 <= lo < hi <= 1 for rect in parsed for lo, hi in rect):
+        _fail(f"{where}: every side needs 0 <= lo < hi <= 1")
+    return parsed
+
+
+def _returns_table(returns: Returns, *extra: str) -> tuple[list[str], list, None]:
+    """The CSV table of a :class:`Returns`: time, value and the named extra columns."""
+    columns = [returns.times, returns.value, *(getattr(returns, name) for name in extra)]
+    return ["time", "value", *extra], columns, None
+
+
+def _run_sublinearity(config: ExperimentConfig) -> tuple[list[str], list, None]:
+    pairs = sublinearity_estimate(
+        config.system, config.cocycle, **config.detector_args,
+        samples=config.samples, seed=config.seed,
+    )
+    return ["n", "probability"], [list(column) for column in zip(*pairs)], None
+
+
+def _run_induced(config: ExperimentConfig) -> tuple[list[str], list, dict]:
+    stats = induced_statistics(
+        config.system, config.cocycle, **config.detector_args,
+        samples=config.samples, seed=config.seed,
+    )
+    summary = {  # in CSV row order; the JSON file sorts its keys
+        "mean_return": stats.mean_return,
+        "se_return": stats.se_return,
+        "mean_cocycle": stats.mean_cocycle,
+        "se_cocycle": stats.se_cocycle,
+        "kac_product": stats.kac_product(),
+        "samples": stats.samples,
+        "censored": stats.censored,
+    }
+    columns = [list(summary), [repr(value) for value in summary.values()]]
+    summary["target_measure"] = str(stats.target_measure)
+    return ["metric", "value"], columns, summary
+
+
+def _run_skew_orbit(config: ExperimentConfig) -> tuple[list[str], list, dict]:
+    stats = orbit_statistics(**config.detector_args)
+    summary = {
+        "steps": stats.steps,
+        "averages": list(stats.averages),
+        "standard_errors": list(stats.standard_errors),
+        "fiber_displacement": stats.fiber_displacement,
+        "final_state": {
+            "x": repr(float(stats.final_state.x)),
+            "y": repr(float(stats.final_state.y)),
+        },
+    }
+    names = [f"rectangle_{i}" for i in range(len(stats.averages))]
+    columns = [
+        [*names, "fiber_displacement"],
+        [*map(repr, stats.averages), str(stats.fiber_displacement)],
+        [*map(repr, stats.standard_errors), ""],
+    ]
+    return ["observable", "average", "standard_error"], columns, summary
+
+
+class _Detector(NamedTuple):
+    """Everything validation and execution know about one detector kind.
+
+    ``run`` calls the detector with ``detector_args`` as keyword arguments
+    and returns ``(csv header, csv columns, json summary or None)``.
+    """
+
+    systems: tuple[str, ...]
+    cocycles: tuple[str, ...]  # cocycle kinds, "none" for no cocycle block
+    fields: dict[str, _Field]
+    samples: bool
+    run: Callable[[ExperimentConfig], tuple[list[str], list, dict | None]]
+
+
+_CASCADE_BASES = ("rotation", "interval_exchange")
+_STEPS = ("integer step", "rational step")
+_CASCADE_START = _Field("x", _plain(_number))
+_COUNT = _Field("count", _plain(_count))
+_EPS = _Field("eps", _plain(_positive))
+_FLOW_START = _Field("start", _flow_start)
+_T_MAX = _Field("t_max", _plain(_positive))
+_TARGET = _Field("target", _plain(_target_set))
+_ALLOW_ZERO_VALUE = _Field("allow_zero_value", _plain(_flag), False)
+
+_DETECTORS: dict[str, _Detector] = {
+    "zero_sums": _Detector(
+        _CASCADE_BASES, ("integer step",), {"start": _CASCADE_START, "count": _COUNT}, False,
+        lambda c: _returns_table(find_zero_sums(c.system, c.cocycle, **c.detector_args)),
+    ),
+    "near_returns": _Detector(
+        _CASCADE_BASES, ("none", *_STEPS),
+        {"start": _CASCADE_START, "count": _COUNT, "eps": _EPS}, False,
+        lambda c: (["time"], [near_returns(c.system, **c.detector_args)], None),
+    ),
+    "joint_returns": _Detector(
+        _CASCADE_BASES, ("integer step",),
+        {"start": _CASCADE_START, "count": _COUNT, "eps": _EPS}, False,
+        lambda c: _returns_table(
+            joint_zero_returns(c.system, c.cocycle, **c.detector_args), "distance"
+        ),
+    ),
+    "flow_set_returns": _Detector(
+        ("special_flow",), ("phase",),
+        {"start": _FLOW_START, "t_max": _T_MAX, "target": _TARGET,
+         "allow_zero_value": _ALLOW_ZERO_VALUE}, False,
+        lambda c: _returns_table(
+            flow_zero_set_returns(c.system, c.cocycle, **c.detector_args), "in_set"
+        ),
+    ),
+    "flow_near_returns": _Detector(
+        ("special_flow", "torus_winding"), ("phase", "trig"),
+        {"start": _FLOW_START, "t_max": _T_MAX, "eps": _EPS,
+         "allow_zero_value": _ALLOW_ZERO_VALUE}, False,
+        lambda c: _returns_table(
+            flow_zero_near_returns(c.system, c.cocycle, **c.detector_args), "distance"
+        ),
+    ),
+    "sublinearity": _Detector(
+        _CASCADE_BASES, ("integer step",),
+        {"n_list": _Field("n_list", _plain(_counts)), "eps": _EPS}, True, _run_sublinearity,
+    ),
+    "induced": _Detector(
+        _CASCADE_BASES, _STEPS,
+        {"target": _TARGET, "budget": _Field("budget", _plain(_count), DEFAULT_RETURN_BUDGET)},
+        True, _run_induced,
+    ),
+    "skew_orbit": _Detector(
+        _CASCADE_BASES, ("integer step",),
+        {"fiber": _Field("system", _skew_system), "start": _Field("start", _plain(_product_start)),
+         "steps": _Field("steps", _plain(_count)),
+         "rectangles": _Field("rectangles", _plain(_rectangles))}, False, _run_skew_orbit,
+    ),
+}
 
 
 def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     """Parse and cross-check a config document; raises :class:`ConfigError`.
 
     Validation builds the actual system/cocycle objects (so range errors
-    surface here) but runs nothing.
+    surface here) but runs nothing.  What a detector accepts comes from its
+    entry in ``_DETECTORS``.
     """
     if not isinstance(raw, Mapping):
         _fail("config must be a JSON object")
@@ -281,28 +481,45 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     detector_block = _block(raw, "detector")
     output_block = _block(raw, "output")
 
-    system_kind, system = _build_system(system_block)
-
+    system_kind, system = _build(_SYSTEMS, system_block, "system")
     detector = detector_block.get("kind")
-    if not isinstance(detector, str):
-        _fail("detector: missing 'kind'")
-
-    cocycle = None
+    spec = _lookup(_DETECTORS, detector, "detector")
+    cocycle_kind, cocycle = "none", None
     if "cocycle" in raw:
-        cocycle = _build_cocycle(_block(raw, "cocycle"), system_kind, system)
+        cocycle_kind, cocycle = _build(_COCYCLES, _block(raw, "cocycle"), "cocycle", system)
+        if cocycle_kind == "step":  # all values JSON integers, or some exact rationals
+            cocycle_kind = "integer step" if cocycle.is_integer else "rational step"
+    if system_kind not in spec.systems:
+        _fail(f"detector {detector!r} needs a {' or '.join(spec.systems)} system")
+    if cocycle_kind not in spec.cocycles:
+        _fail(
+            f"detector {detector!r} accepts cocycles {list(spec.cocycles)}, "
+            f"got {cocycle_kind!r}"
+        )
 
-    sampling_block = _block(raw, "sampling", required=detector in _SAMPLED_DETECTORS)
     samples = seed = None
-    if detector in _SAMPLED_DETECTORS:
+    if spec.samples:
+        sampling_block = _block(raw, "sampling")
         _no_extras(sampling_block, {"samples", "seed"}, "sampling")
         samples = _count(sampling_block.get("samples"), "sampling.samples", minimum=100)
         if "seed" not in sampling_block:
             _fail("sampling: a seed is required whenever sampling is used")
         seed = _count(sampling_block.get("seed"), "sampling.seed", minimum=0)
-    elif raw.get("sampling"):
+    elif "sampling" in raw:
         _fail(f"sampling: detector {detector!r} does not sample")
 
-    args = _detector_args(detector, detector_block, system_kind, system, cocycle)
+    _no_extras(detector_block, {"kind", *spec.fields}, "detector")
+    args = {
+        field.arg: field.parse(
+            detector_block.get(key, field.default), f"detector.{key}", system, cocycle
+        )
+        for key, field in spec.fields.items()
+    }
+    if args.get("allow_zero_value") is False:
+        start = args["start"]
+        value = cocycle.value(start) if system_kind == "torus_winding" else cocycle.value_at(start)
+        if value == 0:
+            _fail("detector.start: the observable vanishes there (allow_zero_value overrides)")
 
     directory = output_block.get("directory")
     if not isinstance(directory, str) or not directory:
@@ -330,162 +547,6 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         directory=directory,
         formats=tuple(formats),
         digits=digits,
-    )
-
-
-def _detector_args(
-    detector: str,
-    block: Mapping[str, Any],
-    system_kind: str,
-    system: object,
-    cocycle: object | None,
-) -> dict:
-    """Per-detector argument parsing and system/cocycle compatibility checks."""
-    args: dict = {}
-    if detector in _CASCADE_DETECTORS or detector == "induced":
-        if system_kind not in ("rotation", "interval_exchange"):
-            _fail(f"detector {detector!r} needs a rotation or interval_exchange system")
-    if detector in ("zero_sums", "joint_returns", "sublinearity", "induced", "skew_orbit"):
-        if cocycle is None:
-            _fail(f"detector {detector!r} needs a cocycle block")
-
-    if detector == "zero_sums":
-        _no_extras(block, {"kind", "start", "count"}, "detector")
-        args["x"] = _number(block.get("start"), "detector.start")
-        args["count"] = _count(block.get("count"), "detector.count")
-    elif detector == "near_returns":
-        _no_extras(block, {"kind", "start", "count", "eps"}, "detector")
-        args["x"] = _number(block.get("start"), "detector.start")
-        args["count"] = _count(block.get("count"), "detector.count")
-        args["eps"] = _positive(_number(block.get("eps"), "detector.eps"), "detector.eps")
-    elif detector == "joint_returns":
-        _no_extras(block, {"kind", "start", "count", "eps"}, "detector")
-        args["x"] = _number(block.get("start"), "detector.start")
-        args["count"] = _count(block.get("count"), "detector.count")
-        args["eps"] = _positive(_number(block.get("eps"), "detector.eps"), "detector.eps")
-    elif detector == "flow_set_returns":
-        if system_kind != "special_flow":
-            _fail("detector flow_set_returns needs a special_flow system")
-        if not isinstance(cocycle, PhaseFunction):
-            _fail("detector flow_set_returns needs a phase cocycle")
-        _no_extras(
-            block,
-            {"kind", "start", "t_max", "target", "allow_zero_value"},
-            "detector",
-        )
-        args["start"] = _flow_start(block.get("start"))
-        args["t_max"] = _positive(_number(block.get("t_max"), "detector.t_max"), "detector.t_max")
-        args["target"] = _target_set(block.get("target"), "detector.target")
-        args["allow_zero_value"] = _flag(block.get("allow_zero_value", False))
-    elif detector == "flow_near_returns":
-        if system_kind not in ("special_flow", "torus_winding"):
-            _fail("detector flow_near_returns needs a special_flow or torus_winding system")
-        _no_extras(
-            block, {"kind", "start", "t_max", "eps", "allow_zero_value"}, "detector"
-        )
-        if system_kind == "special_flow":
-            if not isinstance(cocycle, PhaseFunction):
-                _fail("detector flow_near_returns over a flow needs a phase cocycle")
-            args["start"] = _flow_start(block.get("start"))
-        else:
-            if not isinstance(cocycle, TrigPolynomial):
-                _fail("detector flow_near_returns over a winding needs a trig cocycle")
-            try:
-                mode_frequencies(system, cocycle)
-            except ResonantFrequencyError as exc:
-                _fail(f"cocycle: {exc}")
-            args["start"] = _torus_start(block.get("start"))
-        args["t_max"] = _positive(_number(block.get("t_max"), "detector.t_max"), "detector.t_max")
-        args["eps"] = _positive(_number(block.get("eps"), "detector.eps"), "detector.eps")
-        args["allow_zero_value"] = _flag(block.get("allow_zero_value", False))
-    elif detector == "sublinearity":
-        _no_extras(block, {"kind", "n_list", "eps"}, "detector")
-        n_list = block.get("n_list")
-        if not isinstance(n_list, Sequence) or not n_list:
-            _fail("detector.n_list must be a non-empty list of counts")
-        args["n_list"] = [_count(n, "detector.n_list") for n in n_list]
-        args["eps"] = _positive(_number(block.get("eps"), "detector.eps"), "detector.eps")
-    elif detector == "induced":
-        _no_extras(block, {"kind", "target", "budget"}, "detector")
-        args["target"] = _target_set(block.get("target"), "detector.target")
-        args["budget"] = _count(block.get("budget", DEFAULT_RETURN_BUDGET), "detector.budget")
-    elif detector == "skew_orbit":
-        if system_kind not in ("rotation", "interval_exchange"):
-            _fail("detector skew_orbit needs a rotation or interval_exchange base")
-        _no_extras(block, {"kind", "fiber", "start", "steps", "rectangles"}, "detector")
-        fiber_kind, fiber = _build_system(_block(block, "fiber"))
-        if fiber_kind not in ("rotation", "interval_exchange"):
-            _fail("detector.fiber must be a rotation or interval_exchange")
-        try:
-            args["system"] = SkewSystem(system, fiber, cocycle)
-        except ValueError as exc:
-            _fail(f"detector: {exc}")
-        args["start"] = _product_start(block.get("start"))
-        args["steps"] = _count(block.get("steps"), "detector.steps")
-        rects = block.get("rectangles")
-        if not isinstance(rects, Sequence) or not rects:
-            _fail("detector.rectangles must be a non-empty list")
-        parsed_rects = []
-        for rect in rects:
-            if (
-                not isinstance(rect, Sequence)
-                or len(rect) != 2
-                or any(not isinstance(side, Sequence) or len(side) != 2 for side in rect)
-            ):
-                _fail("detector.rectangles entries are [[x_lo,x_hi],[y_lo,y_hi]]")
-            parsed_rects.append(
-                (
-                    (_number(rect[0][0], "rectangles"), _number(rect[0][1], "rectangles")),
-                    (_number(rect[1][0], "rectangles"), _number(rect[1][1], "rectangles")),
-                )
-            )
-        args["rectangles"] = parsed_rects
-    else:
-        _fail(f"detector: unknown kind {detector!r}")
-    if args.get("allow_zero_value") is False:
-        start = args["start"]
-        value = cocycle.value(start) if system_kind == "torus_winding" else cocycle.value_at(start)
-        if value == 0:
-            _fail("detector.start: the observable vanishes there (allow_zero_value overrides)")
-    return args
-
-
-def _positive(value: Fraction, where: str) -> Fraction:
-    if value <= 0:
-        _fail(f"{where}: must be positive, got {value}")
-    return value
-
-
-def _flag(value: Any) -> bool:
-    if not isinstance(value, bool):
-        _fail(f"expected true/false, got {value!r}")
-    return value
-
-
-def _flow_start(spec: Any) -> SpecialFlowState:
-    if not isinstance(spec, Mapping) or "x" not in spec:
-        _fail("detector.start for a flow is {'x': ..., 'height': ...}")
-    x = _number(spec["x"], "detector.start.x")
-    height = _number(spec.get("height", 0), "detector.start.height")
-    if not 0 <= x < 1 or height < 0:
-        _fail("detector.start: need 0 <= x < 1 and height >= 0")
-    return SpecialFlowState(x, height)
-
-
-def _torus_start(spec: Any) -> TorusPoint:
-    if not isinstance(spec, Mapping) or "x" not in spec or "y" not in spec:
-        _fail("detector.start for a winding is {'x': ..., 'y': ...}")
-    return TorusPoint(
-        _number(spec["x"], "detector.start.x"), _number(spec["y"], "detector.start.y")
-    )
-
-
-def _product_start(spec: Any) -> ProductState:
-    if not isinstance(spec, Mapping) or "x" not in spec or "y" not in spec:
-        _fail("detector.start for a skew orbit is {'x': ..., 'y': ...}")
-    return ProductState(
-        FixedReal.of(_number(spec["x"], "detector.start.x")),
-        FixedReal.of(_number(spec["y"], "detector.start.y")),
     )
 
 
@@ -532,78 +593,7 @@ def _execute(config: ExperimentConfig) -> tuple[list[str], list, dict | None]:
     Each column is a sequence with one cell per row or a scalar shared by
     every row; :func:`_write_csv` renders it.
     """
-    kind = config.detector
-    args = config.detector_args
-    system = config.system
-    f = config.cocycle
-    if kind == "zero_sums":
-        zeros = find_zero_sums(system, f, args["x"], args["count"])
-        return ["time", "value"], [zeros.times, zeros.value], None
-    if kind == "near_returns":
-        times = near_returns(system, args["x"], args["count"], args["eps"])
-        return ["time"], [times], None
-    if kind == "joint_returns":
-        joint = joint_zero_returns(system, f, args["x"], args["count"], args["eps"])
-        return ["time", "value", "distance"], [joint.times, joint.value, joint.distance], None
-    if kind == "flow_set_returns":
-        hits = flow_zero_set_returns(
-            system, f, args["start"], args["t_max"], args["target"],
-            allow_zero_value=args["allow_zero_value"],
-        )
-        return ["time", "value", "in_set"], [hits.times, hits.value, hits.in_set], None
-    if kind == "flow_near_returns":
-        hits = flow_zero_near_returns(
-            system, f, args["start"], args["t_max"], args["eps"],
-            allow_zero_value=args["allow_zero_value"],
-        )
-        return ["time", "value", "distance"], [hits.times, hits.value, hits.distance], None
-    if kind == "sublinearity":
-        pairs = sublinearity_estimate(
-            system, f, args["n_list"], args["eps"],
-            samples=config.samples, seed=config.seed,
-        )
-        return ["n", "probability"], [list(column) for column in zip(*pairs)], None
-    if kind == "induced":
-        stats = induced_statistics(
-            system, f, args["target"],
-            samples=config.samples, seed=config.seed, budget=args["budget"],
-        )
-        summary = {
-            "samples": stats.samples,
-            "censored": stats.censored,
-            "mean_return": stats.mean_return,
-            "se_return": stats.se_return,
-            "mean_cocycle": stats.mean_cocycle,
-            "se_cocycle": stats.se_cocycle,
-            "kac_product": stats.kac_product(),
-            "target_measure": str(stats.target_measure),
-        }
-        metrics = ["mean_return", "se_return", "mean_cocycle", "se_cocycle",
-                   "kac_product", "samples", "censored"]
-        values = [repr(summary[name]) for name in metrics]
-        return ["metric", "value"], [metrics, values], summary
-    if kind == "skew_orbit":
-        stats = orbit_statistics(
-            args["system"], args["start"], args["steps"], args["rectangles"]
-        )
-        summary = {
-            "steps": stats.steps,
-            "averages": list(stats.averages),
-            "standard_errors": list(stats.standard_errors),
-            "fiber_displacement": stats.fiber_displacement,
-            "final_state": {
-                "x": repr(float(stats.final_state.x)),
-                "y": repr(float(stats.final_state.y)),
-            },
-        }
-        names = [f"rectangle_{i}" for i in range(len(stats.averages))]
-        columns = [
-            [*names, "fiber_displacement"],
-            [*map(repr, stats.averages), str(stats.fiber_displacement)],
-            [*map(repr, stats.standard_errors), ""],
-        ]
-        return ["observable", "average", "standard_error"], columns, summary
-    raise ConfigError(f"detector: unknown kind {kind!r}")  # unreachable after validate
+    return _DETECTORS[config.detector].run(config)
 
 
 def resolve_output_dir(config: ExperimentConfig, out_root: str | os.PathLike | None) -> Path:

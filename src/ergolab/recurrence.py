@@ -446,21 +446,20 @@ def joint_zero_returns(
     The intersection of :func:`find_zero_sums` and :func:`near_returns`,
     with a distance column (exact rationals for rational angles, float
     rendering of the guarded value otherwise), computed for the surviving
-    times only.
+    times only.  Interval exchanges walk the orbit once, with the cocycle
+    lookup step-tagged and before ``apply`` as in :func:`birkhoff_sums`.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    zeros = find_zero_sums(base, f, x, count).times
-    x_exact = exact_fraction(x)
-    x = FixedReal.of(x).frac()
-    if isinstance(base, CircleRotation) and base.is_rational and x_exact is not None:
-        dist = _rational_residue_distances(base.alpha.as_fraction())
-        passes = np.array([d < eps for d in dist], dtype=bool)
-        residues = zeros % len(dist)
-        keep = passes[residues]
-        return Returns(zeros[keep], distance=[dist[r] for r in residues[keep].tolist()])
     if isinstance(base, CircleRotation):
+        zeros = find_zero_sums(base, f, x, count).times
+        if base.is_rational and exact_fraction(x) is not None:
+            dist = _rational_residue_distances(base.alpha.as_fraction())
+            passes = np.array([d < eps for d in dist], dtype=bool)
+            residues = zeros % len(dist)
+            keep = passes[residues]
+            return Returns(zeros[keep], distance=[dist[r] for r in residues[keep].tolist()])
         flags = np.zeros(count + 1, dtype=bool)
         for offset, chunk in iter_rotation_near_flags(base, eps, count):
             flags[offset + 1 : offset + 1 + len(chunk)] = chunk
@@ -472,12 +471,19 @@ def joint_zero_returns(
             disp = (n * a_m) % ONE
             distances.append(float(FixedReal(min(disp, ONE - disp), n * a_e)))
         return Returns(times, distance=np.array(distances, dtype=np.float64))
-    zero_times = set(zeros.tolist())
-    times, distances = [], []
-    p = x
+    if not f.is_integer:
+        raise ValueError("zero-sum detection needs an integer-valued cocycle")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    x = p = FixedReal.of(x).frac()
+    total, times, distances = 0, [], []
     for n in range(1, count + 1):
+        try:
+            total += f.values[f.walls.locate(p)]
+        except PrecisionExhaustedError as exc:
+            raise PrecisionExhaustedError(str(exc), step=n - 1) from None
         p = base.apply(p)
-        if n in zero_times:
+        if total == 0:
             d = circle_distance(p, x)
             if _guarded_less(d, eps, step=n):
                 times.append(n)

@@ -79,6 +79,7 @@ def test_unknown_preset_is_a_config_error():
         (lambda c: c["output"].update(formats=["yaml"]), "formats"),
         (lambda c: c["detector"].update(start=0.1), "strings or integers"),
         (lambda c: c["system"].update(angle="rational:1/0"), "angle"),
+        (lambda c: c.update(sampling={}), "does not sample"),
     ],
 )
 def test_malformed_configs_raise_config_errors(mangle, message):
@@ -153,12 +154,11 @@ MATRIX_COCYCLES = {
     "trig": {"kind": "trig", "terms": [[1, 0, "1", "0"]]},
 }
 # every (detector, system, cocycle) cell that validate_config accepts; the
-# other cells of the matrix raise ConfigError
+# other cells of the matrix raise ConfigError.  zero_sums, joint_returns and
+# sublinearity refuse a rational step cocycle, which they cannot run.
 ACCEPTED_CELLS = {
     ("zero_sums", "rotation", "integer-step"),
-    ("zero_sums", "rotation", "rational-step"),
     ("zero_sums", "interval_exchange", "integer-step"),
-    ("zero_sums", "interval_exchange", "rational-step"),
     ("near_returns", "rotation", "none"),
     ("near_returns", "rotation", "integer-step"),
     ("near_returns", "rotation", "rational-step"),
@@ -166,13 +166,9 @@ ACCEPTED_CELLS = {
     ("near_returns", "interval_exchange", "integer-step"),
     ("near_returns", "interval_exchange", "rational-step"),
     ("joint_returns", "rotation", "integer-step"),
-    ("joint_returns", "rotation", "rational-step"),
     ("joint_returns", "interval_exchange", "integer-step"),
-    ("joint_returns", "interval_exchange", "rational-step"),
     ("sublinearity", "rotation", "integer-step"),
-    ("sublinearity", "rotation", "rational-step"),
     ("sublinearity", "interval_exchange", "integer-step"),
-    ("sublinearity", "interval_exchange", "rational-step"),
     ("induced", "rotation", "integer-step"),
     ("induced", "rotation", "rational-step"),
     ("induced", "interval_exchange", "integer-step"),
@@ -386,13 +382,59 @@ def resonant_winding_config():
     return config
 
 
+def rational_step_config(preset, **detector):
+    """A step-cocycle preset with its values as strings, which parse to Fractions."""
+    config = preset_config(preset)
+    config["cocycle"]["values"] = ["1", "-1"]
+    config["detector"].update(detector)
+    return config
+
+
+def skew_config(**detector):
+    """The skew-construct preset, shortened, with detector keys replaced."""
+    config = preset_config("skew-construct")
+    config["detector"].update(steps=10, **detector)
+    return config
+
+
+def roof_start_config(height, allow_zero_value):
+    """The golden flow preset (roof height 1) started at ``height``."""
+    config = preset_config("theorem-b-flow")
+    config["detector"]["start"]["height"] = height
+    config["detector"]["allow_zero_value"] = allow_zero_value
+    return config
+
+
 @pytest.mark.parametrize(
     "config, message",
-    [(zero_phase_config(), "vanishes"), (resonant_winding_config(), "resonant")],
-    ids=["zero-value-start", "resonant-mode"],
+    [
+        (zero_phase_config(), "vanishes"),
+        (resonant_winding_config(), "resonant"),
+        (rational_step_config("krygin-atkinson"), "integer step"),
+        (rational_step_config("krygin-atkinson", kind="joint_returns", eps="1/20"),
+         "integer step"),
+        (rational_step_config("theorem-d-weiss"), "integer step"),
+        (roof_start_config("1", allow_zero_value=False), "roof height"),
+        (roof_start_config("5", allow_zero_value=True), "roof height"),
+        (skew_config(rectangles=[[["0", "2"], ["0", "1"]]]), "0 <= lo < hi <= 1"),
+        (skew_config(rectangles=[[["1/2", "0"], ["0", "1"]]]), "0 <= lo < hi <= 1"),
+        (skew_config(start={"x": "3", "y": "1/4"}), "0 <= x < 1"),
+    ],
+    ids=[
+        "zero-value-start",
+        "resonant-mode",
+        "rational-step-zero-sums",
+        "rational-step-joint-returns",
+        "rational-step-sublinearity",
+        "start-on-roof",
+        "start-above-roof-allowing-zero-value",
+        "skew-rectangle-beyond-circle",
+        "skew-rectangle-reversed",
+        "skew-start-beyond-circle",
+    ],
 )
 def test_cli_rejects_run_time_failures_as_config_errors(tmp_path, capsys, config, message):
-    """Both conditions are decided from the config: exit 1 and nothing written."""
+    """Each condition is decided from the config: exit 1 and nothing written."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"

@@ -264,6 +264,26 @@ def test_joint_golden_is_exact_intersection():
     assert all(0 < r.distance < float(eps) for r in records)
 
 
+def test_joint_walks_an_interval_exchange_once(monkeypatch):
+    """One ``apply`` per step, and the rows are the zero times that are near times."""
+    iet = IntervalExchange(
+        [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 4)], (4, 3, 2, 1)
+    )
+    f, x, count, eps = pm_one(), Fraction(5, 9), 5_000, Fraction(1, 5)
+    zeros = set(find_zero_sums(iet, f, x, count).times.tolist())
+    near = set(near_returns(iet, x, count, eps))
+    assert zeros & near and zeros - near
+    apply = IntervalExchange.apply
+    calls = []
+    monkeypatch.setattr(
+        IntervalExchange, "apply", lambda self, p: calls.append(p) or apply(self, p)
+    )
+    joint = joint_zero_returns(iet, f, x, count, eps)
+    assert len(calls) == count
+    assert joint.times.tolist() == sorted(zeros & near)
+    assert all(0 <= d < float(eps) for d in joint.distance.tolist())
+
+
 def test_returns_rows_are_plain_python_views():
     rot, f = golden(), pm_one()
     joint = joint_zero_returns(rot, f, Fraction(1, 10), 10**4, Fraction(1, 100))
