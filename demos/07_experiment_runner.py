@@ -16,30 +16,31 @@ for name, summary in list_presets():
     print(f"  {name:20s} {summary}")
 
 # run one preset into a scratch directory
-root = Path(tempfile.mkdtemp(prefix="ergolab-demo-"))
-config = preset_config("theorem-a")
-manifest = run_experiment(config, out_root=root)
+with tempfile.TemporaryDirectory(prefix="ergolab-demo-") as scratch:
+    root = Path(scratch)
+    config = preset_config("theorem-a")
+    manifest = run_experiment(config, out_root=root)
 
-run_dir = root / config["output"]["directory"]
-print(f"\nrun directory: {run_dir}")
-print("artifacts:", manifest.outputs)
-print("warnings captured:", manifest.warnings)
-print("results.csv:")
-print((run_dir / "results.csv").read_text())
+    run_dir = root / config["output"]["directory"]
+    print(f"\nrun directory: {run_dir}")
+    print("artifacts:", manifest.outputs)
+    print("warnings captured:", manifest.warnings)
+    print("results.csv:")
+    print((run_dir / "results.csv").read_text())
 
-# the manifest's digest re-validates against the stored config bytes
-print("digest check:", check_run_directory(run_dir))
-stored = json.loads((run_dir / "manifest.json").read_text())
-print(f"tool {stored['tool_version']}, precision scale {stored['precision_scale']} bits,"
-      f" {stored['duration_seconds']:.3f}s")
+    # the manifest's digest re-validates against the stored config bytes
+    print("digest check:", check_run_directory(run_dir))
+    stored = json.loads((run_dir / "manifest.json").read_text())
+    print(f"tool {stored['tool_version']}, precision scale {stored['precision_scale']} bits,"
+          f" {stored['duration_seconds']:.3f}s")
 
-# hand-rolled configs use the same schema; numbers travel as exact strings
-custom = {
-    "system": {"kind": "rotation", "angle": "surd:(0+1*sqrt(3))/2"},
-    "cocycle": {"kind": "step", "breakpoints": ["0", "1/2"], "values": [1, -1]},
-    "detector": {"kind": "zero_sums", "start": "1/7", "count": 2_000},
-    "output": {"directory": "sqrt3-zeros", "formats": ["csv"]},
-}
-manifest = run_experiment(custom, out_root=root)
-rows = (root / "sqrt3-zeros" / "results.csv").read_text().splitlines()
-print(f"\ncustom run: {len(rows) - 1} zero-sum records, first rows {rows[1:4]}")
+    # hand-rolled configs use the same schema; numbers travel as exact strings
+    custom = {
+        "system": {"kind": "rotation", "angle": "surd:(0+1*sqrt(3))/2"},
+        "cocycle": {"kind": "step", "breakpoints": ["0", "1/2"], "values": [1, -1]},
+        "detector": {"kind": "zero_sums", "start": "1/7", "count": 2_000},
+        "output": {"directory": "sqrt3-zeros", "formats": ["csv"]},
+    }
+    manifest = run_experiment(custom, out_root=root)
+    rows = (root / "sqrt3-zeros" / "results.csv").read_text().splitlines()
+    print(f"\ncustom run: {len(rows) - 1} zero-sum records, first rows {rows[1:4]}")

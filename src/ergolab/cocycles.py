@@ -385,18 +385,27 @@ class IntegralProfile:
         return f"IntegralProfile({len(self.nodes)} nodes, horizon={self.horizon})"
 
 
-def integral_profile(
+def _flow_walk(
     roof: Roof,
     f: PhaseFunction,
     state: SpecialFlowState,
     t_max: Real,
     max_crossings: int | None = None,
-) -> IntegralProfile:
-    """Exact orbit-integral profile of the special flow started at ``state``.
+) -> tuple[int, int, Iterator[tuple]]:
+    """Walk the special flow from ``state`` to ``t_max`` once, in scaled integers.
 
-    Walks the orbit event by event (band tops, then the roof gluing); all
-    node times and values are exact rationals.  Raises
-    :class:`CrossingBudgetError` past the crossing budget.
+    Returns ``(den, vden, segments)``.  Times and heights are integers in
+    units of ``1/den``, the lcm of the denominators of ``t_max``, the start
+    height and every band top (roof heights are the last band tops), so
+    every node time is one.  Band values are integers in units of
+    ``1/vden``, the lcm of their denominators, and the integral ``sigma`` is
+    an integer in units of ``1/(den * vden)``.  ``segments`` yields one
+    ``(t, sigma, a, b, dt, v, on_roof)`` per linear piece of the profile: it
+    starts at time ``t`` in the state ``(a, b)``, after any gluing, with
+    integral ``sigma``, lasts ``dt`` at slope ``v`` and ends on the roof when
+    ``on_roof``.  The last piece ends at the horizon.  Each roof crossing
+    applies the base map once and locates the new point's cell once; past
+    the crossing budget the walk raises :class:`CrossingBudgetError`.
     """
     if f.roof is not roof:
         raise ValueError("phase function was built over a different roof")
@@ -406,34 +415,103 @@ def integral_profile(
     budget = (
         default_crossing_budget(roof, horizon) if max_crossings is None else max_crossings
     )
-    a, b = state.a, state.b
-    t = Fraction(0)
-    sigma = Fraction(0)
-    nodes: list[tuple[Fraction, Fraction]] = [(t, sigma)]
-    crossings = 0
-    while True:
-        cell = roof.cell_of(a)
-        tops = f.band_tops[cell]
-        vals = f.band_values[cell]
-        band = bisect_right(tops, b)
-        while band < len(tops):
-            dt = tops[band] - b
-            if t + dt >= horizon:
-                sigma += vals[band] * (horizon - t)
-                nodes.append((horizon, sigma))
-                return IntegralProfile(nodes)
-            t += dt
-            sigma += vals[band] * dt
-            nodes.append((t, sigma))
-            b = tops[band]
-            band += 1
-        a = roof.base.apply(a)
-        b = Fraction(0)
-        crossings += 1
-        if crossings > budget:
-            raise CrossingBudgetError(
-                f"crossing budget exceeded after {crossings} roof crossings"
+    den = math.lcm(
+        horizon.denominator,
+        state.b.denominator,
+        *(top.denominator for tops in f.band_tops for top in tops),
+    )
+    vden = math.lcm(*(v.denominator for vals in f.band_values for v in vals))
+    tops = [[top.numerator * (den // top.denominator) for top in cell] for cell in f.band_tops]
+    vals = [[v.numerator * (vden // v.denominator) for v in cell] for cell in f.band_values]
+    end = horizon.numerator * (den // horizon.denominator)
+    locate, apply = roof.walls.locate, roof.base.apply
+
+    def segments() -> Iterator[tuple]:
+        a, b = state.a, state.b.numerator * (den // state.b.denominator)
+        t = sigma = crossings = 0
+        while True:
+            cell = locate(a)
+            cell_tops, cell_vals = tops[cell], vals[cell]
+            last = len(cell_tops) - 1
+            band = bisect_right(cell_tops, b)
+            while band <= last:
+                top, v = cell_tops[band], cell_vals[band]
+                dt = top - b
+                if t + dt >= end:
+                    yield t, sigma, a, b, end - t, v, band == last and t + dt == end
+                    return
+                yield t, sigma, a, b, dt, v, band == last
+                t += dt
+                sigma += v * dt
+                b = top
+                band += 1
+            a = apply(a)
+            b = 0
+            crossings += 1
+            if crossings > budget:
+                raise CrossingBudgetError(
+                    f"crossing budget exceeded after {crossings} roof crossings"
+                )
+
+    return den, vden, segments()
+
+
+def integral_profile(
+    roof: Roof,
+    f: PhaseFunction,
+    state: SpecialFlowState,
+    t_max: Real,
+    max_crossings: int | None = None,
+) -> IntegralProfile:
+    """Exact orbit-integral profile of the special flow started at ``state``.
+
+    One node per band or roof crossing and one at the horizon, from the
+    scaled-integer walk; all node times and values are exact rationals.
+    Raises :class:`CrossingBudgetError` past the crossing budget.
+    """
+    den, vden, segments = _flow_walk(roof, f, state, t_max, max_crossings)
+    nodes = [(Fraction(0), Fraction(0))]
+    for t, sigma, _, _, dt, v, _ in segments:
+        nodes.append((Fraction(t + dt, den), Fraction(sigma + v * dt, den * vden)))
+    return IntegralProfile(nodes)
+
+
+def iter_flow_zeros(
+    roof: Roof,
+    f: PhaseFunction,
+    state: SpecialFlowState,
+    t_max: Real,
+    max_crossings: int | None = None,
+) -> Iterator[tuple[Fraction, SpecialFlowState]]:
+    """Yield ``(t, T_t state)`` at each zero ``0 < t <= t_max`` of the orbit integral.
+
+    The times are those of ``integral_profile(...).zeros()``, in order: a
+    node where the integral is 0 once, an interior sign change at its exact
+    crossing time.  The states are those of :func:`special_flow_step` from
+    ``state``: a zero on the roof, at the horizon too, reports the glued
+    state ``(P a, 0)``, whose cell is located like every other base point of
+    the walk.  Walks the orbit once and builds ``Fraction``s for zeros only.
+    """
+    den, _, segments = _flow_walk(roof, f, state, t_max, max_crossings)
+    for t, sigma, a, b, dt, v, on_roof in segments:
+        if sigma == 0:
+            if t:
+                yield Fraction(t, den), SpecialFlowState(a, Fraction(b, den))
+            continue
+        after = sigma + v * dt
+        if (sigma < 0 < after) or (after < 0 < sigma):
+            # sigma + v * s = 0 at s = -sigma / v, strictly inside the piece
+            yield (
+                Fraction(t * v - sigma, v * den),
+                SpecialFlowState(a, Fraction(b * v - sigma, v * den)),
             )
+    if sigma + v * dt == 0:
+        if on_roof:
+            a, b = roof.base.apply(a), 0
+            roof.walls.locate(a)
+        else:
+            b += dt
+        yield Fraction(t + dt, den), SpecialFlowState(a, Fraction(b, den))
 
 
 def orbit_integral(
@@ -508,6 +586,27 @@ def mode_frequencies(winding: TorusWinding, f: TrigPolynomial) -> list[float]:
     return omegas
 
 
+def _winding_modes(
+    winding: TorusWinding, f: TrigPolynomial, p: TorusPoint
+) -> list[tuple[float, ...]]:
+    """Per mode ``(c, s, phi0, 2 pi omega, sin phi0, cos phi0)`` of the integral from ``p``."""
+    x, y = float(p.x), float(p.y)
+    modes = []
+    for (j, k, c, s), omega in zip(f.terms, mode_frequencies(winding, f)):
+        phi0 = 2 * math.pi * (j * x + k * y)
+        modes.append((c, s, phi0, 2 * math.pi * omega, math.sin(phi0), math.cos(phi0)))
+    return modes
+
+
+def _winding_sum(modes: list[tuple[float, ...]], t: float) -> float:
+    total = 0.0
+    for c, s, phi0, scale, sin0, cos0 in modes:
+        phi1 = phi0 + scale * t
+        total += c * (math.sin(phi1) - sin0) / scale
+        total += s * (cos0 - math.cos(phi1)) / scale
+    return total
+
+
 def winding_integral(
     winding: TorusWinding, f: TrigPolynomial, p: TorusPoint, t: float
 ) -> float:
@@ -518,15 +617,7 @@ def winding_integral(
     :class:`ResonantFrequencyError`.  Float evaluation, ~1e-12 accuracy for
     tame mode counts.
     """
-    x, y = float(p.x), float(p.y)
-    total = 0.0
-    for (j, k, c, s), omega in zip(f.terms, mode_frequencies(winding, f)):
-        phi0 = 2 * math.pi * (j * x + k * y)
-        phi1 = phi0 + 2 * math.pi * omega * t
-        scale = 2 * math.pi * omega
-        total += c * (math.sin(phi1) - math.sin(phi0)) / scale
-        total += s * (math.cos(phi0) - math.cos(phi1)) / scale
-    return total
+    return _winding_sum(_winding_modes(winding, f, p), t)
 
 
 def winding_zero_times(
@@ -550,8 +641,10 @@ def winding_zero_times(
     if grid_step is None:
         grid_step = 1.0 / (8 * f.max_frequency() * (1 + abs(winding.slope)))
 
+    modes = _winding_modes(winding, f, p)
+
     def sigma(t: float) -> float:
-        return winding_integral(winding, f, p, t)
+        return _winding_sum(modes, t)
 
     # scan one grid step past the horizon so a zero sitting exactly at t_max
     # still gets a sign-change bracket (float residue there can have either

@@ -31,7 +31,7 @@ from .angles import AngleSpec, parse_angle
 from .cocycles import PhaseFunction, StepCocycle, TrigPolynomial, mode_frequencies
 from .errors import ConfigError, ResonantFrequencyError
 from .fixedpoint import SCALE, FixedReal
-from .induced import DEFAULT_RETURN_BUDGET, induced_statistics
+from .induced import DEFAULT_RETURN_BUDGET, grid_ranges, induced_statistics
 from .recurrence import (
     Returns,
     TargetSet,
@@ -175,6 +175,13 @@ def _target_set(spec: Any, where: str) -> TargetSet:
         return TargetSet([_pair(pair, where) for pair in intervals], band=band)
     except ValueError as exc:
         _fail(f"{where}: {exc}")
+
+
+def _sampled_target_set(spec: Any, where: str) -> TargetSet:
+    target = _target_set(spec, where)
+    if not grid_ranges(target):
+        _fail(f"{where}: the target holds no point of the 2^-64 sampling grid")
+    return target
 
 
 @dataclass
@@ -453,7 +460,8 @@ _DETECTORS: dict[str, _Detector] = {
     ),
     "induced": _Detector(
         _CASCADE_BASES, _STEPS,
-        {"target": _TARGET, "budget": _Field("budget", _plain(_count), DEFAULT_RETURN_BUDGET)},
+        {"target": _Field("target", _plain(_sampled_target_set)),
+         "budget": _Field("budget", _plain(_count), DEFAULT_RETURN_BUDGET)},
         True, _run_induced,
     ),
     "skew_orbit": _Detector(

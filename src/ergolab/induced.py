@@ -125,33 +125,41 @@ def _induce_rational(
     )
 
 
+def grid_ranges(target: TargetSet) -> list[tuple[int, int]]:
+    """``(first, count)`` of the 2^-64 sampling grid in each interval of ``target``.
+
+    The interval [lo, hi) holds the grid points ceil(lo*2^64) .. ceil(hi*2^64)-1;
+    intervals holding none are left out, so an empty list means the target
+    holds no grid point at all.
+    """
+    ranges = []
+    for lo, hi in target.intervals:
+        first = math.ceil(lo * (1 << 64))
+        count = math.ceil(hi * (1 << 64)) - first
+        if count > 0:
+            ranges.append((first, count))
+    return ranges
+
+
 def _uniform_in_target(
     target: TargetSet, samples: int, rng: np.random.Generator
 ) -> list[Fraction]:
     """Uniform points of A on the 2^-64 grid, by inverse CDF over the intervals.
 
-    Each interval [lo, hi) holds the grid points ceil(lo*2^64) .. ceil(hi*2^64)-1;
-    a single uniform draw over the concatenated ranges is exact and needs no
-    rejection, so slivers of tiny measure cost the same as the whole circle.
+    A single uniform draw over the concatenated :func:`grid_ranges` is exact
+    and needs no rejection, so slivers of tiny measure cost the same as the
+    whole circle.
     """
-    starts: list[int] = []
-    counts: list[int] = []
-    for lo, hi in target.intervals:
-        first = math.ceil(lo * (1 << 64))
-        count = math.ceil(hi * (1 << 64)) - first
-        if count > 0:
-            starts.append(first)
-            counts.append(count)
-    total = sum(counts)
-    if total == 0:
+    ranges = grid_ranges(target)
+    if not ranges:
         raise ValueError("target set contains no points of the sampling grid")
-    bounds = list(itertools.accumulate(counts))
-    draws = rng.integers(0, total, size=samples, dtype=np.uint64)
+    bounds = list(itertools.accumulate(count for _, count in ranges))
+    draws = rng.integers(0, bounds[-1], size=samples, dtype=np.uint64)
     out: list[Fraction] = []
     for u in draws.tolist():
         k = bisect.bisect_right(bounds, u)
         offset = u - (bounds[k - 1] if k else 0)
-        out.append(Fraction(starts[k] + offset, 1 << 64))
+        out.append(Fraction(ranges[k][0] + offset, 1 << 64))
     return out
 
 

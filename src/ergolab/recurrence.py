@@ -40,7 +40,7 @@ from .cocycles import (
     StepCocycle,
     TrigPolynomial,
     birkhoff_sums,
-    integral_profile,
+    iter_flow_zeros,
     iter_rotation_cells,
     iter_rotation_near_flags,
     winding_integral,
@@ -67,7 +67,6 @@ from .systems import (
     SpecialFlowState,
     TorusPoint,
     TorusWinding,
-    special_flow_step,
     flow_distance,
 )
 
@@ -525,22 +524,18 @@ def flow_zero_set_returns(
 ) -> Returns:
     """Times ``0 < t <= t_max`` with orbit integral exactly 0 and ``T_t x`` in the target.
 
-    Zero times come from the exact piecewise-linear integral profile
-    (interval zeros reported by their left endpoint); the orbit is then
-    re-stepped incrementally to each zero time and tested for membership.
-    Only in-set events are emitted, so ``in_set`` is the constant True;
-    times are exact ``Fraction``s and the value is the constant
-    ``Fraction(0)``.  The starting point itself need not lie in the target.
+    Zero times and the states there come from one exact walk of the orbit
+    (:func:`~ergolab.cocycles.iter_flow_zeros`; a stretch where the integral
+    sits at 0 is reported by its node grid), and each state is tested for
+    membership.  Only in-set events are emitted, so ``in_set`` is the
+    constant True; times are exact ``Fraction``s and the value is the
+    constant ``Fraction(0)``.  The starting point itself need not lie in the
+    target.
     """
     _flow_preamble(roof, f, start, allow_zero_value, "the flow zero/set scan")
-    profile = integral_profile(roof, f, start, t_max, max_crossings)
-    times: list[Fraction] = []
-    state, t_cur = start, Fraction(0)
-    for t in profile.zeros():
-        state, _ = special_flow_step(roof, state, t - t_cur)
-        t_cur = t
-        if target.contains_state(state):
-            times.append(t)
+    # the walk ends before any membership test, so a walk error comes first
+    zeros = list(iter_flow_zeros(roof, f, start, t_max, max_crossings))
+    times = [t for t, state in zeros if target.contains_state(state)]
     return Returns(times, value=Fraction(0), in_set=True)
 
 
@@ -559,9 +554,12 @@ def flow_zero_near_returns(
     Two engines share the signature:
 
     * special flow (``system`` is a :class:`Roof`): exact rational zero
-      times, distances in the product chart ``max(base circle distance,
-      height difference)``, as exact ``Fraction`` columns with the constant
-      value ``Fraction(0)``;
+      times from one walk of the orbit, distances in the product chart
+      ``max(base circle distance, height difference)``, as exact
+      ``Fraction`` columns with the constant value ``Fraction(0)``.  The
+      test against ``eps`` uses the base distance's error interval and
+      raises :class:`PrecisionExhaustedError` when that interval straddles
+      ``eps``; the reported distance is the nominal value;
     * torus winding: zeros of the closed-form trigonometric integral by
       sign-change bracketing (tolerance 1e-12 in t; tangential zeros
       between grid points are missed by design), distances as the max of
@@ -590,16 +588,16 @@ def flow_zero_near_returns(
     if eps <= 0:
         raise ValueError("eps must be positive")
     _flow_preamble(system, f, start, allow_zero_value, "the flow zero/near scan")
-    profile = integral_profile(system, f, start, t_max, max_crossings)
+    # the walk ends before any eps test, so a walk error comes first
+    zeros = list(iter_flow_zeros(system, f, start, t_max, max_crossings))
     times, distances = [], []
-    state, t_cur = start, Fraction(0)
-    for t in profile.zeros():
-        state, _ = special_flow_step(system, state, t - t_cur)
-        t_cur = t
-        d = flow_distance(system, start, state)
-        if d < eps:
+    for t, state in zeros:
+        near = abs(state.b - start.b) < eps and _guarded_less(
+            circle_distance(start.a, state.a), eps
+        )
+        if near:
             times.append(t)
-            distances.append(d)
+            distances.append(flow_distance(system, start, state))
     return Returns(times, value=Fraction(0), distance=distances)
 
 

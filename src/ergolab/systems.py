@@ -309,8 +309,11 @@ def flow_distance(roof: Roof, s: SpecialFlowState, t: SpecialFlowState) -> Fract
     """Product-chart distance max(base circle distance, height difference).
 
     The chart ignores the gluing at the roof, which is the documented
-    convention for near-return detection; distances are nominal (the base
-    coordinate's sub-ulp uncertainty is far below any eps in use).
+    convention for near-return detection.  The value is nominal: it drops
+    the base distance's error radius.  ``flow_zero_near_returns`` decides
+    ``< eps`` against that error interval instead, raising
+    :class:`~ergolab.errors.PrecisionExhaustedError` when it straddles eps,
+    and reports this nominal value for the events it keeps.
     """
     base_d = circle_distance(s.a, t.a).to_fraction()
     height_d = abs(s.b - t.b)

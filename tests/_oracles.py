@@ -4,17 +4,25 @@ Everything in here deliberately avoids the package's own orbit machinery:
 rational-rotation orbits are enumerated with ``fractions.Fraction``, surds
 are evaluated with mpmath at 60 significant digits, and measures are summed
 over explicit cell decompositions.  Tests compare the fast production paths
-against these dumb-but-obviously-correct routes.
+against these dumb-but-obviously-correct routes.  The special-flow
+reference is the exception: it is the package's former two-walk path (a
+``Fraction`` profile walk, then :func:`special_flow_step` from zero to
+zero), kept here to pin the single scaled-integer walk that replaced it.
 """
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
 
+from ergolab.cocycles import IntegralProfile
+from ergolab.errors import CrossingBudgetError, PrecisionExhaustedError
+from ergolab.fixedpoint import ONE
 from ergolab.stats import decimal_string
+from ergolab.systems import default_crossing_budget, special_flow_step
 
 mpmath.mp.dps = 60
 
@@ -166,3 +174,77 @@ def reference_csv_bytes(header, rows, digits: int) -> bytes:
     for row in rows:
         writer.writerow([_render_cell(cell, digits) for cell in row])
     return buffer.getvalue().encode("ascii")
+
+
+def reference_profile_nodes(roof, f, state, t_max, max_crossings=None):
+    """Orbit-integral nodes of a special flow by a ``Fraction`` walk, event by event.
+
+    Band tops, then the roof gluing; past the crossing budget it raises
+    :class:`CrossingBudgetError`.
+    """
+    horizon = Fraction(t_max)
+    budget = (
+        default_crossing_budget(roof, horizon) if max_crossings is None else max_crossings
+    )
+    a, b = state.a, state.b
+    t = sigma = Fraction(0)
+    nodes = [(t, sigma)]
+    crossings = 0
+    while True:
+        cell = roof.cell_of(a)
+        tops, vals = f.band_tops[cell], f.band_values[cell]
+        band = bisect_right(tops, b)
+        while band < len(tops):
+            dt = tops[band] - b
+            if t + dt >= horizon:
+                sigma += vals[band] * (horizon - t)
+                nodes.append((horizon, sigma))
+                return nodes
+            t += dt
+            sigma += vals[band] * dt
+            nodes.append((t, sigma))
+            b = tops[band]
+            band += 1
+        a = roof.base.apply(a)
+        b = Fraction(0)
+        crossings += 1
+        if crossings > budget:
+            raise CrossingBudgetError(f"crossing budget exceeded after {crossings} crossings")
+
+
+def reference_flow_zero_states(roof, f, start, t_max, max_crossings=None):
+    """``(t, state)`` at each profile zero, re-stepped with ``special_flow_step``."""
+    nodes = reference_profile_nodes(roof, f, start, t_max, max_crossings)
+    out = []
+    state, t_cur = start, Fraction(0)
+    for t in IntegralProfile(nodes).zeros():
+        state, _ = special_flow_step(roof, state, t - t_cur)
+        t_cur = t
+        out.append((t, state))
+    return out
+
+
+def reference_flow_set_rows(roof, f, start, t_max, target, max_crossings=None):
+    """``(time, value, in_set)`` rows of the flow zero/set scan."""
+    zeros = reference_flow_zero_states(roof, f, start, t_max, max_crossings)
+    return [(t, Fraction(0), True) for t, state in zeros if target.contains_state(state)]
+
+
+def reference_flow_near_rows(roof, f, start, t_max, eps, max_crossings=None):
+    """``(time, value, distance)`` rows of the flow zero/near scan.
+
+    The base distance is known to within the summed error radii of the two
+    base points: the eps test is decided on that interval, and raises
+    :class:`PrecisionExhaustedError` where the interval straddles eps.
+    """
+    rows = []
+    for t, state in reference_flow_zero_states(roof, f, start, t_max, max_crossings):
+        base = circle_distance(Fraction(start.a.mantissa, ONE), Fraction(state.a.mantissa, ONE))
+        radius = Fraction(start.a.err_ulps + state.a.err_ulps, ONE)
+        height = abs(start.b - state.b)
+        if height >= eps or base - radius >= eps:
+            continue
+        if base + radius >= eps:
+            raise PrecisionExhaustedError("ambiguous eps test")
+        rows.append((t, Fraction(0), max(base, height)))
+    return rows

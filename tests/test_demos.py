@@ -16,17 +16,21 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    """The child imports the same ``ergolab`` as the tests; temporary files stay in tmp_path."""
+    """The child imports the same ``ergolab`` as the tests and leaves its ``TMPDIR`` empty."""
+    scratch, cwd = tmp_path / "tmp", tmp_path / "cwd"
+    scratch.mkdir()
+    cwd.mkdir()
     env = {
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": str(Path(ergolab.__file__).resolve().parents[1]),
-        "TMPDIR": str(tmp_path),
+        "TMPDIR": str(scratch),
     }
     proc = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
         text=True,
         env=env,
-        cwd=str(tmp_path),
+        cwd=str(cwd),
     )
     assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in scratch.iterdir()) == []

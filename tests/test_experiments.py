@@ -397,6 +397,13 @@ def skew_config(**detector):
     return config
 
 
+def induced_target_config(lo, hi):
+    """The induced preset on the golden rotation with the target ``[lo, hi)``."""
+    config = preset_config("theorem-c-induced")
+    config["detector"]["target"] = {"intervals": [[lo, hi]]}
+    return config
+
+
 def roof_start_config(height, allow_zero_value):
     """The golden flow preset (roof height 1) started at ``height``."""
     config = preset_config("theorem-b-flow")
@@ -419,6 +426,7 @@ def roof_start_config(height, allow_zero_value):
         (skew_config(rectangles=[[["0", "2"], ["0", "1"]]]), "0 <= lo < hi <= 1"),
         (skew_config(rectangles=[[["1/2", "0"], ["0", "1"]]]), "0 <= lo < hi <= 1"),
         (skew_config(start={"x": "3", "y": "1/4"}), "0 <= x < 1"),
+        (induced_target_config(f"1/{10**30}", f"2/{10**30}"), "sampling grid"),
     ],
     ids=[
         "zero-value-start",
@@ -431,6 +439,7 @@ def roof_start_config(height, allow_zero_value):
         "skew-rectangle-beyond-circle",
         "skew-rectangle-reversed",
         "skew-start-beyond-circle",
+        "induced-target-between-grid-points",
     ],
 )
 def test_cli_rejects_run_time_failures_as_config_errors(tmp_path, capsys, config, message):

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from ergolab import cocycles
 from ergolab.angles import AngleSpec
-from ergolab.cocycles import PhaseFunction, StepCocycle, TrigPolynomial, birkhoff_sums
+from ergolab.cocycles import (
+    IntegralProfile,
+    PhaseFunction,
+    StepCocycle,
+    TrigPolynomial,
+    birkhoff_sums,
+)
 from ergolab.errors import (
     PrecisionExhaustedError,
     RationalAngleWarning,
@@ -42,6 +48,9 @@ from ergolab.systems import (
 from _oracles import (
     excess_fraction_exact,
     near_return_times,
+    reference_flow_near_rows,
+    reference_flow_set_rows,
+    reference_profile_nodes,
     target_arc_membership,
     zero_sum_times,
 )
@@ -509,6 +518,151 @@ def test_flow_near_returns_zero_function_reports_node_grid():
             roof, f, SpecialFlowState(0), 3, 1, allow_zero_value=True
         )
     assert [r.time for r in records] == [1, 2, 3]
+
+
+def test_flow_detectors_apply_the_base_once_per_crossing(monkeypatch):
+    """One walk: each roof crossing applies the base map once, the gluing at the horizon too."""
+    apply = CircleRotation.apply
+    calls = []
+    monkeypatch.setattr(
+        CircleRotation, "apply", lambda self, p: calls.append(p) or apply(self, p)
+    )
+    golden_roof, golden_f = halves_flow(AngleSpec.preset("golden"))
+    half_roof, half_f = halves_flow(AngleSpec.rational(1, 2))
+    cases = [  # roof height 1 from height 0: one crossing per unit of time
+        (golden_roof, golden_f, SpecialFlowState(Fraction(1, 10)), Fraction(801, 2), 400),
+        (half_roof, half_f, SpecialFlowState(0), 6, 6),  # zeros 2, 4, 6 on the roof
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        for roof, f, start, t_max, crossings in cases:
+            calls.clear()
+            found = flow_zero_set_returns(roof, f, start, t_max, TargetSet.whole())
+            assert len(calls) == crossings and len(found) > 2
+            calls.clear()
+            near = flow_zero_near_returns(roof, f, start, t_max, 1)
+            assert len(calls) == crossings and near.times == found.times
+
+
+def test_flow_near_returns_refuse_an_eps_inside_the_error_interval():
+    """eps equal to a reported distance lies inside that distance's error interval."""
+    roof, f = halves_flow(AngleSpec.preset("golden"))
+    start = SpecialFlowState(Fraction(1, 10))
+    rows = flow_zero_near_returns(roof, f, start, 2000, Fraction(1, 20))
+    # at integer times the orbit sits on the floor, so the base distance is the distance
+    row = next(r for r in rows if r.time.denominator == 1)
+    with pytest.raises(PrecisionExhaustedError):
+        flow_zero_near_returns(roof, f, start, 2000, row.distance)
+    above = flow_zero_near_returns(roof, f, start, 2000, row.distance + Fraction(1, 2**150))
+    below = flow_zero_near_returns(roof, f, start, 2000, row.distance - Fraction(1, 2**150))
+    assert row.time in above.times and row.time not in below.times
+
+
+def test_flow_zero_on_the_roof_at_the_horizon_is_located_after_gluing():
+    """The glued state reported at the horizon has its cell decided, or the scan refuses.
+
+    Three thirds of a turn bring the start 0 back within 3 ulps of the wall
+    at 0, which the 1-ulp angle 1/3 cannot decide.
+    """
+    roof = Roof([0], [1], CircleRotation(AngleSpec.rational(1, 3)))
+    f = PhaseFunction(roof, [[(HALF, 1), (HALF, -1)]])  # integral 0 on every visit
+    start = SpecialFlowState(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        found = flow_zero_set_returns(roof, f, start, Fraction(5, 2), TargetSet.whole())
+        assert found.times == [1, 2]
+        with pytest.raises(PrecisionExhaustedError):
+            flow_zero_set_returns(roof, f, start, 3, TargetSet.whole())
+        with pytest.raises(PrecisionExhaustedError):
+            flow_zero_near_returns(roof, f, start, 3, 1)
+
+
+FLOW_ANGLES = ["golden", "sqrt2", (1, 2), (1, 3), (2, 5)]
+BAND_CUTS = [Fraction(1, 3), Fraction(2, 5), HALF, Fraction(5, 7), Fraction(3, 4)]
+BAND_VALUES = [0, 1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 6)]
+FLOW_STARTS = [Fraction(k, 64) for k in range(64)] + [Fraction(k, 99) for k in range(1, 99, 7)]
+TARGET_CUTS = [Fraction(0), Fraction(1, 5), THIRD, HALF, Fraction(3, 4), Fraction(1)]
+
+
+@st.composite
+def flow_cases(draw):
+    """A dyadic roof with non-dyadic band tops, a start under it, a horizon, a budget.
+
+    The horizon is free, or lands on a node (a band top or the roof) or on
+    a zero of the reference profile.
+    """
+    angle = draw(st.sampled_from(FLOW_ANGLES))
+    angle = AngleSpec.preset(angle) if isinstance(angle, str) else AngleSpec.rational(*angle)
+    inner = draw(st.sets(st.integers(1, 7), max_size=2))
+    walls = [Fraction(0)] + [Fraction(k, 8) for k in sorted(inner)]
+    heights = [Fraction(draw(st.integers(1, 12)), 4) for _ in walls]
+    roof = Roof(walls, heights, CircleRotation(angle))
+    bands = []
+    for h in heights:
+        tops = [h * c for c in sorted(draw(st.sets(st.sampled_from(BAND_CUTS), max_size=2)))]
+        tops.append(h)
+        lows = [Fraction(0)] + tops[:-1]
+        bands.append([[top - lo, draw(st.sampled_from(BAND_VALUES))] for lo, top in zip(lows, tops)])
+    # the last band's value makes the mean vanish
+    widths = roof.walls.widths()
+    last = bands[-1][-1]
+    last[1] = 0
+    mean = sum(w * h * v for w, cell in zip(widths, bands) for h, v in cell)
+    last[1] = -mean / (widths[-1] * last[0])
+    f = PhaseFunction(roof, bands)
+    x = draw(st.sampled_from(FLOW_STARTS))
+    height = heights[roof.cell_of(SpecialFlowState(x).a)]
+    start = SpecialFlowState(x, height * Fraction(draw(st.integers(0, 5)), 6))
+    t_max = Fraction(draw(st.integers(1, 120)), draw(st.sampled_from([1, 2, 3, 7, 10])))
+    landing = draw(st.sampled_from(["free", "node", "zero"]))
+    if landing != "free":
+        try:
+            nodes = reference_profile_nodes(roof, f, start, t_max)
+        except PrecisionExhaustedError:
+            nodes = [(0, 0)]
+        times = [t for t, _ in nodes[1:]] if landing == "node" else IntegralProfile(nodes).zeros()
+        if times:
+            t_max = draw(st.sampled_from(times))
+    max_crossings = draw(st.one_of(st.none(), st.integers(0, 40)))
+    cuts = sorted(draw(st.sets(st.sampled_from(TARGET_CUTS), min_size=2, max_size=4)))
+    band = draw(st.sampled_from([None, (0, HALF), (THIRD, 2)]))
+    target = TargetSet(list(zip(cuts[::2], cuts[1::2])), band=band)
+    eps = draw(st.sampled_from([Fraction(1, 50), Fraction(1, 10), THIRD, Fraction(1)]))
+    return roof, f, start, t_max, max_crossings, target, eps
+
+
+def outcome(run):
+    """The result of ``run()``, or the type of the exception it raised."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc)
+
+
+def flow_rows(returns: Returns, column: str) -> list[tuple]:
+    assert all(type(t) is Fraction for t in returns.times)
+    return [(r.time, r.value, getattr(r, column)) for r in returns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=flow_cases())
+def test_one_flow_walk_matches_the_two_walk_reference(case):
+    """Profile nodes and detector rows equal the Fraction walk plus re-stepping, refusals included."""
+    roof, f, start, t_max, max_crossings, target, eps = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        nodes = outcome(lambda: cocycles.integral_profile(roof, f, start, t_max, max_crossings).nodes)
+        in_set = outcome(lambda: flow_rows(flow_zero_set_returns(
+            roof, f, start, t_max, target, True, max_crossings), "in_set"))
+        near = outcome(lambda: flow_rows(flow_zero_near_returns(
+            roof, f, start, t_max, eps, True, max_crossings=max_crossings), "distance"))
+    assert nodes == outcome(lambda: reference_profile_nodes(roof, f, start, t_max, max_crossings))
+    assert in_set == outcome(
+        lambda: reference_flow_set_rows(roof, f, start, t_max, target, max_crossings)
+    )
+    assert near == outcome(
+        lambda: reference_flow_near_rows(roof, f, start, t_max, eps, max_crossings)
+    )
 
 
 def test_winding_near_returns_unit_eps_gives_half_grid():
