@@ -11,18 +11,19 @@ Three observable families:
   term on the 2-torus.  Orbit integrals along a winding have closed form
   and are evaluated in floating point (documented 1e-12 territory).
 
-The module also houses the exact fast kernel for rotation orbits: a
-chunked numpy scan that classifies points by their top 64 mantissa bits
-and falls back to full 192-bit guarded arithmetic for the (provably few)
-steps whose conservative interval approaches a cell wall.  Results are
-bit-for-bit identical to the pure big-integer loop.
+The module also houses the one certified cell classifier for rotation
+orbits, :func:`certified_cells`: a numpy scan of one start or a batch of
+starts that classifies points by their top 64 mantissa bits and decides
+the (provably few) steps whose interval comes near a wall with full
+192-bit guarded arithmetic.  Zero-sum scans and excess probabilities both
+run on it, and its cells equal those of the pure big-integer loop.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .fixedpoint import ONE, SCALE, FixedReal, Real, Walls, as_fraction
 from .systems import (
     BaseMap,
     CircleRotation,
-    IntervalExchange,
     Roof,
     SpecialFlowState,
     TorusPoint,
@@ -108,51 +108,70 @@ def _exact_cell(walls: Walls, mantissa: int, err: int, step: int) -> int:
         raise PrecisionExhaustedError(str(exc), step=step) from None
 
 
-def iter_rotation_cells(
+def certified_cells(
     rotation: CircleRotation,
     walls: Walls,
-    x: FixedReal,
+    starts: FixedReal | Sequence[FixedReal],
     count: int,
-    chunk: int = 1 << 16,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(offset, cell_indices)`` for the orbit points ``S^i x``, i < count.
+    """Yield ``(offset, cells)``: the cells of ``S^i x`` for every start ``x``.
 
-    Exactness: the coarse pass works on top-64-bit words ``c_i``; the true
-    point value lies in ``[(c_i - 1), (c_i + i + 2)]`` coarse ulps (mantissa
-    truncation is one-sided, the error interval adds at most one ulp each
-    way).  Any step whose bracket comes near a wall is recomputed with full
-    192-bit guarded arithmetic, so every returned index is provably the
-    guarded classification — or :class:`PrecisionExhaustedError` is raised
-    with the offending step index.
+    ``starts`` is one circle point or a sequence of them.  ``cells`` is an
+    int64 view of shape ``(len(starts), L)`` for the steps
+    ``offset .. offset + L - 1``; a block holds about ``2**16`` elements.
+
+    Certificate: truncation to the top-64-bit word ``c_i`` is one-sided and
+    the error interval (below ``2**128`` ulps, or the scan is refused) adds
+    at most one word each way, so the point lies in the words
+    ``[c_i - 1, c_i + i + 1]``.  Each wall word ``w`` thus guards the band
+    ``[w - (count + 4), w + 3)``; the wall at 0 wraps.  A word's
+    ``searchsorted`` index among the band bounds is even, ``k``, for cell
+    ``k // 2 - 1`` and odd for a suspect, which is decided at 192 bits or
+    raises :class:`PrecisionExhaustedError` with the earliest such step of its
+    block.  The index is tabulated once per top-12-bit bucket of words; only
+    words in a bucket that a bound splits are searched one by one.
     """
-    if count <= 0:
+    starts = [starts] if isinstance(starts, FixedReal) else list(starts)
+    if count <= 0 or not starts:
         return
     a_m, a_e = rotation.alpha.resolved.mantissa, rotation.alpha.resolved.err_ulps
-    x_m, x_e = x.mantissa % ONE, x.err_ulps
-    if x_e + count * a_e >= 1 << _LOW_BITS:
+    x_m = [x.mantissa % ONE for x in starts]
+    x_e = [x.err_ulps for x in starts]
+    if max(x_e) + count * a_e >= 1 << _LOW_BITS:
         raise PrecisionExhaustedError(
             "accumulated orbit error exceeds the coarse kernel's margin"
         )
     a64 = np.uint64(a_m >> _LOW_BITS)
-    x64 = np.uint64(x_m >> _LOW_BITS)
-    walls64 = np.array([m >> _LOW_BITS for m in walls.mantissas], dtype=np.uint64)
-    # distance from c to the next wall upward; the sentinel 0 wraps to 2**64
-    next64 = np.roll(walls64, -1)
-    values_margin = np.uint64(count + 4)
-    low_margin = np.uint64(2)
-    for offset in range(0, count, chunk):
-        length = min(chunk, count - offset)
-        idx = np.arange(offset, offset + length, dtype=np.uint64)
-        coarse = x64 + idx * a64  # wraps mod 2**64, as intended
-        cells = np.searchsorted(walls64, coarse, side="right").astype(np.int64) - 1
-        gap_up = next64[cells] - coarse  # uint64 wrap gives distance to 2**64
-        gap_down = coarse - walls64[cells]
-        suspect = np.nonzero((gap_up <= values_margin) | (gap_down <= low_margin))[0]
-        for j in suspect.tolist():
-            i = offset + j
-            mantissa = (x_m + i * a_m) % ONE
-            cells[j] = _exact_cell(walls, mantissa, x_e + i * a_e, i)
-        yield offset, cells
+    x64 = np.array([m >> _LOW_BITS for m in x_m], dtype=np.uint64)
+    # bounds [0, 3, lo_1, hi_1, ..., lo_0 + 2**64]: overlapping bands merge under
+    # the running max, and bounds past the wrapped band at 0 are clipped to it
+    top = (1 << 64) - (count + 4)
+    bounds = [0, 3]
+    for m in walls.mantissas[1:]:
+        w = m >> _LOW_BITS
+        bounds += [max(w - (count + 4), bounds[-1]), max(w + 3, bounds[-1])]
+    bounds = np.array([min(b, top) for b in bounds] + [top], dtype=np.uint64)
+    # searchsorted index -> cell, with -1 marking the odd (suspect) indices
+    cell_of = np.arange(len(bounds) + 1, dtype=np.int64) // 2 - 1
+    cell_of[1::2] = -1
+    # the index is monotone in the word: a top-12-bit bucket whose end words
+    # share it has that cell throughout, and -1 marks a bucket a bound splits
+    first = np.arange(1 << 12, dtype=np.uint64) << 52
+    ends = [np.searchsorted(bounds, e, side="right") for e in (first, first | ((1 << 52) - 1))]
+    bucket_cell = np.where(ends[0] == ends[1], cell_of[ends[0]], -1)
+    block = max(1, (1 << 16) // len(starts))
+    for offset in range(0, count, block):
+        steps = np.arange(offset, min(offset + block, count), dtype=np.uint64)
+        coarse = (steps[:, None] * a64 + x64).ravel()  # step-major, wraps mod 2**64
+        cells = bucket_cell.take((coarse >> 52).view(np.int64))
+        near = np.flatnonzero(cells < 0)
+        index = np.searchsorted(bounds, coarse[near], side="right")
+        cells[near] = cell_of[index]
+        for j in near[index % 2 == 1].tolist():  # suspects, in step order
+            i, r = divmod(j, len(starts))
+            i += offset
+            cells[j] = _exact_cell(walls, (x_m[r] + i * a_m) % ONE, x_e[r] + i * a_e, i)
+        yield offset, cells.reshape(len(steps), len(starts)).T
 
 
 def iter_rotation_near_flags(
@@ -405,13 +424,16 @@ def _flow_walk(
     integral ``sigma``, lasts ``dt`` at slope ``v`` and ends on the roof when
     ``on_roof``.  The last piece ends at the horizon.  Each roof crossing
     applies the base map once and locates the new point's cell once; past
-    the crossing budget the walk raises :class:`CrossingBudgetError`.
+    the crossing budget the walk raises :class:`CrossingBudgetError`.  A
+    start on or above the roof raises :class:`ValueError`.
     """
     if f.roof is not roof:
         raise ValueError("phase function was built over a different roof")
     horizon = as_fraction(t_max)
     if horizon <= 0:
         raise ValueError("t_max must be positive")
+    if state.b >= roof.height_at(state.a):
+        raise ValueError("state lies on or above the roof")
     budget = (
         default_crossing_budget(roof, horizon) if max_crossings is None else max_crossings
     )

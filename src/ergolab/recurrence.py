@@ -34,14 +34,13 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .angles import AngleSpec
 from .cocycles import (
     PhaseFunction,
     StepCocycle,
     TrigPolynomial,
     birkhoff_sums,
+    certified_cells,
     iter_flow_zeros,
-    iter_rotation_cells,
     iter_rotation_near_flags,
     winding_integral,
     winding_zero_times,
@@ -53,6 +52,7 @@ from .errors import (
 )
 from .fixedpoint import (
     ONE,
+    SCALE,
     FixedReal,
     Real,
     Walls,
@@ -320,6 +320,17 @@ def _rational_orbit_sums(
     return prefix, prefix[q]
 
 
+def _lap_times(residues: list[int], q: int, count: int) -> np.ndarray:
+    """The times ``r + m q <= count`` for residues ``1 <= r <= q`` in ascending order.
+
+    Every lap of a q-periodic event pattern repeats the first lap's events;
+    the result is a sorted int64 array.
+    """
+    laps = np.arange(count // q + 1, dtype=np.int64) * q
+    times = (laps[:, None] + np.array(residues, dtype=np.int64)).ravel()
+    return times[times <= count]
+
+
 def _rational_zero_times(
     alpha: Fraction, f: StepCocycle, x0: Fraction, count: int
 ) -> np.ndarray:
@@ -327,11 +338,7 @@ def _rational_zero_times(
     prefix, cycle = _rational_orbit_sums(alpha, f, x0)
     q = alpha.denominator
     if cycle == 0:
-        # every lap repeats the zeros of the first: r + m q for each P_r = 0
-        residues = np.array([r for r in range(1, q + 1) if prefix[r] == 0], dtype=np.int64)
-        laps = np.arange(count // q + 1, dtype=np.int64) * q
-        times = (laps[:, None] + residues).ravel()
-        return times[times <= count]
+        return _lap_times([r for r in range(1, q + 1) if prefix[r] == 0], q, count)
     times = []
     for r in range(1, q + 1):
         if prefix[r] % cycle == 0:
@@ -395,8 +402,8 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
         values = np.asarray(f.values, dtype=np.int64)
         total = 0
         chunks = []
-        for offset, cells in iter_rotation_cells(base, f.walls, x, count):
-            sums = np.cumsum(values[cells]) + total
+        for offset, cells in certified_cells(base, f.walls, x, count):
+            sums = np.cumsum(values[cells[0]]) + total
             chunks.append(np.flatnonzero(sums == 0) + (offset + 1))
             total = int(sums[-1])
         return Returns(_concat_times(chunks))
@@ -421,8 +428,8 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
         if base.is_rational:
             dist = _rational_residue_distances(base.alpha.as_fraction())
             q = len(dist)
-            passes = [d < eps for d in dist]
-            return [n for n in range(1, count + 1) if passes[n % q]]
+            residues = [r for r in range(1, q + 1) if dist[r % q] < eps]
+            return _lap_times(residues, q, count).tolist()
         chunks = [
             np.flatnonzero(flags) + (offset + 1)
             for offset, flags in iter_rotation_near_flags(base, eps, count)
@@ -622,11 +629,12 @@ def sublinearity_estimate(
     deterministic under ``seed``.
 
     Starting points are uniform on the 2^-64 grid, and the threshold test
-    ``|S_n| * den > num * n`` is exact integer arithmetic.  Irrational
-    rotations run on that grid too (see :func:`_sublinearity_grid`), which
-    certifies a perturbed system rather than the requested one.  Rational
-    angles use closed-form orbit-class sums per sample; other bases step
-    each sample through the guarded :func:`birkhoff_sums`.
+    ``|S_n| * den > num * n`` is exact integer arithmetic.  Every sum is
+    exact for the requested system: irrational rotations scan all samples
+    at once through :func:`~ergolab.cocycles.certified_cells`, which raises
+    :class:`PrecisionExhaustedError` (with ``step``) where a point cannot
+    be placed; rational angles use closed-form orbit-class sums per sample;
+    other bases step each sample through the guarded :func:`birkhoff_sums`.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
@@ -638,97 +646,64 @@ def sublinearity_estimate(
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise ValueError("all n must be at least 1")
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 1 << 64, size=samples, dtype=np.uint64).tolist()
     if isinstance(base, CircleRotation) and base.is_rational:
         _warn_rational("the excess-probability estimate")
-        return _sublinearity_rational(base.alpha.as_fraction(), f, n_list, eps, samples, seed)
-    if isinstance(base, CircleRotation):
-        return _sublinearity_grid(base, f, n_list, eps, samples, seed)
-    return _sublinearity_loop(base, f, n_list, eps, samples, seed)
+        counts = _excess_rational(base.alpha.as_fraction(), f, n_list, eps, xs)
+    elif isinstance(base, CircleRotation) and _kernel_safe(f, max(n_list)):
+        counts = _excess_rotation(base, f, n_list, eps, xs)
+    else:
+        counts = _excess_loop(base, f, n_list, eps, xs)
+    return [(n, counts[n] / samples) for n in n_list]
 
 
 def _exceeds(total: int, n: int, eps: Fraction) -> bool:
     return abs(total) * eps.denominator > eps.numerator * n
 
 
-def _sublinearity_grid(
-    base: CircleRotation,
-    f: StepCocycle,
-    n_list: list[int],
-    eps: Fraction,
-    samples: int,
-    seed: int,
-) -> list[tuple[int, float]]:
-    """All samples at once on the 2^-64 grid, with the angle's top 64 bits.
-
-    The walls are truncated to 64 bits too, so each sum is exact for that
-    perturbed rotation and cocycle only; unlike the guarded detectors, this
-    path never raises a precision error.
-    """
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, 1 << 64, size=samples, dtype=np.uint64)
-    a64 = np.uint64(base.alpha.resolved.mantissa >> 128)
-    walls64 = np.array([m >> 128 for m in f.walls.mantissas], dtype=np.uint64)
+def _excess_rotation(
+    base: CircleRotation, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
+) -> dict[int, int]:
+    """Exceedance counts per n, all samples at once as the starts of one certified scan."""
+    starts = [FixedReal(raw << (SCALE - 64)) for raw in xs]
     values = np.asarray(f.values, dtype=np.int64)
-    totals = np.zeros(samples, dtype=np.int64)
-    wanted = set(n_list)
-    probabilities = {}
-    num, den = eps.numerator, eps.denominator
-    pts = xs.copy()
-    for i in range(max(n_list)):
-        cells = np.searchsorted(walls64, pts, side="right") - 1
-        totals += values[cells]
-        pts += a64  # wraps mod 2**64
-        n = i + 1
-        if n in wanted:
-            exceed = np.abs(totals) * den > np.int64(num) * n
-            probabilities[n] = float(np.count_nonzero(exceed)) / samples
-    return [(n, probabilities[n]) for n in n_list]
-
-
-def _sublinearity_rational(
-    alpha: Fraction,
-    f: StepCocycle,
-    n_list: list[int],
-    eps: Fraction,
-    samples: int,
-    seed: int,
-) -> list[tuple[int, float]]:
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, 1 << 64, size=samples, dtype=np.uint64)
-    q = alpha.denominator
-    counts = {n: 0 for n in n_list}
-    for raw in xs.tolist():
-        x0 = Fraction(int(raw), 1 << 64)
-        prefix, cycle = _rational_orbit_sums(alpha, f, x0)
+    totals = np.zeros(len(xs), dtype=np.int64)
+    counts = {}
+    for offset, cells in certified_cells(base, f.walls, starts, max(n_list)):
+        terms = values[cells]
         for n in n_list:
+            if offset < n <= offset + terms.shape[1]:
+                sums = totals + terms[:, : n - offset].sum(axis=1)
+                # |S_n| * den > num * n  iff  |S_n| > floor(num * n / den); |S_n| < 2**62
+                bound = min(eps.numerator * n // eps.denominator, _INT64_HEADROOM)
+                counts[n] = int(np.count_nonzero(np.abs(sums) > bound))
+        totals += terms.sum(axis=1)
+    return counts
+
+
+def _excess_rational(
+    alpha: Fraction, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
+) -> dict[int, int]:
+    """Exceedance counts per n from each sample's closed-form orbit-class sums."""
+    q = alpha.denominator
+    counts = dict.fromkeys(n_list, 0)
+    for raw in xs:
+        prefix, cycle = _rational_orbit_sums(alpha, f, Fraction(raw, 1 << 64))
+        for n in counts:
             m, r = divmod(n, q)
             # S_n = m*cycle + P_r with the r=0 case folded into the previous lap
-            total = m * cycle + prefix[r]
-            if _exceeds(total, n, eps):
-                counts[n] += 1
-    return [(n, counts[n] / samples) for n in n_list]
+            counts[n] += _exceeds(m * cycle + prefix[r], n, eps)
+    return counts
 
 
-def _sublinearity_loop(
-    base: BaseMap,
-    f: StepCocycle,
-    n_list: list[int],
-    eps: Fraction,
-    samples: int,
-    seed: int,
-) -> list[tuple[int, float]]:
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, 1 << 64, size=samples, dtype=np.uint64)
-    checkpoints = sorted(set(n_list))
-    counts = {n: 0 for n in checkpoints}
-    for raw in xs.tolist():
-        x = FixedReal.from_fraction(Fraction(int(raw), 1 << 64))
-        next_idx = 0
-        for n, total in enumerate(birkhoff_sums(base, f, x, checkpoints[-1]), start=1):
-            if n == checkpoints[next_idx]:
-                if _exceeds(total, n, eps):
-                    counts[n] += 1
-                next_idx += 1
-                if next_idx == len(checkpoints):
-                    break
-    return [(n, counts[n] / samples) for n in n_list]
+def _excess_loop(
+    base: BaseMap, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
+) -> dict[int, int]:
+    """Exceedance counts per n, each sample stepped through :func:`birkhoff_sums`."""
+    counts = dict.fromkeys(n_list, 0)
+    for raw in xs:
+        sums = list(birkhoff_sums(base, f, FixedReal(raw << (SCALE - 64)), max(n_list)))
+        for n in counts:
+            counts[n] += _exceeds(sums[n - 1], n, eps)
+    return counts

@@ -283,18 +283,18 @@ def special_flow_step(
     residual time lands exactly on the roof the gluing applies (the new
     state has height 0, matching the half-open convention).  Raises
     :class:`CrossingBudgetError` if more than ``max_crossings`` crossings
-    are needed.
+    are needed, and :class:`ValueError` for a start on or above the roof.
     """
     remaining = as_fraction(t)
     if remaining < 0:
         raise ValueError("flow duration must be non-negative")
     budget = default_crossing_budget(roof, remaining) if max_crossings is None else max_crossings
     a, b = state.a, state.b
+    room = roof.height_at(a) - b
+    if room <= 0:
+        raise ValueError("state lies on or above the roof")
     crossings = 0
-    while True:
-        room = roof.height_at(a) - b
-        if remaining < room:
-            return SpecialFlowState(a, b + remaining), crossings
+    while remaining >= room:
         remaining -= room
         a = roof.base.apply(a)
         b = Fraction(0)
@@ -303,6 +303,8 @@ def special_flow_step(
             raise CrossingBudgetError(
                 f"crossing budget exceeded after {crossings} roof crossings"
             )
+        room = roof.height_at(a)
+    return SpecialFlowState(a, b + remaining), crossings
 
 
 def flow_distance(roof: Roof, s: SpecialFlowState, t: SpecialFlowState) -> Fraction:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ergolab import cocycles
 from ergolab.angles import AngleSpec
 from ergolab.cocycles import (
     IntegralProfile,
@@ -16,14 +17,19 @@ from ergolab.cocycles import (
     StepCocycle,
     TrigPolynomial,
     birkhoff_sums,
+    certified_cells,
     integral_profile,
-    iter_rotation_cells,
+    iter_flow_zeros,
     orbit_integral,
     winding_integral,
     winding_zero_times,
 )
-from ergolab.errors import CrossingBudgetError, ResonantFrequencyError
-from ergolab.fixedpoint import FixedReal
+from ergolab.errors import (
+    CrossingBudgetError,
+    PrecisionExhaustedError,
+    ResonantFrequencyError,
+)
+from ergolab.fixedpoint import ONE, FixedReal, Walls
 from ergolab.systems import (
     CircleRotation,
     Roof,
@@ -117,11 +123,162 @@ def test_kernel_sums_match_pure_loop_on_golden():
     values = np.asarray(f.values, dtype=np.int64)
     got: list[int] = []
     total = 0
-    for offset, cells in iter_rotation_cells(rot, f.walls, x, 3000, chunk=512):
-        part = np.cumsum(values[cells]) + total
+    for offset, cells in certified_cells(rot, f.walls, x, 3000):
+        assert cells.shape == (1, 3000)
+        part = np.cumsum(values[cells[0]]) + total
         got.extend(int(v) for v in part)
         total = int(part[-1])
     assert got == want
+
+
+KERNEL_ANGLES = [
+    AngleSpec.preset("golden"),
+    AngleSpec.preset("sqrt2"),
+    AngleSpec.quadratic(1, 2, 7, 9),  # (1 + 2 sqrt 7) / 9
+]
+NEAR_WALL = 1 << 100  # far inside the coarse 64-bit margin, far outside the error
+
+
+def zero_mean_cocycle(mantissas: list[int], weights: list[int]) -> StepCocycle:
+    """A cocycle on these walls with zero mean and, generically, distinct values.
+
+    With cell widths ``W_i``, each weight ``l_k`` adds ``l_k * W_{k+1}`` to
+    cell ``k`` and ``-l_k * W_k`` to cell ``k + 1``, which leaves the mean 0.
+    """
+    widths = [b - a for a, b in zip(mantissas, mantissas[1:] + [ONE])]
+    values = [0] * len(mantissas)
+    for k, weight in enumerate(weights):
+        values[k] += weight * widths[k + 1]
+        values[k + 1] -= weight * widths[k]
+    return StepCocycle([FixedReal(m) for m in mantissas], values)
+
+
+@st.composite
+def cell_scans(draw):
+    """A rotation, a 2-4 cell cocycle, 1-5 starts, a count and the near-wall steps.
+
+    Walls may lie a few 64-bit words apart or near either end of the circle,
+    where the guard bands overlap or are clipped.
+    Some starts are placed so that the orbit point at a chosen step lies
+    ``NEAR_WALL`` ulps above or below a wall (the wall at 0 too, across the
+    seam); with ``count`` just past the first block, that step may sit on
+    either side of the block seam.
+    """
+    rot = CircleRotation(draw(st.sampled_from(KERNEL_ANGLES)))
+    n_cells = draw(st.integers(2, 4))
+    center = draw(st.integers(1 << 137, ONE - (1 << 137)))
+    wall = (
+        st.integers(1, ONE - 1)
+        | st.integers(center - (1 << 136), center + (1 << 136))  # overlapping bands
+        | st.integers(1, 1 << 136)  # band cut off below 0
+        | st.integers(ONE - (1 << 136), ONE - 1)  # band past the wrapped band at 0
+    )
+    inner = draw(st.sets(wall, min_size=n_cells - 1, max_size=n_cells - 1))
+    mantissas = [0, *sorted(inner)]
+    weight = st.integers(1, 9) | st.integers(-9, -1)
+    weights = draw(st.lists(weight, min_size=n_cells - 1, max_size=n_cells - 1))
+    f = zero_mean_cocycle(mantissas, weights)
+    n_starts = draw(st.integers(1, 5))
+    block = (1 << 16) // n_starts
+    count = draw(st.integers(1, 300) | st.just(block + 3))
+    a_m = rot.alpha.resolved.mantissa
+    starts, near = [], []
+    for _ in range(n_starts):
+        if draw(st.booleans()):
+            starts.append(FixedReal(draw(st.integers(0, ONE - 1)), draw(st.integers(0, 3))))
+            continue
+        step = draw(st.integers(0, count - 1) | st.sampled_from([block - 1, block]))
+        step = min(step, count - 1)
+        offset = draw(st.sampled_from([NEAR_WALL, -NEAR_WALL]))
+        point = (draw(st.sampled_from(mantissas)) + offset) % ONE
+        starts.append(FixedReal((point - step * a_m) % ONE))
+        near.append((point, step))
+    return rot, f, starts, count, near
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan=cell_scans())
+def test_certified_cells_match_birkhoff_sums(scan):
+    """Cells of a batch of starts give every start's exact Birkhoff sums.
+
+    Near-wall steps must be decided by the 192-bit fallback; blocks hold
+    about 2**16 elements and tile the scan without gaps.  Where the
+    reference refuses a start, the batch refuses at the earliest such step.
+    """
+    rot, f, starts, count, near = scan
+    want, refusals = [], []
+    for x in starts:
+        try:
+            want.append(list(birkhoff_sums(rot, f, x, count)))
+        except PrecisionExhaustedError as exc:
+            refusals.append(exc.step)
+    values = np.array(f.values, dtype=object)
+    decided = []
+    exact_cell = cocycles._exact_cell
+
+    def spy(walls, mantissa, err, step):
+        decided.append((mantissa, step))
+        return exact_cell(walls, mantissa, err, step)
+
+    block = (1 << 16) // len(starts)
+    blocks = []
+    batch = starts[0] if len(starts) == 1 else starts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cocycles, "_exact_cell", spy)
+        if refusals:
+            with pytest.raises(PrecisionExhaustedError) as info:
+                for _ in certified_cells(rot, f.walls, batch, count):
+                    pass
+            assert info.value.step == min(refusals)
+            return
+        for offset, cells in certified_cells(rot, f.walls, batch, count):
+            assert cells.dtype == np.int64
+            assert cells.shape == (len(starts), min(block, count - offset))
+            blocks.append((offset, values[cells]))
+    assert [offset for offset, _ in blocks] == list(range(0, count, block))
+    got = np.cumsum(np.concatenate([terms for _, terms in blocks], axis=1), axis=1)
+    assert got.tolist() == want
+    for point, step in near:
+        assert (point, step) in decided
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize(
+    "wall, step",
+    [(ONE // 2, (1 << 16) + 11), ((ONE // 2 | ((1 << 128) - 1)) - 2, 0)],
+    ids=["wall-at-half-second-block", "wall-atop-its-word-step-0"],
+)
+def test_certified_cells_refuse_a_straddling_start_at_its_step(batch, wall, step):
+    """An orbit interval across a wall raises with that step, also in a batch.
+
+    In a batch, the first start straddles two steps later in the same block,
+    so the earliest step must win over the first row.  The second wall sits
+    3 ulps below a 64-bit word boundary, so at step 0 the straddling point's
+    own word is the one above the wall's word.
+    """
+    rot = CircleRotation(AngleSpec.preset("golden"))
+    walls = Walls([FixedReal(0), FixedReal(wall)])
+    a_m = rot.alpha.resolved.mantissa
+
+    def straddling(at: int) -> FixedReal:
+        return FixedReal((wall + 5 - at * a_m) % ONE, 1 << 20)
+
+    if batch == 1:
+        starts = straddling(step)
+    else:
+        others = [FixedReal.of(Fraction(k, 9)) for k in range(2, batch)]
+        starts = [straddling(step + 2), *others, straddling(step)]
+    with pytest.raises(PrecisionExhaustedError) as info:
+        for _ in certified_cells(rot, walls, starts, step + 9):
+            pass
+    assert info.value.step == step
+
+
+def test_certified_cells_refuse_past_the_error_margin():
+    rot, f = CircleRotation(AngleSpec.preset("golden")), pm_one()
+    wide = FixedReal(ONE // 3, 1 << 128)
+    with pytest.raises(PrecisionExhaustedError, match="margin"):
+        next(certified_cells(rot, f.walls, [FixedReal(0), wide], 10))
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,6 +377,33 @@ def test_profile_budget_guard():
     roof, f = halves_flow(1, 2)
     with pytest.raises(CrossingBudgetError):
         integral_profile(roof, f, SpecialFlowState(0), 100, max_crossings=5)
+
+
+@pytest.mark.parametrize("height", [1, 3], ids=["on-roof", "above-roof"])
+def test_walks_refuse_starts_on_or_above_the_roof(height):
+    """Every special-flow walk rejects a start with ``b >= r(a)`` the same way."""
+    roof = Roof([0, HALF], [1, 1], CircleRotation(AngleSpec.preset("golden")))
+    f = PhaseFunction.from_base_values(roof, [1, -1])
+    start = SpecialFlowState(Fraction(1, 10), height)
+    with pytest.raises(ValueError, match="roof"):
+        integral_profile(roof, f, start, 2)
+    with pytest.raises(ValueError, match="roof"):
+        next(iter_flow_zeros(roof, f, start, 2))
+    with pytest.raises(ValueError, match="roof"):
+        special_flow_step(roof, start, 1)
+
+
+def test_walks_run_from_just_below_the_roof():
+    roof = Roof([0, HALF], [1, 1], CircleRotation(AngleSpec.preset("golden")))
+    f = PhaseFunction.from_base_values(roof, [1, -1])
+    below = Fraction(2**60 - 1, 2**60)
+    start = SpecialFlowState(Fraction(1, 10), below)
+    profile = integral_profile(roof, f, start, 2)
+    assert profile.nodes[1] == (1 - below, 1 - below)
+    moved, crossings = special_flow_step(roof, start, 1 - below)
+    assert crossings == 1 and moved.b == 0
+    zeros = [t for t, _ in iter_flow_zeros(roof, f, start, 2)]
+    assert zeros == profile.zeros()
 
 
 @settings(max_examples=100, deadline=None)

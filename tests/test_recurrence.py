@@ -233,6 +233,25 @@ def test_near_returns_rational_matches_oracle():
     assert near_returns(rot, Fraction(1, 9), 200, eps) == near_return_times(3, 7, 200, eps)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(min_value=1, max_value=40),
+    p=st.integers(min_value=0, max_value=200),
+    count=st.integers(min_value=0, max_value=300),
+    eps_den=st.integers(min_value=1, max_value=60),
+)
+def test_near_returns_rational_laps_match_oracle(q, p, count, eps_den):
+    """The lap table gives the same times as a step-by-step Fraction orbit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        rot = CircleRotation(AngleSpec.rational(p, q))
+    eps = Fraction(1, eps_den)
+    got = near_returns(rot, Fraction(1, 9), count, eps)
+    assert type(got) is list and all(type(n) is int for n in got)
+    g = math.gcd(p, q)
+    assert got == near_return_times(p // g, q // g, count, eps)
+
+
 def test_near_returns_on_interval_exchange():
     iet = IntervalExchange([Fraction(1, 4), Fraction(3, 4)], (2, 1))  # rotation by 3/4
     assert near_returns(iet, Fraction(1, 10), 12, Fraction(1, 10**6)) == [4, 8, 12]
@@ -733,6 +752,81 @@ def test_excess_probability_periodic_control_at_matched_eps():
             seed=7,
         )
     assert abs(got[0][1] - 2 / 3) < 0.05
+
+
+def reference_excess(base, f, n_list, eps, samples, seed):
+    """``P(|S_n| > eps n)`` with each seeded sample stepped through ``birkhoff_sums``."""
+    xs = np.random.default_rng(seed).integers(0, 1 << 64, size=samples, dtype=np.uint64)
+    counts = dict.fromkeys(n_list, 0)
+    for raw in xs.tolist():
+        sums = list(birkhoff_sums(base, f, FixedReal(raw << 128), max(n_list)))
+        for n in n_list:
+            counts[n] += abs(sums[n - 1]) * eps.denominator > eps.numerator * n
+    return [(n, counts[n] / samples) for n in n_list]
+
+
+@pytest.mark.parametrize("angle", ["golden", "sqrt2"])
+def test_excess_probability_is_exact_at_a_wall_inside_the_64_bit_word(angle):
+    """A wall 2**60 ulps below an orbit point is decided for the requested system.
+
+    The cocycle on walls ``{0, w, 1/2, 1/2 + w}`` with values ``(1, -1, -1, 1)``
+    has zero mean for every ``w``.  One of ``w`` and ``1/2 + w`` sits 2**60
+    ulps below the first seeded sample's orbit point at step 5: the two share
+    their top 64 bits, so a scan on 64-bit words alone puts the point on the
+    wrong side.  The estimate must equal the guarded per-sample reference,
+    and the kernel must decide that step at full precision.
+    """
+    rot = CircleRotation(AngleSpec.preset(angle))
+    samples, seed, n_list, eps = 100, 0, list(range(6, 31)), Fraction(1, 1000)
+    raw = int(np.random.default_rng(seed).integers(0, 1 << 64, size=samples, dtype=np.uint64)[0])
+    point = ((raw << 128) + 5 * rot.alpha.resolved.mantissa) % ONE
+    w = (point - (1 << 60)) % (ONE // 2)
+    f = StepCocycle([FixedReal(m) for m in (0, w, ONE // 2, ONE // 2 + w)], [1, -1, -1, 1])
+    assert (point - (1 << 60)) >> 128 == point >> 128
+    decided = []
+    exact_cell = cocycles._exact_cell
+
+    def spy(walls, mantissa, err, step):
+        decided.append((mantissa, step))
+        return exact_cell(walls, mantissa, err, step)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cocycles, "_exact_cell", spy)
+        got = sublinearity_estimate(rot, f, n_list, eps, samples=samples, seed=seed)
+    assert (point, 5) in decided
+    assert got == reference_excess(rot, f, n_list, eps, samples, seed)
+
+
+@pytest.mark.parametrize(
+    "values, eps",
+    [([1, -1], Fraction(1, 4 * 10**18)), ([1 << 61, -(1 << 61)], Fraction(1, 20))],
+    ids=["tiny-eps", "huge-values"],
+)
+def test_excess_probability_stays_exact_past_int64(values, eps):
+    """``|S_n| * den`` and ``S_n`` itself may leave int64; the estimate may not."""
+    f = StepCocycle([0, HALF], values)
+    args = (golden(), f, [7, 8, 30], eps)
+    assert sublinearity_estimate(*args, samples=100, seed=3) == reference_excess(
+        *args, samples=100, seed=3
+    )
+
+
+REPEAT_BASES = {
+    "rotation": golden,
+    "rational": lambda: CircleRotation(AngleSpec.rational(1, 3)),
+    "interval-exchange": lambda: IntervalExchange([Fraction(1, 4), Fraction(3, 4)], (2, 1)),
+}
+
+
+@pytest.mark.parametrize("system", REPEAT_BASES)
+def test_excess_probability_counts_a_repeated_n_once(system):
+    """Each estimator path gives a repeated n its own probability, not a double count."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        args = (REPEAT_BASES[system](), pm_one())
+        once = sublinearity_estimate(*args, [10], Fraction(1, 20), samples=100, seed=5)
+        twice = sublinearity_estimate(*args, [10, 10], Fraction(1, 20), samples=100, seed=5)
+    assert twice == once * 2
 
 
 def test_excess_probability_deterministic_under_seed():
