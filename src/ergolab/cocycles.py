@@ -16,7 +16,9 @@ orbits, :func:`certified_cells`: a numpy scan of one start or a batch of
 starts that classifies points by their top 64 mantissa bits and decides
 the (provably few) steps whose interval comes near a wall with full
 192-bit guarded arithmetic.  Zero-sum scans and excess probabilities both
-run on it, and its cells equal those of the pure big-integer loop.
+run on it, and its cells equal those of :func:`guarded_walk`, the only
+guarded per-step orbit loop, on which Birkhoff sums, interval-exchange joint
+scans, induced excursions and skew orbits run.
 """
 from __future__ import annotations
 
@@ -175,11 +177,7 @@ def certified_cells(
 
 
 def iter_rotation_near_flags(
-    rotation: CircleRotation,
-    eps: Fraction,
-    count: int,
-    base_err: int = 0,
-    chunk: int = 1 << 16,
+    rotation: CircleRotation, eps: Fraction, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(offset, bool flags)`` where flag[i] means ``||(offset+i+1) * alpha|| < eps``.
 
@@ -189,12 +187,13 @@ def iter_rotation_near_flags(
     straddles eps raises precision exhaustion.
     """
     a_m, a_e = rotation.alpha.resolved.mantissa, rotation.alpha.resolved.err_ulps
+    chunk = 1 << 16
     if eps >= 1:
         for offset in range(0, count, chunk):
             length = min(chunk, count - offset)
             yield offset, np.ones(length, dtype=bool)
         return
-    if base_err + count * a_e >= 1 << _LOW_BITS:
+    if count * a_e >= 1 << _LOW_BITS:
         raise PrecisionExhaustedError(
             "accumulated displacement error exceeds the coarse kernel's margin"
         )
@@ -214,7 +213,7 @@ def iter_rotation_near_flags(
             n = offset + 1 + j
             disp_m = (n * a_m) % ONE
             dist_m = min(disp_m, ONE - disp_m)
-            err = n * a_e + base_err
+            err = n * a_e
             # exact comparison of dist_m ± err ulps against eps
             if (dist_m + err) * eps_den < eps_num * ONE:
                 flags[j] = True
@@ -232,44 +231,50 @@ def iter_rotation_near_flags(
 # --------------------------------------------------------------------------- #
 
 
+def guarded_walk(base: BaseMap, f: StepCocycle, x: FixedReal, count: int) -> Iterator[tuple]:
+    """Yield ``(S_n f(x), S^n x)`` for ``n = 1, ..., count``: the guarded orbit walk.
+
+    ``x`` is a circle point in ``[0, 1)``.  Step ``i`` locates the cell of
+    ``S^i x``, raising :class:`PrecisionExhaustedError` with ``step=i``
+    where it cannot, then applies ``base`` once; a refusal inside
+    ``base.apply`` (an interval exchange's own walls) passes through
+    without a step.  O(1) memory.
+    """
+    locate, values, apply = f.walls.locate, f.values, base.apply
+    total, p = 0, x
+    for i in range(count):
+        try:
+            total += values[locate(p)]
+        except PrecisionExhaustedError as exc:
+            raise PrecisionExhaustedError(str(exc), step=i) from None
+        p = apply(p)
+        yield total, p
+
+
 def birkhoff_sums(base: BaseMap, f: StepCocycle, x: FixedReal, count: int) -> Iterator[int]:
     """Stream the exact partial sums ``S_1, ..., S_count`` of ``f`` along the orbit.
 
     Pure big-integer loop, O(1) memory: this is the slow, independent
     reference path that the fast detectors are validated against.  Integer
-    cocycles only (cascade mode).
+    cocycles only (cascade mode).  A rational angle with an exact start
+    steps in exact ``Fraction`` arithmetic; every other orbit runs on
+    :func:`guarded_walk`, the only guarded per-step orbit loop.
     """
     if not f.is_integer:
         raise ValueError("cascade scans need an integer-valued cocycle")
     if count < 0:
         raise ValueError("count must be non-negative")
-    total = 0
     if isinstance(base, CircleRotation) and base.is_rational and x.is_exact:
         alpha = base.alpha.as_fraction()
         pos = x.to_fraction() % 1
+        total = 0
         for _ in range(count):
             total += f.value_at_fraction(pos)
             pos = (pos + alpha) % 1
             yield total
         return
-    walls = f.walls
-    if isinstance(base, CircleRotation):
-        a_m, a_e = base.alpha.resolved.mantissa, base.alpha.resolved.err_ulps
-        m, e = x.mantissa % ONE, x.err_ulps
-        for i in range(count):
-            total += f.values[_exact_cell(walls, m, e, i)]
-            m = (m + a_m) % ONE
-            e += a_e
-            yield total
-    else:
-        p = x.frac()
-        for i in range(count):
-            try:
-                total += f.values[walls.locate(p)]
-            except PrecisionExhaustedError as exc:
-                raise PrecisionExhaustedError(str(exc), step=i) from None
-            p = base.apply(p)
-            yield total
+    for total, _ in guarded_walk(base, f, FixedReal(x.mantissa % ONE, x.err_ulps), count):
+        yield total
 
 
 # --------------------------------------------------------------------------- #
@@ -647,21 +652,19 @@ def winding_zero_times(
     f: TrigPolynomial,
     p: TorusPoint,
     t_max: float,
-    grid_step: float | None = None,
-    tol: float = 1e-12,
 ) -> list[float]:
     """Zeros of the winding orbit integral in ``(0, t_max]``.
 
-    Sign-change bracketing on a uniform grid (default step
-    ``1 / (8 * max_frequency * (1 + |gamma|))``) followed by bisection to
-    ``tol`` in t.  Tangential zeros that do not change sign across a grid
+    Sign-change bracketing on a uniform grid of step
+    ``1 / (8 * max_frequency * (1 + |gamma|))`` followed by bisection to
+    1e-12 in t.  Tangential zeros that do not change sign across a grid
     cell can be missed; that limitation is inherent to bracketing and is
     acceptable for the transversal-crossing integrals this package studies.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    if grid_step is None:
-        grid_step = 1.0 / (8 * f.max_frequency() * (1 + abs(winding.slope)))
+    grid_step = 1.0 / (8 * f.max_frequency() * (1 + abs(winding.slope)))
+    tol = 1e-12
 
     modes = _winding_modes(winding, f, p)
 

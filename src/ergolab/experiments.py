@@ -29,7 +29,7 @@ import numpy as np
 
 from .angles import AngleSpec, parse_angle
 from .cocycles import PhaseFunction, StepCocycle, TrigPolynomial, mode_frequencies
-from .errors import ConfigError, ResonantFrequencyError
+from .errors import ConfigError, PrecisionExhaustedError, ResonantFrequencyError
 from .fixedpoint import SCALE, FixedReal
 from .induced import DEFAULT_RETURN_BUDGET, grid_ranges, induced_statistics
 from .recurrence import (
@@ -309,7 +309,11 @@ def _flow_start(
         _fail(f"{where} for a flow is {{'x': ..., 'height': ...}}")
     x = _number(spec["x"], f"{where}.x")
     height = _number(spec.get("height", 0), f"{where}.height")
-    if not 0 <= x < 1 or not 0 <= height < system.height_at(FixedReal.of(x)):
+    try:
+        inside = 0 <= x < 1 and 0 <= height < system.height_at(FixedReal.of(x))
+    except PrecisionExhaustedError:
+        _fail(f"{where}.x is too close to a roof wall to place at 192 bits")
+    if not inside:
         _fail(f"{where}: need 0 <= x < 1 and 0 <= height < the roof height at x")
     return SpecialFlowState(x, height)
 

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .cocycles import StepCocycle
+from .cocycles import StepCocycle, guarded_walk
 from .errors import RationalAngleWarning, ReturnBudgetError
 from .fixedpoint import FixedReal, Real, exact_fraction
 from .recurrence import TargetSet
@@ -70,8 +70,11 @@ def induce_point(
 ) -> InducedSample:
     """First return of ``x in A`` to ``A``, with the exact induced cocycle value.
 
-    Membership at every step is a guarded comparison (an ambiguous point is
-    a precision error, never silently accepted).  No return within
+    The excursion runs on :func:`~ergolab.cocycles.guarded_walk`, so a
+    point that cannot be placed against the cocycle's walls raises
+    :class:`PrecisionExhaustedError` with its ``step``.  Membership at every
+    step is a guarded comparison (an ambiguous point is a precision error,
+    never silently accepted).  No return within
     ``budget`` steps raises :class:`ReturnBudgetError` — with a
     positive-measure target that signals a budget too small, not
     non-recurrence.
@@ -88,11 +91,7 @@ def induce_point(
     x = FixedReal.of(x).frac()
     if not target.contains(x):
         raise ValueError("the starting point must lie in the target set")
-    total = 0
-    p = x
-    for n in range(1, budget + 1):
-        total += f.value_at(p)
-        p = base.apply(p)
+    for n, (total, p) in enumerate(guarded_walk(base, f, x, budget), start=1):
         if target.contains(p):
             return InducedSample(x=x, n=n, return_point=p, f_tilde=total)
     raise ReturnBudgetError(

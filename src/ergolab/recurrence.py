@@ -40,6 +40,7 @@ from .cocycles import (
     TrigPolynomial,
     birkhoff_sums,
     certified_cells,
+    guarded_walk,
     iter_flow_zeros,
     iter_rotation_near_flags,
     winding_integral,
@@ -411,6 +412,19 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
     return Returns(np.fromiter((n for n, s in enumerate(sums, start=1) if s == 0), np.int64))
 
 
+def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.ndarray:
+    """Sorted int64 times ``1 <= n <= count`` with ``||n alpha|| < eps``, for any start."""
+    if base.is_rational:
+        dist = _rational_residue_distances(base.alpha.as_fraction())
+        q = len(dist)
+        return _lap_times([r for r in range(1, q + 1) if dist[r % q] < eps], q, count)
+    chunks = [
+        np.flatnonzero(flags) + (offset + 1)
+        for offset, flags in iter_rotation_near_flags(base, eps, count)
+    ]
+    return _concat_times(chunks)
+
+
 def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
     """All times ``1 <= n <= count`` with circle distance ``d(S^n x, x) < eps``.
 
@@ -425,16 +439,7 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
         raise ValueError("count must be non-negative")
     x = FixedReal.of(x).frac()
     if isinstance(base, CircleRotation):
-        if base.is_rational:
-            dist = _rational_residue_distances(base.alpha.as_fraction())
-            q = len(dist)
-            residues = [r for r in range(1, q + 1) if dist[r % q] < eps]
-            return _lap_times(residues, q, count).tolist()
-        chunks = [
-            np.flatnonzero(flags) + (offset + 1)
-            for offset, flags in iter_rotation_near_flags(base, eps, count)
-        ]
-        return _concat_times(chunks).tolist()
+        return _rotation_near_times(base, count, eps).tolist()
     out = []
     p = x
     for n in range(1, count + 1):
@@ -452,24 +457,18 @@ def joint_zero_returns(
     The intersection of :func:`find_zero_sums` and :func:`near_returns`,
     with a distance column (exact rationals for rational angles, float
     rendering of the guarded value otherwise), computed for the surviving
-    times only.  Interval exchanges walk the orbit once, with the cocycle
-    lookup step-tagged and before ``apply`` as in :func:`birkhoff_sums`.
+    times only.  Rational angles take the near times from the exact residue
+    table for any start; interval exchanges walk the orbit once.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if isinstance(base, CircleRotation):
         zeros = find_zero_sums(base, f, x, count).times
-        if base.is_rational and exact_fraction(x) is not None:
+        times = np.intersect1d(zeros, _rotation_near_times(base, count, eps), assume_unique=True)
+        if base.is_rational:
             dist = _rational_residue_distances(base.alpha.as_fraction())
-            passes = np.array([d < eps for d in dist], dtype=bool)
-            residues = zeros % len(dist)
-            keep = passes[residues]
-            return Returns(zeros[keep], distance=[dist[r] for r in residues[keep].tolist()])
-        flags = np.zeros(count + 1, dtype=bool)
-        for offset, chunk in iter_rotation_near_flags(base, eps, count):
-            flags[offset + 1 : offset + 1 + len(chunk)] = chunk
-        times = zeros[flags[zeros]]
+            return Returns(times, distance=[dist[n % len(dist)] for n in times.tolist()])
         a_m = base.alpha.resolved.mantissa
         a_e = base.alpha.resolved.err_ulps
         distances = []
@@ -481,14 +480,9 @@ def joint_zero_returns(
         raise ValueError("zero-sum detection needs an integer-valued cocycle")
     if count < 1:
         raise ValueError("count must be at least 1")
-    x = p = FixedReal.of(x).frac()
-    total, times, distances = 0, [], []
-    for n in range(1, count + 1):
-        try:
-            total += f.values[f.walls.locate(p)]
-        except PrecisionExhaustedError as exc:
-            raise PrecisionExhaustedError(str(exc), step=n - 1) from None
-        p = base.apply(p)
+    x = FixedReal.of(x).frac()
+    times, distances = [], []
+    for n, (total, p) in enumerate(guarded_walk(base, f, x, count), start=1):
         if total == 0:
             d = circle_distance(p, x)
             if _guarded_less(d, eps, step=n):
@@ -553,7 +547,6 @@ def flow_zero_near_returns(
     t_max: Real,
     eps: Real,
     allow_zero_value: bool = False,
-    grid_step: float | None = None,
     max_crossings: int | None = None,
 ) -> Returns:
     """Times with vanishing orbit integral and phase point ``eps``-close to the start.
@@ -583,7 +576,7 @@ def flow_zero_near_returns(
         if eps_f <= 0:
             raise ValueError("eps must be positive")
         times, residuals, distances = [], [], []
-        for t in winding_zero_times(system, f, start, float(t_max), grid_step):
+        for t in winding_zero_times(system, f, start, float(t_max)):
             moved = system.flow(start, t)
             d = float(system.distance(start, moved))
             if d < eps_f:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cocycles import StepCocycle
+from .cocycles import StepCocycle, guarded_walk
 from .fixedpoint import ONE, FixedReal, Real
 from .recurrence import TargetSet
 from .systems import BaseMap, CircleRotation, IntervalExchange
@@ -95,9 +95,12 @@ def orbit_statistics(
     """Visit frequencies of product rectangles over the first ``steps`` orbit points.
 
     Each rectangle is ``[x_lo, x_hi) x [y_lo, y_hi)`` with exact rational
-    corners; membership per step is a guarded comparison.  Standard errors
-    use the i.i.d. formula ``sqrt(p(1-p)/(steps-1))`` — a heuristic scale
-    for correlated orbits, reported for calibration rather than inference.
+    corners; membership per step is a guarded comparison.  The base orbit
+    runs on :func:`~ergolab.cocycles.guarded_walk`, so a point that cannot
+    be placed against the exponent's walls is refused with its step.
+    Standard errors use the i.i.d. formula ``sqrt(p(1-p)/(steps-1))`` — a
+    heuristic scale for correlated orbits, reported for calibration rather
+    than inference.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -106,27 +109,20 @@ def orbit_statistics(
         for xs, ys in rectangles
     ]
     hits = [0] * len(sides)
-    state = start
-    displacement = 0
     # For rotation fibers the telescoping identity lets us place the fiber
     # coordinate directly at y0 + displacement * alpha, so the error bound
     # scales with the net displacement instead of the step count (a cancelled
     # excursion returns the fiber *exactly* to y0).
     telescoped = isinstance(system.fiber, CircleRotation)
+    state, displacement = start, 0
+    walk = guarded_walk(system.base, system.exponent, start.x, steps)
     for _ in range(steps):
         for i, (sx, sy) in enumerate(sides):
             if sx.contains(state.x) and sy.contains(state.y):
                 hits[i] += 1
-        if telescoped:
-            n = system.exponent.value_at(state.x)
-            displacement += n
-            state = ProductState(
-                system.base.apply(state.x),
-                system.fiber_power(start.y, displacement),
-            )
-        else:
-            state, n = system.step(state)
-            displacement += n
+        total, x = next(walk)
+        y, n = (start.y, total) if telescoped else (state.y, total - displacement)
+        state, displacement = ProductState(x, system.fiber_power(y, n)), total
     averages = []
     errors = []
     for k in hits:

@@ -18,6 +18,7 @@ from ergolab.cocycles import (
     TrigPolynomial,
     birkhoff_sums,
     certified_cells,
+    guarded_walk,
     integral_profile,
     iter_flow_zeros,
     orbit_integral,
@@ -30,8 +31,12 @@ from ergolab.errors import (
     ResonantFrequencyError,
 )
 from ergolab.fixedpoint import ONE, FixedReal, Walls
+from ergolab.induced import induce_point
+from ergolab.recurrence import TargetSet, joint_zero_returns
+from ergolab.skew import ProductState, SkewSystem, orbit_statistics
 from ergolab.systems import (
     CircleRotation,
+    IntervalExchange,
     Roof,
     SpecialFlowState,
     TorusPoint,
@@ -296,6 +301,77 @@ def test_discrete_cocycle_identity(n, m, x_num):
     shifted = rot.point_at(x, n)
     tail = list(birkhoff_sums(rot, f, shifted, m))
     assert sums[n + m - 1] == sums[n - 1] + tail[m - 1]
+
+
+# --------------------------------------------------------------------------- #
+# the guarded orbit walk
+# --------------------------------------------------------------------------- #
+
+
+def test_guarded_walk_yields_sums_and_orbit_points():
+    rot, f = CircleRotation(AngleSpec.preset("golden")), pm_one()
+    x = FixedReal.of(Fraction(1, 10))
+    walk = list(guarded_walk(rot, f, x, 500))
+    assert [total for total, _ in walk] == list(birkhoff_sums(rot, f, x, 500))
+    assert [p for _, p in walk] == [rot.point_at(x, n) for n in range(1, 501)]
+
+
+REFUSAL_STEP = 7
+
+
+def _walk_refusal(base, caller):
+    """Run ``caller(f, x)`` where the orbit of ``x`` meets a wall of ``f`` at step 7.
+
+    ``x`` carries 8 ulps of error and ``S^7 x`` lies 2 ulps above a wall of
+    the zero-mean cocycle ``[1, -15, 1]`` with walls ``0, w, w + 1/16``;
+    every earlier point is far from the walls of ``f``, of ``base`` and of
+    the caller's target sets.
+    """
+    m = FixedReal.of(Fraction(1, 10)).mantissa
+    p = FixedReal(m)
+    for _ in range(REFUSAL_STEP):
+        p = base.apply(p)
+    wall, width = p.mantissa - 2, ONE // 16
+    lo = wall if wall + width < ONE else wall - width
+    f = StepCocycle([0, FixedReal(lo), FixedReal(lo + width)], [1, -15, 1])
+    with pytest.raises(PrecisionExhaustedError) as info:
+        caller(f, FixedReal(m, 8))
+    return info.value.step
+
+
+GOLDEN = CircleRotation(AngleSpec.preset("golden"))
+DYADIC_IET = IntervalExchange(
+    [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 4)], (4, 3, 2, 1)
+)
+WALK_CALLERS = {
+    "birkhoff_sums": (GOLDEN, lambda f, x: list(birkhoff_sums(GOLDEN, f, x, 20))),
+    "induce_point": (
+        GOLDEN,
+        lambda f, x: induce_point(
+            GOLDEN, f, TargetSet([(x.to_fraction() - Fraction(1, 200),
+                                   x.to_fraction() + Fraction(1, 200))]), x
+        ),
+    ),
+    "orbit_statistics": (
+        GOLDEN,
+        lambda f, x: orbit_statistics(
+            SkewSystem(GOLDEN, CircleRotation(AngleSpec.preset("sqrt2")), f),
+            ProductState(x, FixedReal(0)),
+            20,
+            [((0, 1), (0, 1))],
+        ),
+    ),
+    "joint_zero_returns-iet": (
+        DYADIC_IET, lambda f, x: joint_zero_returns(DYADIC_IET, f, x, 20, Fraction(1, 5))
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(WALK_CALLERS))
+def test_walk_refusals_name_their_step(caller):
+    """A cocycle wall met at step 7 is refused with ``step == 7`` by every walk user."""
+    base, run = WALK_CALLERS[caller]
+    assert _walk_refusal(base, run) == REFUSAL_STEP
 
 
 # --------------------------------------------------------------------------- #

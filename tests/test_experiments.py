@@ -412,6 +412,13 @@ def roof_start_config(height, allow_zero_value):
     return config
 
 
+def roof_wall_start_config():
+    """The golden flow preset started 10**-60 below its roof wall at 1/2."""
+    config = preset_config("theorem-b-flow")
+    config["detector"]["start"]["x"] = str(Fraction(1, 2) - Fraction(1, 10**60))
+    return config
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
@@ -423,6 +430,7 @@ def roof_start_config(height, allow_zero_value):
         (rational_step_config("theorem-d-weiss"), "integer step"),
         (roof_start_config("1", allow_zero_value=False), "roof height"),
         (roof_start_config("5", allow_zero_value=True), "roof height"),
+        (roof_wall_start_config(), "too close to a roof wall"),
         (skew_config(rectangles=[[["0", "2"], ["0", "1"]]]), "0 <= lo < hi <= 1"),
         (skew_config(rectangles=[[["1/2", "0"], ["0", "1"]]]), "0 <= lo < hi <= 1"),
         (skew_config(start={"x": "3", "y": "1/4"}), "0 <= x < 1"),
@@ -436,6 +444,7 @@ def roof_start_config(height, allow_zero_value):
         "rational-step-sublinearity",
         "start-on-roof",
         "start-above-roof-allowing-zero-value",
+        "start-within-an-ulp-of-a-roof-wall",
         "skew-rectangle-beyond-circle",
         "skew-rectangle-reversed",
         "skew-start-beyond-circle",

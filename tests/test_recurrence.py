@@ -292,6 +292,27 @@ def test_joint_golden_is_exact_intersection():
     assert all(0 < r.distance < float(eps) for r in records)
 
 
+def test_joint_rational_angle_from_an_inexact_start_is_exact():
+    """Near times of a rational angle come from the residue table for any start.
+
+    ``||n/3|| = 1/3 = eps`` exactly for n = 1, 2 mod 3, which no guarded
+    comparison on the rounded angle can decide.  From 1/5 the cocycle
+    ``[1, 0, -1, 0]`` sums to 0 over each lap, so every multiple of 3 is a
+    zero time and a near time.
+    """
+    rot = CircleRotation(AngleSpec.rational(1, 3))
+    f = StepCocycle([0, Fraction(1, 4), HALF, Fraction(3, 4)], [1, 0, -1, 0])
+    x, eps, count = FixedReal.of(Fraction(1, 5)), Fraction(1, 3), 300
+    assert not x.is_exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        joint = joint_zero_returns(rot, f, x, count, eps)
+        zeros = set(find_zero_sums(rot, f, x, count).times.tolist())
+    near = set(near_returns(rot, x, count, eps))
+    assert joint.times.tolist() == sorted(zeros & near) == list(range(3, count + 1, 3))
+    assert joint.distance == [0] * (count // 3)
+
+
 def test_joint_walks_an_interval_exchange_once(monkeypatch):
     """One ``apply`` per step, and the rows are the zero times that are near times."""
     iet = IntervalExchange(
