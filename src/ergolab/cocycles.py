@@ -17,8 +17,11 @@ starts that classifies points by their top 64 mantissa bits and decides
 the (provably few) steps whose interval comes near a wall with full
 192-bit guarded arithmetic.  Zero-sum scans and excess probabilities both
 run on it, and its cells equal those of :func:`guarded_walk`, the only
-guarded per-step orbit loop, on which Birkhoff sums, interval-exchange joint
-scans, induced excursions and skew orbits run.
+guarded per-step orbit loop, on which Birkhoff sums, interval-exchange zero,
+joint and excess scans, induced excursions and skew orbits run.  The
+interval-exchange scans stop the walk where it returns exactly to its start,
+so a periodic orbit costs one lap; :func:`birkhoff_sums`, the reference,
+walks every step.
 """
 from __future__ import annotations
 

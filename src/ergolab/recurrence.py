@@ -22,11 +22,19 @@ Everything that can be exact is exact: integer sums, rational zero times,
 rational-angle dispatch to closed-form orbit-class enumeration.  Guarded
 fixed-point comparisons back the rest; an undecidable comparison raises
 ``PrecisionExhaustedError`` rather than silently guessing.
+
+Periodic orbits cost one lap.  A rational angle's lap is stepped in
+integers; an interval-exchange walk that returns exactly to its start
+(same mantissa and error radius, which needs exact offsets throughout)
+stops there, because the state determines every later step.  Later laps
+then follow from the lap's prefix sums, ``S_{mL+r} = m S_L + S_r``, and a
+first lap without a refusal has none later.
 """
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -38,7 +46,6 @@ from .cocycles import (
     PhaseFunction,
     StepCocycle,
     TrigPolynomial,
-    birkhoff_sums,
     certified_cells,
     guarded_walk,
     iter_flow_zeros,
@@ -283,16 +290,29 @@ class TargetSet:
 # --------------------------------------------------------------------------- #
 
 
+_AMBIGUOUS_EPS = "comparison against eps is ambiguous at this precision"
+
+
+def _eps_side(value: FixedReal, threshold: Fraction) -> bool | None:
+    """``value < threshold`` on the whole error interval, or None where it straddles.
+
+    In integers: ``(m ± e) / 2**192 < num / den`` iff ``(m ± e) * den < num * 2**192``.
+    """
+    m, e = value.mantissa, value.err_ulps
+    num, den = threshold.numerator << SCALE, threshold.denominator
+    if (m + e) * den < num:
+        return True
+    if (m - e) * den >= num:
+        return False
+    return None
+
+
 def _guarded_less(value: FixedReal, threshold: Fraction, step=None) -> bool:
     """Decide ``value < threshold`` or raise if the error interval straddles it."""
-    lo, hi = value.interval()
-    if hi < threshold:
-        return True
-    if lo >= threshold:
-        return False
-    raise PrecisionExhaustedError(
-        "comparison against eps is ambiguous at this precision", step=step
-    )
+    side = _eps_side(value, threshold)
+    if side is None:
+        raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=step)
+    return side
 
 
 def _warn_rational(what: str) -> None:
@@ -304,21 +324,26 @@ def _warn_rational(what: str) -> None:
     )
 
 
-def _rational_orbit_sums(
-    alpha: Fraction, f: StepCocycle, x0: Fraction
-) -> tuple[list, "object"]:
+def _rational_orbit_sums(alpha: Fraction, f: StepCocycle, x0: Fraction) -> list[int]:
     """Prefix sums ``P_0..P_q`` of f over one period of the rational rotation.
 
-    ``S_{m q + r} = m * P_q + P_r`` for r in 1..q — the whole infinite sum
-    sequence in O(q) data.
+    Positions are integers over ``L = lcm(q, den x0)``.  A position ``pos``
+    lies at or past the dyadic wall ``m / 2**192`` iff
+    ``pos >= ceil(m L / 2**192)``, so cells come from bisection over those
+    integer edges.
     """
     q = alpha.denominator
+    x0 %= 1
+    scale = math.lcm(q, x0.denominator)
+    step = alpha.numerator * (scale // q)
+    edges = [-((-m * scale) >> SCALE) for m in f.walls.mantissas]
+    values = f.values
+    pos = x0.numerator * (scale // x0.denominator)
     prefix = [0]
-    pos = x0 % 1
     for _ in range(q):
-        prefix.append(prefix[-1] + f.value_at_fraction(pos))
-        pos = (pos + alpha) % 1
-    return prefix, prefix[q]
+        prefix.append(prefix[-1] + values[bisect_right(edges, pos) - 1])
+        pos = (pos + step) % scale
+    return prefix
 
 
 def _lap_times(residues: list[int], q: int, count: int) -> np.ndarray:
@@ -332,22 +357,34 @@ def _lap_times(residues: list[int], q: int, count: int) -> np.ndarray:
     return times[times <= count]
 
 
-def _rational_zero_times(
-    alpha: Fraction, f: StepCocycle, x0: Fraction, count: int
-) -> np.ndarray:
-    """Zero times ``1 <= n <= count`` of the q-periodic orbit, as a sorted int64 array."""
-    prefix, cycle = _rational_orbit_sums(alpha, f, x0)
-    q = alpha.denominator
+def _lap_zero_times(prefix: Sequence[int], count: int) -> np.ndarray:
+    """Zero times ``1 <= n <= count`` of ``S_{mL+r} = m P_L + P_r``, as a sorted int64 array.
+
+    ``prefix`` holds one lap's sums ``P_0..P_L`` of an orbit that repeats
+    every ``L`` steps.  A zero lap sum repeats the lap's zeros; otherwise
+    each residue ``r`` has at most one zero, in lap ``m = -P_r / P_L``.
+    """
+    lap = len(prefix) - 1
+    cycle = prefix[lap]
     if cycle == 0:
-        return _lap_times([r for r in range(1, q + 1) if prefix[r] == 0], q, count)
+        return _lap_times([r for r in range(1, lap + 1) if prefix[r] == 0], lap, count)
     times = []
-    for r in range(1, q + 1):
+    for r in range(1, lap + 1):
         if prefix[r] % cycle == 0:
             m = -(prefix[r] // cycle)
-            n = m * q + r
+            n = m * lap + r
             if m >= 0 and n <= count:
                 times.append(n)
     return np.array(sorted(times), dtype=np.int64)
+
+
+def _lap_sum(prefix: Sequence[int], n: int) -> int:
+    """``S_n = m P_L + P_r`` for ``n = m L + r``, from one lap's sums ``P_0..P_L``.
+
+    Sums ``P_0..P_n`` of a walk that has not returned serve as a lap of ``n``.
+    """
+    m, r = divmod(n, len(prefix) - 1)
+    return m * prefix[-1] + prefix[r]
 
 
 def _rational_residue_distances(alpha: Fraction) -> list[Fraction]:
@@ -386,8 +423,10 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
     Rational rotation angles dispatch to closed-form enumeration of the
     q-periodic orbit (with a :class:`RationalAngleWarning`, since the
     recurrence theorems assume ergodicity); irrational rotations run the
-    exact fast kernel; interval exchanges fall back to the guarded loop.
-    The result has an int64 ``times`` column and the constant value 0.
+    exact fast kernel; interval exchanges run the guarded walk, which stops
+    at an exact return to the start and takes the later laps from that
+    lap's prefix sums.  The result has an int64 ``times`` column and the
+    constant value 0.
     """
     if not f.is_integer:
         raise ValueError("zero-sum detection needs an integer-valued cocycle")
@@ -398,7 +437,8 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
     if isinstance(base, CircleRotation) and base.is_rational:
         _warn_rational("the zero-sum scan")
         if x_exact is not None:
-            return Returns(_rational_zero_times(base.alpha.as_fraction(), f, x_exact % 1, count))
+            prefix = _rational_orbit_sums(base.alpha.as_fraction(), f, x_exact)
+            return Returns(_lap_zero_times(prefix, count))
     if isinstance(base, CircleRotation) and _kernel_safe(f, count):
         values = np.asarray(f.values, dtype=np.int64)
         total = 0
@@ -408,8 +448,14 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
             chunks.append(np.flatnonzero(sums == 0) + (offset + 1))
             total = int(sums[-1])
         return Returns(_concat_times(chunks))
-    sums = birkhoff_sums(base, f, x, count)
-    return Returns(np.fromiter((n for n, s in enumerate(sums, start=1) if s == 0), np.int64))
+    zeros = []
+    for n, (total, p) in enumerate(guarded_walk(base, f, x, count), start=1):
+        if total == 0:
+            zeros.append(n)
+        if p == x:  # back at the start: every later lap repeats this one
+            prefix = [0, *(s for s, _ in guarded_walk(base, f, x, n))]
+            return Returns(_lap_zero_times(prefix, count))
+    return Returns(np.array(zeros, dtype=np.int64))
 
 
 def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.ndarray:
@@ -430,7 +476,9 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
 
     For rotations the distance is ``||n alpha||`` independently of the
     start, so the scan is a pure displacement test (exact residue table
-    when alpha is rational, guarded coarse/exact kernel otherwise).
+    when alpha is rational, guarded coarse/exact kernel otherwise).  Other
+    bases step the orbit until it returns exactly to its start, and every
+    later lap repeats the near times of that one.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -446,6 +494,8 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
         p = base.apply(p)
         if _guarded_less(circle_distance(p, x), eps, step=n):
             out.append(n)
+        if p == x:  # back at the start: every later lap repeats this one
+            return _lap_times(out, n, count).tolist()
     return out
 
 
@@ -458,7 +508,9 @@ def joint_zero_returns(
     with a distance column (exact rationals for rational angles, float
     rendering of the guarded value otherwise), computed for the surviving
     times only.  Rational angles take the near times from the exact residue
-    table for any start; interval exchanges walk the orbit once.
+    table for any start; interval exchanges walk the orbit once, or, when it
+    returns exactly to its start, one lap and then one more for the laps
+    algebra.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -488,8 +540,39 @@ def joint_zero_returns(
             if _guarded_less(d, eps, step=n):
                 times.append(n)
                 distances.append(float(d))
+        if p == x:  # back at the start: every later lap repeats this one
+            return _joint_laps(base, f, x, n, count, eps)
     return Returns(
         np.array(times, dtype=np.int64), distance=np.array(distances, dtype=np.float64)
+    )
+
+
+def _joint_laps(
+    base: BaseMap, f: StepCocycle, x: FixedReal, lap: int, count: int, eps: Fraction
+) -> Returns:
+    """Joint times of a walk from ``x`` that is back at ``x`` after ``lap`` steps.
+
+    Every lap repeats the first, so one more lap gives the prefix sums and,
+    per residue, the eps side and distance of its point.  A zero at time
+    ``n`` takes those of its residue; the first zero whose residue straddles
+    eps raises with ``step=n``, the step the per-step walk names.
+    """
+    prefix, sides, distances = [0], [0], [0.0]
+    for total, p in guarded_walk(base, f, x, lap):
+        d = circle_distance(p, x)
+        side = _eps_side(d, eps)
+        prefix.append(total)
+        sides.append(-1 if side is None else int(side))
+        distances.append(float(d))
+    times = _lap_zero_times(prefix, count)
+    residues = (times - 1) % lap + 1
+    at_times = np.array(sides, dtype=np.int8)[residues]
+    refused = np.flatnonzero(at_times < 0)
+    if refused.size:
+        raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=int(times[refused[0]]))
+    near = at_times > 0
+    return Returns(
+        times[near], distance=np.array(distances, dtype=np.float64)[residues[near]]
     )
 
 
@@ -626,8 +709,9 @@ def sublinearity_estimate(
     exact for the requested system: irrational rotations scan all samples
     at once through :func:`~ergolab.cocycles.certified_cells`, which raises
     :class:`PrecisionExhaustedError` (with ``step``) where a point cannot
-    be placed; rational angles use closed-form orbit-class sums per sample;
-    other bases step each sample through the guarded :func:`birkhoff_sums`.
+    be placed; rational angles use closed-form orbit-class sums per sample,
+    in integers; other bases step each sample on the guarded walk until it
+    returns exactly to its start, so a periodic orbit costs one lap.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
@@ -679,24 +763,26 @@ def _excess_rational(
     alpha: Fraction, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
 ) -> dict[int, int]:
     """Exceedance counts per n from each sample's closed-form orbit-class sums."""
-    q = alpha.denominator
     counts = dict.fromkeys(n_list, 0)
     for raw in xs:
-        prefix, cycle = _rational_orbit_sums(alpha, f, Fraction(raw, 1 << 64))
+        prefix = _rational_orbit_sums(alpha, f, Fraction(raw, 1 << 64))
         for n in counts:
-            m, r = divmod(n, q)
-            # S_n = m*cycle + P_r with the r=0 case folded into the previous lap
-            counts[n] += _exceeds(m * cycle + prefix[r], n, eps)
+            counts[n] += _exceeds(_lap_sum(prefix, n), n, eps)
     return counts
 
 
 def _excess_loop(
     base: BaseMap, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
 ) -> dict[int, int]:
-    """Exceedance counts per n, each sample stepped through :func:`birkhoff_sums`."""
+    """Exceedance counts per n, each sample on the guarded walk up to its first return."""
     counts = dict.fromkeys(n_list, 0)
     for raw in xs:
-        sums = list(birkhoff_sums(base, f, FixedReal(raw << (SCALE - 64)), max(n_list)))
+        x = FixedReal(raw << (SCALE - 64))
+        prefix = [0]
+        for total, p in guarded_walk(base, f, x, max(n_list)):
+            prefix.append(total)
+            if p == x:  # back at the start: every later lap repeats this one
+                break
         for n in counts:
-            counts[n] += _exceeds(sums[n - 1], n, eps)
+            counts[n] += _exceeds(_lap_sum(prefix, n), n, eps)
     return counts

@@ -8,6 +8,9 @@ against these dumb-but-obviously-correct routes.  The special-flow
 reference is the exception: it is the package's former two-walk path (a
 ``Fraction`` profile walk, then :func:`special_flow_step` from zero to
 zero), kept here to pin the single scaled-integer walk that replaced it.
+The per-step cascade references are the other exception: they walk every
+step with ``birkhoff_sums`` and ``apply``, never closing a lap, and decide
+eps on ``Fraction`` bounds, to pin the detectors that close periodic laps.
 """
 from __future__ import annotations
 
@@ -17,10 +20,12 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
+from ergolab import cocycles
 from ergolab.cocycles import IntegralProfile
 from ergolab.errors import CrossingBudgetError, PrecisionExhaustedError
-from ergolab.fixedpoint import ONE
+from ergolab.fixedpoint import ONE, FixedReal
 from ergolab.stats import decimal_string
 from ergolab.systems import default_crossing_budget, special_flow_step
 
@@ -248,3 +253,65 @@ def reference_flow_near_rows(roof, f, start, t_max, eps, max_crossings=None):
             raise PrecisionExhaustedError("ambiguous eps test")
         rows.append((t, Fraction(0), max(base, height)))
     return rows
+
+
+# --------------------------------------------------------------------------- #
+# per-step cascade references
+# --------------------------------------------------------------------------- #
+
+
+def walk_points(base, x, count: int):
+    """``S x, ..., S^count x``, one ``apply`` per step."""
+    p = x
+    for _ in range(count):
+        p = base.apply(p)
+        yield p
+
+
+def eps_side(p, x, eps: Fraction, step: int) -> tuple[bool, Fraction]:
+    """``(d(p, x) < eps, nominal distance)`` on the ``Fraction`` error interval.
+
+    Raises :class:`PrecisionExhaustedError` with ``step`` where it straddles eps.
+    """
+    delta = Fraction((p.mantissa - x.mantissa) % ONE, ONE)
+    distance = min(delta, 1 - delta)
+    radius = Fraction(p.err_ulps + x.err_ulps, ONE)
+    if distance + radius < eps:
+        return True, distance
+    if distance - radius >= eps:
+        return False, distance
+    raise PrecisionExhaustedError("ambiguous eps test", step=step)
+
+
+def reference_zero_times(base, f, x, count: int) -> list[int]:
+    """Times ``n <= count`` with ``S_n = 0``, every step of ``birkhoff_sums``."""
+    return [n for n, s in enumerate(cocycles.birkhoff_sums(base, f, x, count), start=1) if s == 0]
+
+
+def reference_near_times(base, x, count: int, eps: Fraction) -> list[int]:
+    """Times ``n <= count`` with ``d(S^n x, x) < eps``, stepping every point."""
+    points = walk_points(base, x, count)
+    return [n for n, p in enumerate(points, start=1) if eps_side(p, x, eps, n)[0]]
+
+
+def reference_joint_rows(base, f, x, count: int, eps: Fraction) -> list[tuple[int, float]]:
+    """``(n, distance)`` at zero times that are near times, in step order."""
+    rows = []
+    steps = zip(cocycles.birkhoff_sums(base, f, x, count), walk_points(base, x, count))
+    for n, (s, p) in enumerate(steps, start=1):
+        if s == 0:
+            near, distance = eps_side(p, x, eps, n)
+            if near:
+                rows.append((n, float(distance)))
+    return rows
+
+
+def reference_excess(base, f, n_list, eps: Fraction, samples: int, seed: int):
+    """``P(|S_n| > eps n)`` with each seeded sample stepped through ``birkhoff_sums``."""
+    xs = np.random.default_rng(seed).integers(0, 1 << 64, size=samples, dtype=np.uint64)
+    counts = dict.fromkeys(n_list, 0)
+    for raw in xs.tolist():
+        sums = list(cocycles.birkhoff_sums(base, f, FixedReal(raw << 128), max(n_list)))
+        for n in counts:
+            counts[n] += abs(sums[n - 1]) * eps.denominator > eps.numerator * n
+    return [(n, counts[n] / samples) for n in n_list]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import cocycles
@@ -23,11 +23,13 @@ from ergolab.errors import (
     RationalAngleWarning,
     ZeroValueStartError,
 )
-from ergolab.fixedpoint import ONE, FixedReal
+from ergolab.fixedpoint import ONE, SCALE, FixedReal
 from ergolab.recurrence import (
     CascadeState,
     Returns,
     TargetSet,
+    _guarded_less,
+    _rational_orbit_sums,
     cascade_apply,
     find_zero_sums,
     flow_zero_near_returns,
@@ -48,10 +50,17 @@ from ergolab.systems import (
 from _oracles import (
     excess_fraction_exact,
     near_return_times,
+    reference_excess,
     reference_flow_near_rows,
     reference_flow_set_rows,
+    reference_joint_rows,
+    reference_near_times,
     reference_profile_nodes,
+    reference_zero_times,
+    rotation_orbit,
+    step_value,
     target_arc_membership,
+    walk_points,
     zero_sum_times,
 )
 
@@ -313,12 +322,17 @@ def test_joint_rational_angle_from_an_inexact_start_is_exact():
     assert joint.distance == [0] * (count // 3)
 
 
-def test_joint_walks_an_interval_exchange_once(monkeypatch):
-    """One ``apply`` per step, and the rows are the zero times that are near times."""
-    iet = IntervalExchange(
-        [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 4)], (4, 3, 2, 1)
-    )
-    f, x, count, eps = pm_one(), Fraction(5, 9), 5_000, Fraction(1, 5)
+DYADIC_IET = ([Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 4)], (4, 3, 2, 1))
+NON_DYADIC_IET = ([Fraction(3, 10), Fraction(1, 5), Fraction(1, 2)], (3, 2, 1))
+
+
+def joint_apply_calls(monkeypatch, iet, eps) -> int:
+    """``apply`` calls of a 5,000-step joint scan from 5/9, after checking its rows.
+
+    The rows must be the zero times that are near times, with distances
+    below eps.
+    """
+    f, x, count = pm_one(), Fraction(5, 9), 5_000
     zeros = set(find_zero_sums(iet, f, x, count).times.tolist())
     near = set(near_returns(iet, x, count, eps))
     assert zeros & near and zeros - near
@@ -328,9 +342,176 @@ def test_joint_walks_an_interval_exchange_once(monkeypatch):
         IntervalExchange, "apply", lambda self, p: calls.append(p) or apply(self, p)
     )
     joint = joint_zero_returns(iet, f, x, count, eps)
-    assert len(calls) == count
     assert joint.times.tolist() == sorted(zeros & near)
     assert all(0 <= d < float(eps) for d in joint.distance.tolist())
+    return len(calls)
+
+
+def test_joint_walks_an_interval_exchange_once(monkeypatch):
+    """From 5/9 the dyadic exchange is back at the start after 8 steps.
+
+    The error radius is back too, so the scan walks that lap and one more
+    for the laps algebra: 16 ``apply`` calls for 5,000 steps.
+    """
+    assert joint_apply_calls(monkeypatch, IntervalExchange(*DYADIC_IET), Fraction(1, 5)) == 16
+
+
+def test_joint_walks_a_non_dyadic_exchange_step_by_step(monkeypatch):
+    """Offsets with an error radius: the walk never returns exactly, one apply per step."""
+    iet = IntervalExchange(*NON_DYADIC_IET)
+    assert joint_apply_calls(monkeypatch, iet, Fraction(3, 20)) == 5_000
+
+
+def test_birkhoff_sums_never_close_a_lap(monkeypatch):
+    """The reference walks every step even where the orbit returns after 8."""
+    iet = IntervalExchange(*DYADIC_IET)
+    apply = IntervalExchange.apply
+    calls = []
+    monkeypatch.setattr(
+        IntervalExchange, "apply", lambda self, p: calls.append(p) or apply(self, p)
+    )
+    sums = list(birkhoff_sums(iet, pm_one(), FixedReal.of(Fraction(5, 9)), 1_000))
+    assert len(sums) == len(calls) == 1_000
+    assert calls[8] == calls[0] == FixedReal.of(Fraction(5, 9))
+
+
+# --------------------------------------------------------------------------- #
+# closed laps
+# --------------------------------------------------------------------------- #
+
+# Dyadic exchanges with 2-5 intervals on a 2**-k grid (k <= 8), integer
+# cocycles on dyadic walls, and starts exact or with a 1-ulp radius: every
+# such orbit returns to its start within 2**k steps.
+CLOSURE_COCYCLES = [
+    ([0, HALF], [1, -1]),
+    ([0, Fraction(3, 8)], [5, -3]),
+    ([0, Fraction(1, 4), HALF], [2, 2, -2]),
+    ([0], [0]),
+]
+
+
+@st.composite
+def dyadic_exchanges(draw):
+    m = draw(st.integers(min_value=2, max_value=5))
+    size = 1 << draw(st.integers(min_value=3, max_value=8))
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1), min_size=m - 1, max_size=m - 1)))
+    lengths = [Fraction(b - a, size) for a, b in zip([0, *cuts], [*cuts, size])]
+    permutation = draw(st.permutations(range(1, m + 1)))
+    return IntervalExchange(lengths, permutation), size
+
+
+@st.composite
+def closure_starts(draw, size):
+    """An exact start, a 1-ulp start anywhere, or a 1-ulp start near a grid point.
+
+    Grid starts lie 1 ulp below, on, 1 ulp above or 2**100 ulps above a
+    point of the ``1/size`` grid, where the exchange's walls lie, so some
+    orbit point in the first lap may sit within an ulp of a wall.
+    """
+    kind = draw(st.sampled_from(["exact", "ulp", "grid"]))
+    if kind == "exact":
+        return FixedReal(draw(st.integers(0, (1 << 12) - 1)) << (SCALE - 12))
+    if kind == "ulp":
+        return FixedReal(draw(st.integers(0, ONE - 1)), 1)
+    grid = draw(st.integers(0, size - 1)) * (ONE // size)
+    return FixedReal((grid + draw(st.sampled_from([-1, 0, 1, 1 << 100]))) % ONE, 1)
+
+
+def lap_of(base, x, limit):
+    """Steps until the walk from ``x`` is back at ``x`` exactly, or None."""
+    try:
+        for n, p in enumerate(walk_points(base, x, limit), start=1):
+            if p == x:
+                return n
+    except PrecisionExhaustedError:
+        return None
+    return None
+
+
+def scan_outcome(detector, *args):
+    """The detector's rows, or the type and step of its refusal."""
+    try:
+        got = detector(*args)
+    except PrecisionExhaustedError as exc:
+        return type(exc), exc.step
+    if isinstance(got, Returns):
+        return [(r.time, r.distance) for r in got]
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=dyadic_exchanges(), data=st.data())
+def test_closed_laps_match_the_per_step_walk(case, data):
+    """Zero, near and joint scans that close a lap equal the per-step oracle."""
+    iet, size = case
+    x = data.draw(closure_starts(size))
+    f = StepCocycle(*data.draw(st.sampled_from(CLOSURE_COCYCLES)))
+    lap = lap_of(iet, x, size) or 8
+    laps, shift = data.draw(st.integers(0, 4)), data.draw(st.sampled_from([-1, 0, 1]))
+    count = max(1, laps * lap + shift)
+    eps = Fraction(data.draw(st.integers(1, size // 2)), size) + data.draw(
+        st.sampled_from([0, Fraction(1, 3 * size)])
+    )
+    assert scan_outcome(find_zero_sums, iet, f, x, count) == scan_outcome(
+        lambda *a: [(n, None) for n in reference_zero_times(*a)], iet, f, x, count
+    )
+    assert scan_outcome(near_returns, iet, x, count, eps) == scan_outcome(
+        reference_near_times, iet, x, count, eps
+    )
+    joint = scan_outcome(joint_zero_returns, iet, f, x, count, eps)
+    assert joint == scan_outcome(reference_joint_rows, iet, f, x, count, eps)
+    lap_sums = scan_outcome(lambda: list(birkhoff_sums(iet, f, x, lap)))
+    if lap_of(iet, x, size) is None or isinstance(lap_sums, tuple):
+        event("refused or open within the grid size")
+    else:
+        event(f"closed, lap sum {'zero' if lap_sums[-1] == 0 else 'nonzero'}")
+        event("count on a lap multiple" if count % lap == 0 else "count between laps")
+        if isinstance(joint, tuple) and joint[1] > lap:
+            event("joint refusal past the first lap")
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=dyadic_exchanges(), data=st.data())
+def test_closed_laps_match_the_per_step_excess_estimate(case, data):
+    iet, _ = case
+    f = StepCocycle(*data.draw(st.sampled_from(CLOSURE_COCYCLES)))
+    n_list = data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    args = (iet, f, n_list, Fraction(1, 20))
+    seed = data.draw(st.integers(0, 1 << 20))
+    assert sublinearity_estimate(*args, samples=100, seed=seed) == reference_excess(
+        *args, samples=100, seed=seed
+    )
+
+
+@pytest.mark.parametrize(
+    "lengths, permutation, walls, values, start, lap, eps, step",
+    [
+        ([Fraction(5, 16), Fraction(5, 8), Fraction(1, 16)], (2, 1, 3),
+         [0, Fraction(3, 8)], [5, -3], Fraction(1, 4), 3, Fraction(5, 16), 8),
+        ([Fraction(1, 8), Fraction(5, 16), HALF, Fraction(1, 16)], (1, 3, 4, 2),
+         [0, HALF], [1, -1], Fraction(3, 16), 14, Fraction(1, 8), 16),
+        ([Fraction(5, 16), Fraction(1, 8), Fraction(5, 16), Fraction(1, 4)], (2, 4, 3, 1),
+         [0, HALF], [1, -1], Fraction(9, 16), 11, Fraction(1, 4), 24),
+    ],
+    ids=["no-zero-in-lap-1", "decided-zero-in-lap-1", "two-refusals-past-lap-1"],
+)
+def test_joint_refusal_first_reached_in_a_later_lap(
+    lengths, permutation, walls, values, start, lap, eps, step
+):
+    """A zero past the first lap whose distance is exactly eps raises at its own step.
+
+    The start is 2**-7 past a 2**-4 grid point with a 1-ulp radius, so every
+    distance to it is a multiple of 1/16 known to within 2 ulps.  The lap
+    sum is nonzero, and the zero at ``step`` lies in a residue with no zero in
+    the first lap.  In the last case a second such zero, at step 26, also
+    straddles eps: the earlier one names the refusal.
+    """
+    iet, f = IntervalExchange(lengths, permutation), StepCocycle(walls, values)
+    x = FixedReal(start.numerator * (ONE // start.denominator) + (ONE >> 7), 1)
+    assert lap_of(iet, x, 100) == lap < step
+    want = scan_outcome(reference_joint_rows, iet, f, x, 400, eps)
+    assert want == (PrecisionExhaustedError, step)
+    assert scan_outcome(joint_zero_returns, iet, f, x, 400, eps) == want
 
 
 def test_returns_rows_are_plain_python_views():
@@ -356,6 +537,104 @@ def test_joint_min_distance_shrinks_with_horizon():
     d1 = min(r.distance for r in joint_zero_returns(rot, f, x, 10**3, eps))
     d2 = min(r.distance for r in joint_zero_returns(rot, f, x, 10**4, eps))
     assert d2 <= d1
+
+
+def test_a_return_with_a_wider_radius_does_not_close_the_lap():
+    """Back on its start's mantissa is not back at the start.
+
+    Lengths ``(a, 1 - 2a, a)`` with 1-ulp radii, reversed: the first and last
+    intervals trade places by ``±(1 - a)``, so the walk from 20 ulps below
+    the wall at ``a`` is back on its mantissa every 2 steps, 4 ulps wider
+    each time.  The radius reaches that wall at step 10, where the exchange
+    refuses; no scan may take the first two steps for a lap.  The start is
+    the first sample of seed 2, so the excess estimate meets it too.
+    """
+    seed, samples = 2, 100
+    raw = np.random.default_rng(seed).integers(0, 1 << 64, size=samples, dtype=np.uint64)[0]
+    x = FixedReal(int(raw) << 128)
+    a = x.mantissa + 20
+    lengths = [FixedReal(a, 1), FixedReal(ONE - 2 * a, 1), FixedReal(a, 1)]
+    iet = IntervalExchange(lengths, (3, 2, 1))
+    f, eps = pm_one(), Fraction(1, 10)
+    assert [p.mantissa == x.mantissa for p in walk_points(iet, x, 4)] == [False, True] * 2
+    refused = (PrecisionExhaustedError, None)
+    assert scan_outcome(find_zero_sums, iet, f, x, 100) == refused
+    assert scan_outcome(lambda: reference_zero_times(iet, f, x, 100)) == refused
+    assert scan_outcome(near_returns, iet, x, 100, eps) == refused
+    assert scan_outcome(reference_near_times, iet, x, 100, eps) == refused
+    assert scan_outcome(joint_zero_returns, iet, f, x, 100, eps) == refused
+    assert scan_outcome(reference_joint_rows, iet, f, x, 100, eps) == refused
+    excess = (iet, f, [30], Fraction(1, 20), samples, seed)
+    assert scan_outcome(sublinearity_estimate, *excess) == refused
+    assert scan_outcome(reference_excess, *excess) == refused
+
+
+# --------------------------------------------------------------------------- #
+# integer laps and eps tests
+# --------------------------------------------------------------------------- #
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q=st.integers(min_value=1, max_value=10**4),
+    p=st.integers(min_value=0, max_value=10**4),
+    wall=st.one_of(st.integers(1, 8), st.integers(1, ONE // 2 - 1)),
+    on_wall=st.one_of(st.none(), st.integers(0, 3)),
+    start=st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**6)),
+)
+@example(q=9973, p=4986, wall=3, on_wall=2, start=Fraction(0))
+@example(q=10**4, p=5001, wall=1, on_wall=None, start=Fraction(999_999, 1_000_000))
+def test_integer_rational_laps_match_fraction_stepping(q, p, wall, on_wall, start):
+    """Prefix sums over one period equal a ``Fraction`` walk of the orbit.
+
+    The walls ``{0, w, 1/2, 1/2 + w}`` carry ``(1, -1, -1, 1)``, zero mean for
+    any ``w``; a ``w`` of a few ulps puts two pairs of walls a few ulps apart.
+    Starts lie on a wall or at a rational with a large denominator.
+    """
+    alpha = Fraction(p % q, q)
+    walls = [Fraction(m, ONE) for m in (0, wall, ONE // 2, ONE // 2 + wall)]
+    f = StepCocycle(walls, [1, -1, -1, 1])
+    x0 = start if on_wall is None else walls[on_wall]
+    want, total = [0], 0
+    for point in rotation_orbit(alpha.numerator, alpha.denominator, x0, alpha.denominator):
+        total += step_value(point, walls, f.values)
+        want.append(total)
+    assert _rational_orbit_sums(alpha, f, x0) == want
+
+
+EPS_CASES = {
+    "hi-on-eps": lambda k, e: FixedReal(k - e, e),
+    "lo-on-eps": lambda k, e: FixedReal(k + e, e),
+    "hi-below-eps": lambda k, e: FixedReal(k - e - 1, e),
+    "lo-below-eps": lambda k, e: FixedReal(k + e - 1, e),
+    "exact-on-eps": lambda k, e: FixedReal(k, 0),
+    "exact-below-eps": lambda k, e: FixedReal(k - 1, 0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1 << 100, ONE - 1),
+    err=st.one_of(st.integers(0, 4), st.integers(0, 1 << 99)),
+    case=st.sampled_from(sorted(EPS_CASES)),
+    den=st.one_of(st.just(ONE), st.integers(1, 10**12)),
+)
+def test_integer_eps_test_matches_the_fraction_interval(k, err, case, den):
+    """The cross-multiplied test decides exactly as the ``interval()`` bounds do.
+
+    ``den = 2**192`` puts eps on the grid, so the interval's ends meet it
+    exactly; other denominators put it between grid points.
+    """
+    value = EPS_CASES[case](k, err)
+    eps = Fraction(k, ONE) if den == ONE else Fraction(k * den // ONE + 1, den)
+    lo, hi = value.interval()
+    want = True if hi < eps else False if lo >= eps else None
+    try:
+        got = _guarded_less(value, eps, step=7)
+    except PrecisionExhaustedError as exc:
+        assert exc.step == 7
+        got = None
+    assert got == want
 
 
 # --------------------------------------------------------------------------- #
@@ -773,17 +1052,6 @@ def test_excess_probability_periodic_control_at_matched_eps():
             seed=7,
         )
     assert abs(got[0][1] - 2 / 3) < 0.05
-
-
-def reference_excess(base, f, n_list, eps, samples, seed):
-    """``P(|S_n| > eps n)`` with each seeded sample stepped through ``birkhoff_sums``."""
-    xs = np.random.default_rng(seed).integers(0, 1 << 64, size=samples, dtype=np.uint64)
-    counts = dict.fromkeys(n_list, 0)
-    for raw in xs.tolist():
-        sums = list(birkhoff_sums(base, f, FixedReal(raw << 128), max(n_list)))
-        for n in n_list:
-            counts[n] += abs(sums[n - 1]) * eps.denominator > eps.numerator * n
-    return [(n, counts[n] / samples) for n in n_list]
 
 
 @pytest.mark.parametrize("angle", ["golden", "sqrt2"])
