@@ -294,6 +294,33 @@ def reference_near_times(base, x, count: int, eps: Fraction) -> list[int]:
     return [n for n, p in enumerate(points, start=1) if eps_side(p, x, eps, n)[0]]
 
 
+def reference_rotation_near_times(rotation, count: int, eps: Fraction) -> list[int]:
+    """Times ``n <= count`` with ``||n alpha|| < eps``, each decided by :func:`eps_side`.
+
+    The displacement ``n alpha`` is ``n`` times the resolved angle's mantissa
+    with ``n`` times its radius.  A displacement whose correctly rounded float
+    distance lies more than ``2**-40`` from ``float(eps)`` skips ``eps_side``,
+    which would decide it the same way: the float distance is within
+    ``2**-54`` of the nominal one, ``float(eps)`` is within ``2**-52`` of an
+    eps below 2 (and at least 1 for any larger eps, above every distance),
+    and the radius stays below ``2**-60``.
+    """
+    alpha = rotation.alpha.resolved
+    assert count * alpha.err_ulps < ONE >> 60, "the float shortcut needs a radius below 2**-60"
+    origin, eps_float = FixedReal(0), float(eps)
+    times = []
+    for n in range(1, count + 1):
+        m = n * alpha.mantissa % ONE
+        distance = min(m, ONE - m) / ONE
+        if abs(distance - eps_float) > 2.0**-40:
+            near = distance < eps_float
+        else:
+            near = eps_side(FixedReal(m, n * alpha.err_ulps), origin, eps, n)[0]
+        if near:
+            times.append(n)
+    return times
+
+
 def reference_joint_rows(base, f, x, count: int, eps: Fraction) -> list[tuple[int, float]]:
     """``(n, distance)`` at zero times that are near times, in step order."""
     rows = []

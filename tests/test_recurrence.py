@@ -56,6 +56,7 @@ from _oracles import (
     reference_joint_rows,
     reference_near_times,
     reference_profile_nodes,
+    reference_rotation_near_times,
     reference_zero_times,
     rotation_orbit,
     step_value,
@@ -264,6 +265,85 @@ def test_near_returns_rational_laps_match_oracle(q, p, count, eps_den):
 def test_near_returns_on_interval_exchange():
     iet = IntervalExchange([Fraction(1, 4), Fraction(3, 4)], (2, 1))  # rotation by 3/4
     assert near_returns(iet, Fraction(1, 10), 12, Fraction(1, 10**6)) == [4, 8, 12]
+
+
+NEAR_ANGLES = [
+    AngleSpec.preset("golden"),
+    AngleSpec.preset("sqrt2"),
+    AngleSpec.quadratic(1, 2, 7, 9),
+    AngleSpec.quadratic(3, -1, 11, 4),
+]
+# one step, either side of the 2**16-element kernel block, and three blocks
+NEAR_COUNTS = [1, 2**16 - 1, 2**16, 2**16 + 1, 140_000]
+TINY = Fraction(1, 2**200)
+NEAR_EPS = [Fraction(1, 100), Fraction(3, 7), TINY, HALF - TINY, HALF, HALF + TINY, 1, 3]
+
+
+@st.composite
+def rotation_near_cases(draw):
+    """An angle, a count and an eps from the grid or at a chosen ``||n alpha||``.
+
+    A chosen eps sits 0, 1, ``n`` or ``n + 1`` ulps either side of the
+    nominal distance at step ``n``, whose radius is ``n`` ulps: inside the
+    radius the scan must refuse at ``n``, just outside it must decide.
+    """
+    rotation = CircleRotation(draw(st.sampled_from(NEAR_ANGLES)))
+    count = draw(st.sampled_from(NEAR_COUNTS))
+    if draw(st.booleans()):
+        return rotation, count, draw(st.sampled_from(NEAR_EPS))
+    boundary = [c for c in NEAR_COUNTS if c <= count]
+    n = draw(st.one_of(st.integers(1, count), st.sampled_from(boundary)))
+    ulps = draw(st.sampled_from([0, 1, -1, n, -n, n + 1, -n - 1]))
+    m = n * rotation.alpha.resolved.mantissa % ONE
+    return rotation, count, Fraction(min(m, ONE - m) + ulps, ONE)
+
+
+def rotation_joint_oracle(rotation, f, x, count, eps):
+    """Zero times that are oracle near times, with the nominal distance."""
+    near = set(reference_rotation_near_times(rotation, count, eps))
+    rows = []
+    for n in find_zero_sums(rotation, f, x, count).times.tolist():
+        if n in near:
+            m = n * rotation.alpha.resolved.mantissa % ONE
+            rows.append((n, float(Fraction(min(m, ONE - m), ONE))))
+    return rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=rotation_near_cases())
+def test_irrational_near_times_match_the_per_n_oracle(case):
+    """Near and joint rows on irrational angles, refusal steps included."""
+    rotation, count, eps = case
+    x = Fraction(1, 10)
+    want = scan_outcome(reference_rotation_near_times, rotation, count, eps)
+    near = scan_outcome(near_returns, rotation, x, count, eps)
+    joint = scan_outcome(joint_zero_returns, rotation, pm_one(), x, count, eps)
+    if isinstance(want, tuple):
+        assert near == joint == want
+        event("refused")
+    else:
+        assert near == want
+        assert joint == rotation_joint_oracle(rotation, pm_one(), x, count, eps)
+        event("decided")
+
+
+def test_an_angle_below_one_ulp_is_near_at_every_step():
+    """``sqrt(10**120 + 1) mod 1`` is about ``5e-61``: it resolves to 0 ± 1 ulp.
+
+    The displacement after ``n`` steps is then 0 ± ``n`` ulps, far inside any
+    eps the scan can name, so every time is near and nothing is refused.
+    """
+    rotation = CircleRotation(AngleSpec.quadratic(0, 1, 10**120 + 1, 1))
+    resolved = rotation.alpha.resolved
+    assert (resolved.mantissa, resolved.err_ulps) == (0, 1)
+    count, eps = 2**16 + 1, Fraction(1, 100)
+    every = list(range(1, count + 1))
+    assert reference_rotation_near_times(rotation, count, eps) == every
+    assert near_returns(rotation, Fraction(1, 10), count, eps) == every
+    zeros = find_zero_sums(rotation, pm_one(), Fraction(1, 10), count)
+    joint = joint_zero_returns(rotation, pm_one(), Fraction(1, 10), count, eps)
+    assert joint.times.tolist() == zeros.times.tolist()
+    assert joint.distance.tolist() == [0.0] * len(zeros)
 
 
 # --------------------------------------------------------------------------- #
