@@ -15,10 +15,12 @@ The module also houses the one certified cell classifier for rotation
 orbits, :func:`certified_cells`: a numpy scan of one start or a batch of
 starts that classifies points by their top 64 mantissa bits and decides
 the (provably few) steps whose interval comes near a wall with full
-192-bit guarded arithmetic.  Zero-sum scans and excess probabilities both
-run on it, and its cells equal those of :func:`guarded_walk`, the only
-guarded per-step orbit loop, on which Birkhoff sums, interval-exchange zero,
-joint and excess scans, induced excursions and skew orbits run.  The
+192-bit guarded arithmetic.  Zero-sum scans, excess probabilities and
+near-return times (cells of the displacement ``n alpha`` against walls at
+the eps boundaries) all run on it, and its cells equal those of
+:func:`guarded_walk`, the only guarded per-step orbit loop, on which
+Birkhoff sums, interval-exchange zero, joint and excess scans, induced
+excursions and skew orbits run.  The
 interval-exchange scans stop the walk where it returns exactly to its start,
 so a periodic orbit costs one lap; :func:`birkhoff_sums`, the reference,
 walks every step.
@@ -177,56 +179,6 @@ def certified_cells(
             i += offset
             cells[j] = _exact_cell(walls, (x_m[r] + i * a_m) % ONE, x_e[r] + i * a_e, i)
         yield offset, cells.reshape(len(steps), len(starts)).T
-
-
-def iter_rotation_near_flags(
-    rotation: CircleRotation, eps: Fraction, count: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(offset, bool flags)`` where flag[i] means ``||(offset+i+1) * alpha|| < eps``.
-
-    Rotation distances to the start are start-independent, so only the
-    displacement ``n * alpha`` matters.  Guarded like the cell kernel: near
-    the eps threshold the comparison is done exactly, and an interval that
-    straddles eps raises precision exhaustion.
-    """
-    a_m, a_e = rotation.alpha.resolved.mantissa, rotation.alpha.resolved.err_ulps
-    chunk = 1 << 16
-    if eps >= 1:
-        for offset in range(0, count, chunk):
-            length = min(chunk, count - offset)
-            yield offset, np.ones(length, dtype=bool)
-        return
-    if count * a_e >= 1 << _LOW_BITS:
-        raise PrecisionExhaustedError(
-            "accumulated displacement error exceeds the coarse kernel's margin"
-        )
-    a64 = np.uint64(a_m >> _LOW_BITS)
-    eps64 = np.uint64((eps.numerator * ONE // eps.denominator) >> _LOW_BITS)
-    margin = np.uint64(count + 4)
-    eps_num, eps_den = eps.numerator, eps.denominator
-    for offset in range(0, count, chunk):
-        length = min(chunk, count - offset)
-        n_arr = np.arange(offset + 1, offset + 1 + length, dtype=np.uint64)
-        disp = n_arr * a64
-        dist = np.minimum(disp, np.uint64(0) - disp)
-        flags = dist < eps64
-        delta = np.minimum(dist - eps64, eps64 - dist)  # wrapped |dist - eps|
-        suspect = np.nonzero(delta <= margin)[0]
-        for j in suspect.tolist():
-            n = offset + 1 + j
-            disp_m = (n * a_m) % ONE
-            dist_m = min(disp_m, ONE - disp_m)
-            err = n * a_e
-            # exact comparison of dist_m ± err ulps against eps
-            if (dist_m + err) * eps_den < eps_num * ONE:
-                flags[j] = True
-            elif (dist_m - err) * eps_den >= eps_num * ONE:
-                flags[j] = False
-            else:
-                raise PrecisionExhaustedError(
-                    "ambiguous near-return comparison against eps", step=n
-                )
-        yield offset, flags
 
 
 # --------------------------------------------------------------------------- #

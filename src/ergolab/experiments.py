@@ -329,7 +329,7 @@ def _skew_system(spec: Any, where: str, base: object, cocycle: object) -> SkewSy
     """The skew product over the configured base with the fiber map ``spec``."""
     if not isinstance(spec, Mapping):
         _fail(f"{where} must be a system object")
-    fiber_kind, fiber = _build(_SYSTEMS, spec, "system")
+    fiber_kind, fiber = _build(_SYSTEMS, spec, where)
     if fiber_kind not in _CASCADE_BASES:
         _fail(f"{where} must be a rotation or interval_exchange")
     return SkewSystem(base, fiber, cocycle)
@@ -538,6 +538,8 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         _fail("output: 'directory' must be a non-empty string")
     if Path(directory).is_absolute():
         _fail("output: 'directory' must be relative (root comes from the runner)")
+    if ".." in Path(directory).parts:
+        _fail("output: 'directory' must not contain '..' (it stays inside the root)")
     formats = output_block.get("formats", ["csv"])
     if not isinstance(formats, Sequence) or not formats or any(
         f not in ("csv", "json") for f in formats

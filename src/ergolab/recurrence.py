@@ -49,7 +49,6 @@ from .cocycles import (
     certified_cells,
     guarded_walk,
     iter_flow_zeros,
-    iter_rotation_near_flags,
     winding_integral,
     winding_zero_times,
 )
@@ -459,16 +458,27 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
 
 
 def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.ndarray:
-    """Sorted int64 times ``1 <= n <= count`` with ``||n alpha|| < eps``, for any start."""
+    """Sorted int64 times ``1 <= n <= count`` with ``||n alpha|| < eps``, for any start.
+
+    An irrational displacement ``n alpha`` is near exactly when it lies in
+    ``[1 - lo, lo)`` with ``lo = ceil(eps * 2**192)``.  Started from the exact
+    point ``lo - 1``, the orbit of :func:`certified_cells` puts that arc in
+    cell 0 of the walls ``{0, 2 lo - 1}``, so both walls are eps boundaries
+    and a refusal names the step whose interval straddles eps.
+    """
     if base.is_rational:
         dist = _rational_residue_distances(base.alpha.as_fraction())
         q = len(dist)
         return _lap_times([r for r in range(1, q + 1) if dist[r % q] < eps], q, count)
+    if eps > Fraction(1, 2):
+        return np.arange(1, count + 1, dtype=np.int64)
+    lo = -(-eps.numerator * ONE // eps.denominator)
+    walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
     chunks = [
-        np.flatnonzero(flags) + (offset + 1)
-        for offset, flags in iter_rotation_near_flags(base, eps, count)
+        np.flatnonzero(cells[0] == 0) + offset
+        for offset, cells in certified_cells(base, walls, FixedReal(lo - 1), count + 1)
     ]
-    return _concat_times(chunks)
+    return _concat_times(chunks)[1:]  # step 0 is the start itself
 
 
 def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
@@ -476,7 +486,7 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
 
     For rotations the distance is ``||n alpha||`` independently of the
     start, so the scan is a pure displacement test (exact residue table
-    when alpha is rational, guarded coarse/exact kernel otherwise).  Other
+    when alpha is rational, the certified cell kernel otherwise).  Other
     bases step the orbit until it returns exactly to its start, and every
     later lap repeats the near times of that one.
     """

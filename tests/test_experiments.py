@@ -68,6 +68,15 @@ def test_unknown_preset_is_a_config_error():
         preset_config("theorem-e")
 
 
+def skew_fiber(**fields):
+    """A mangle that swaps in the ``skew-construct`` preset and edits its fiber block."""
+    def mangle(config):
+        config.clear()
+        config.update(preset_config("skew-construct"))
+        config["detector"]["fiber"].update(fields)
+    return mangle
+
+
 @pytest.mark.parametrize(
     "mangle, message",
     [
@@ -76,10 +85,14 @@ def test_unknown_preset_is_a_config_error():
         (lambda c: c["detector"].update(count=-5), "at least 1"),
         (lambda c: c["detector"].update(typo=True), "unknown keys"),
         (lambda c: c["output"].update(directory="/abs/path"), "must be relative"),
+        (lambda c: c["output"].update(directory="../escape"), r"must not contain '\.\.'"),
+        (lambda c: c["output"].update(directory="a/../../b"), r"must not contain '\.\.'"),
         (lambda c: c["output"].update(formats=["yaml"]), "formats"),
         (lambda c: c["detector"].update(start=0.1), "strings or integers"),
         (lambda c: c["system"].update(angle="rational:1/0"), "angle"),
         (lambda c: c.update(sampling={}), "does not sample"),
+        (skew_fiber(angle="bogus"), r"^detector\.fiber\.angle: angle 'bogus' is missing"),
+        (skew_fiber(extra=1), r"^detector\.fiber: unknown keys \['extra'\]"),
     ],
 )
 def test_malformed_configs_raise_config_errors(mangle, message):
@@ -462,6 +475,18 @@ def test_cli_rejects_run_time_failures_as_config_errors(tmp_path, capsys, config
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("directory", ["../escape", "a/../../b"])
+def test_cli_keeps_run_directories_inside_the_output_root(tmp_path, capsys, directory):
+    """A ``..`` component is a config error: exit 1, and nothing appears anywhere."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_zero_sum_config(directory=directory)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        assert main(["run", str(path), "--out", str(tmp_path / "root" / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_zero_value_start_is_allowed_on_request():

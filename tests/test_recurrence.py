@@ -285,7 +285,8 @@ def rotation_near_cases(draw):
 
     A chosen eps sits 0, 1, ``n`` or ``n + 1`` ulps either side of the
     nominal distance at step ``n``, whose radius is ``n`` ulps: inside the
-    radius the scan must refuse at ``n``, just outside it must decide.
+    radius the scan must refuse at ``n``, just outside it must decide.  A
+    third of an ulp either way makes it non-dyadic.
     """
     rotation = CircleRotation(draw(st.sampled_from(NEAR_ANGLES)))
     count = draw(st.sampled_from(NEAR_COUNTS))
@@ -294,8 +295,9 @@ def rotation_near_cases(draw):
     boundary = [c for c in NEAR_COUNTS if c <= count]
     n = draw(st.one_of(st.integers(1, count), st.sampled_from(boundary)))
     ulps = draw(st.sampled_from([0, 1, -1, n, -n, n + 1, -n - 1]))
+    third = draw(st.sampled_from([-1, 0, 1]))
     m = n * rotation.alpha.resolved.mantissa % ONE
-    return rotation, count, Fraction(min(m, ONE - m) + ulps, ONE)
+    return rotation, count, Fraction(3 * (min(m, ONE - m) + ulps) + third, 3 * ONE)
 
 
 def rotation_joint_oracle(rotation, f, x, count, eps):
@@ -344,6 +346,23 @@ def test_an_angle_below_one_ulp_is_near_at_every_step():
     joint = joint_zero_returns(rotation, pm_one(), Fraction(1, 10), count, eps)
     assert joint.times.tolist() == zeros.times.tolist()
     assert joint.distance.tolist() == [0.0] * len(zeros)
+
+
+def test_an_angle_within_one_ulp_of_half_refuses_only_up_to_half():
+    """``1/2 + sqrt(10**120 + 1)`` resolves to 1/2 ± 1 ulp, so ``||alpha||`` straddles 1/2.
+
+    Up to eps 1/2 the first step is refused, as the oracle refuses it.  Past
+    1/2 every step is near: no circle distance exceeds 1/2, although the
+    oracle's bound ``distance + radius`` does and refuses.
+    """
+    rotation = CircleRotation(AngleSpec.quadratic(1, 2, 10**120 + 1, 2))
+    resolved = rotation.alpha.resolved
+    assert (resolved.mantissa, resolved.err_ulps) == (ONE // 2, 1)
+    for eps in (HALF - TINY, HALF):
+        refused = (PrecisionExhaustedError, 1)
+        assert scan_outcome(reference_rotation_near_times, rotation, 6, eps) == refused
+        assert scan_outcome(near_returns, rotation, 0, 6, eps) == refused
+    assert near_returns(rotation, 0, 6, HALF + TINY) == [1, 2, 3, 4, 5, 6]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Only the certified kernels may cut a 192-bit mantissa down to a 64-bit word.
+"""Only the certified kernel may cut a 192-bit mantissa down to a 64-bit word.
 
 A 64-bit word decides a cell only inside a guard band with an exact
 fallback; anywhere else it would certify a perturbed system.  These tests
@@ -10,7 +10,7 @@ from pathlib import Path
 import ergolab
 
 PACKAGE = Path(ergolab.__file__).parent
-KERNELS = {("cocycles.py", "certified_cells"), ("cocycles.py", "iter_rotation_near_flags")}
+KERNELS = {("cocycles.py", "certified_cells")}
 
 
 def _is_low_bits(node: ast.AST) -> bool:
