@@ -20,10 +20,9 @@ near-return times (cells of the displacement ``n alpha`` against walls at
 the eps boundaries) all run on it, and its cells equal those of
 :func:`guarded_walk`, the only guarded per-step orbit loop, on which
 Birkhoff sums, interval-exchange zero, joint and excess scans, induced
-excursions and skew orbits run.  The
-interval-exchange scans stop the walk where it returns exactly to its start,
-so a periodic orbit costs one lap; :func:`birkhoff_sums`, the reference,
-walks every step.
+excursions and skew orbits run.  The interval-exchange scans stop the walk
+where it returns exactly to its start, so a periodic orbit costs one lap;
+:func:`birkhoff_sums`, the reference, walks every step.
 """
 from __future__ import annotations
 

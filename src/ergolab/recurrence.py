@@ -464,7 +464,8 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     ``[1 - lo, lo)`` with ``lo = ceil(eps * 2**192)``.  Started from the exact
     point ``lo - 1``, the orbit of :func:`certified_cells` puts that arc in
     cell 0 of the walls ``{0, 2 lo - 1}``, so both walls are eps boundaries
-    and a refusal names the step whose interval straddles eps.
+    and a refusal names the step whose interval straddles eps.  No circle
+    distance exceeds 1/2, so a larger eps takes every time.
     """
     if base.is_rational:
         dist = _rational_residue_distances(base.alpha.as_fraction())
@@ -472,7 +473,7 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
         return _lap_times([r for r in range(1, q + 1) if dist[r % q] < eps], q, count)
     if eps > Fraction(1, 2):
         return np.arange(1, count + 1, dtype=np.int64)
-    lo = -(-eps.numerator * ONE // eps.denominator)
+    lo = math.ceil(eps * ONE)
     walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
     chunks = [
         np.flatnonzero(cells[0] == 0) + offset
