@@ -46,6 +46,7 @@ from .cocycles import (
     PhaseFunction,
     StepCocycle,
     TrigPolynomial,
+    _exact_cell,
     certified_cells,
     guarded_walk,
     iter_flow_zeros,
@@ -290,6 +291,7 @@ class TargetSet:
 
 
 _AMBIGUOUS_EPS = "comparison against eps is ambiguous at this precision"
+_HALF = Fraction(1, 2)
 
 
 def _eps_side(value: FixedReal, threshold: Fraction) -> bool | None:
@@ -471,7 +473,7 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
         dist = _rational_residue_distances(base.alpha.as_fraction())
         q = len(dist)
         return _lap_times([r for r in range(1, q + 1) if dist[r % q] < eps], q, count)
-    if eps > Fraction(1, 2):
+    if eps > _HALF:
         return np.arange(1, count + 1, dtype=np.int64)
     lo = math.ceil(eps * ONE)
     walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
@@ -489,7 +491,8 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
     start, so the scan is a pure displacement test (exact residue table
     when alpha is rational, the certified cell kernel otherwise).  Other
     bases step the orbit until it returns exactly to its start, and every
-    later lap repeats the near times of that one.
+    later lap repeats the near times of that one.  No circle distance
+    exceeds 1/2, so an eps above 1/2 takes every time on any base.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -497,6 +500,8 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
     if count < 0:
         raise ValueError("count must be non-negative")
     x = FixedReal.of(x).frac()
+    if eps > _HALF:  # no circle distance exceeds 1/2
+        return list(range(1, count + 1))
     if isinstance(base, CircleRotation):
         return _rotation_near_times(base, count, eps).tolist()
     out = []
@@ -548,7 +553,7 @@ def joint_zero_returns(
     for n, (total, p) in enumerate(guarded_walk(base, f, x, count), start=1):
         if total == 0:
             d = circle_distance(p, x)
-            if _guarded_less(d, eps, step=n):
+            if eps > _HALF or _guarded_less(d, eps, step=n):
                 times.append(n)
                 distances.append(float(d))
         if p == x:  # back at the start: every later lap repeats this one
@@ -571,7 +576,7 @@ def _joint_laps(
     prefix, sides, distances = [0], [0], [0.0]
     for total, p in guarded_walk(base, f, x, lap):
         d = circle_distance(p, x)
-        side = _eps_side(d, eps)
+        side = True if eps > _HALF else _eps_side(d, eps)
         prefix.append(total)
         sides.append(-1 if side is None else int(side))
         distances.append(float(d))
@@ -717,12 +722,15 @@ def sublinearity_estimate(
 
     Starting points are uniform on the 2^-64 grid, and the threshold test
     ``|S_n| * den > num * n`` is exact integer arithmetic.  Every sum is
-    exact for the requested system: irrational rotations scan all samples
-    at once through :func:`~ergolab.cocycles.certified_cells`, which raises
-    :class:`PrecisionExhaustedError` (with ``step``) where a point cannot
-    be placed; rational angles use closed-form orbit-class sums per sample,
-    in integers; other bases step each sample on the guarded walk until it
-    returns exactly to its start, so a periodic orbit costs one lap.
+    exact for the requested system.  Irrational rotations sweep the jump
+    points of ``x -> S_n f(x)``: each block of at most ``2**16`` steps is
+    sorted once, and every sample then costs a bisection per wall and block
+    instead of a cell per step.  A point that cannot be placed raises
+    :class:`PrecisionExhaustedError` with the ``step`` and message that the
+    certified cell kernel gives.  Rational angles use closed-form
+    orbit-class sums per sample, in integers; other bases step each sample
+    on the guarded walk until it returns exactly to its start, so a
+    periodic orbit costs one lap.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
@@ -732,6 +740,8 @@ def sublinearity_estimate(
     if not f.is_integer:
         raise ValueError("the estimator needs an integer-valued cocycle")
     n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise ValueError("n_list must not be empty")
     if any(n < 1 for n in n_list):
         raise ValueError("all n must be at least 1")
     rng = np.random.default_rng(seed)
@@ -750,24 +760,111 @@ def _exceeds(total: int, n: int, eps: Fraction) -> bool:
     return abs(total) * eps.denominator > eps.numerator * n
 
 
+_SWEEP_BLOCK = 1 << 16
+
+
 def _excess_rotation(
     base: CircleRotation, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
 ) -> dict[int, int]:
-    """Exceedance counts per n, all samples at once as the starts of one certified scan."""
-    starts = [FixedReal(raw << (SCALE - 64)) for raw in xs]
-    values = np.asarray(f.values, dtype=np.int64)
-    totals = np.zeros(len(xs), dtype=np.int64)
+    """Exceedance counts per n from one sweep over the jump points of ``x -> S_n f(x)``.
+
+    With ``t_k = -k alpha mod 1``, the point ``x + k alpha`` lies below a wall
+    ``w`` exactly when ``t_k`` is in the arc ``(x - w, x]``.  So one sorted
+    block of the ``t_k`` gives, per start and wall, the number of the
+    block's points at or past the wall by one bisection, and the block sum
+    is ``size * v_0`` plus each jump ``v_i - v_{i-1}`` times that number.
+    Blocks hold at most ``2**16`` steps and end at every ``n``.  A block is
+    the first block of its size turned by ``k_0 alpha``, so a run of blocks
+    of one size is sorted once.
+
+    Certificate: the point of step ``k`` has the radius ``e = k err(alpha)``,
+    and :meth:`Walls.locate` refuses it exactly when a wall lies in
+    ``(m - e, m + e]``.  The two sorted neighbours of each bisection show
+    whether any jump point lies within the block's largest radius of
+    ``x - w``; only then are those steps tested one by one.  The suspects go
+    to the kernel's ``_exact_cell`` in step order, then start order, so a
+    refusal carries the message and ``step`` of the first refusal of
+    :func:`~ergolab.cocycles.certified_cells` over the same starts, whose
+    error margin is kept as well.  Every comparison is on exact integers.
+    """
+    a_m, a_e = base.alpha.resolved.mantissa, base.alpha.resolved.err_ulps
+    if max(n_list) * a_e >= 1 << 128:  # past the margin of certified_cells
+        raise PrecisionExhaustedError(
+            "accumulated orbit error exceeds the coarse kernel's margin"
+        )
+    values = f.values
+    # wall 0 first with jump 0: it only guards, and its bisection places y
+    cuts = [(0, 0), *zip(f.walls.mantissas[1:], (v - u for u, v in zip(values, values[1:])))]
+    starts = [raw << (SCALE - 64) for raw in xs]
+    totals = [0] * len(starts)
     counts = {}
-    for offset, cells in certified_cells(base, f.walls, starts, max(n_list)):
-        terms = values[cells]
-        for n in n_list:
-            if offset < n <= offset + terms.shape[1]:
-                sums = totals + terms[:, : n - offset].sum(axis=1)
-                # |S_n| * den > num * n  iff  |S_n| > floor(num * n / den); |S_n| < 2**62
-                bound = min(eps.numerator * n // eps.denominator, _INT64_HEADROOM)
-                counts[n] = int(np.count_nonzero(np.abs(sums) > bound))
-        totals += terms.sum(axis=1)
+    size = 0
+    edges = sorted({0, *n_list})
+    for lo, hi in zip(edges, edges[1:]):
+        for k0 in range(lo, hi, _SWEEP_BLOCK):
+            k1 = min(k0 + _SWEEP_BLOCK, hi)
+            if k1 - k0 != size:
+                size = k1 - k0
+                order, ranked = _jump_points(a_m, size)
+            turn, radius = k0 * a_m % ONE, (k1 - 1) * a_e
+            suspects = []
+            for r, x in enumerate(starts):
+                y = (x + turn) % ONE
+                total = size * values[0]
+                for w, jump in cuts:
+                    a = y - w if y >= w else y - w + ONE
+                    i = bisect_right(ranked, a)  # at least 1: ranked[0] is 0
+                    if a - ranked[i - 1] < radius or ranked[i] - a <= radius:
+                        suspects += [
+                            (k, r) for k in _suspect_steps(order, ranked, a, radius, k0, a_e)
+                        ]
+                    if not w:
+                        at_y = i
+                    # points at or past w: the jump points outside (y - w, y]
+                    total += jump * (i - at_y + (size if y >= w else 0))
+                totals[r] += total
+            for k, r in sorted(suspects):
+                _exact_cell(f.walls, (starts[r] + k * a_m) % ONE, k * a_e, k)
+            if k1 == hi:  # every edge past 0 is an n of n_list
+                counts[k1] = sum(_exceeds(total, k1, eps) for total in totals)
     return counts
+
+
+def _jump_points(a_m: int, size: int) -> tuple[list[int], list[int]]:
+    """``(order, ranked)``: the points ``-j alpha mod 1`` for ``j < size`` in ascending order.
+
+    ``order`` holds the ``j`` of each; ``ranked`` the points, from the point 0
+    of ``j = 0``, closed by ``ONE`` for the next one round the circle.
+    """
+    points = [-j * a_m % ONE for j in range(size)]
+    order = sorted(range(size), key=points.__getitem__)
+    return order, [*(points[j] for j in order), ONE]
+
+
+def _suspect_steps(
+    order: list[int], ranked: list[int], a: int, radius: int, k0: int, a_e: int
+) -> list[int]:
+    """Steps ``k = k0 + j`` whose jump point ``u_j`` lies in ``(a - e, a + e]``, ``e = k a_e``.
+
+    ``a`` is a start turned by ``k0 alpha``, less a wall, so the point of
+    step ``k`` lies ``a - u_j`` past the wall: the wall is in its error
+    interval exactly then.  The search covers ``radius``, the largest ``e``
+    of the block, on the circle.
+    """
+    lo, hi = a - radius, a + radius
+    if lo < 0 or hi >= ONE:  # the arc crosses the seam
+        spans = (range(bisect_right(ranked, lo % ONE), len(order)),
+                 range(bisect_right(ranked, hi % ONE)))
+    else:
+        spans = (range(bisect_right(ranked, lo), bisect_right(ranked, hi)),)
+    steps = []
+    for span in spans:
+        for p in span:
+            k = k0 + order[p]
+            d = (a - ranked[p]) % ONE
+            if d < k * a_e or d >= ONE - k * a_e:
+                steps.append(k)
+    return steps
 
 
 def _excess_rational(

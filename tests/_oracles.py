@@ -11,6 +11,9 @@ zero), kept here to pin the single scaled-integer walk that replaced it.
 The per-step cascade references are the other exception: they walk every
 step with ``birkhoff_sums`` and ``apply``, never closing a lap, and decide
 eps on ``Fraction`` bounds, to pin the detectors that close periodic laps.
+So is :func:`kernel_excess`, the former excess scan over every orbit point
+with ``certified_cells``, kept to pin the jump-point sweep that replaced it,
+refusals included.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 from ergolab import cocycles
 from ergolab.cocycles import IntegralProfile
 from ergolab.errors import CrossingBudgetError, PrecisionExhaustedError
-from ergolab.fixedpoint import ONE, FixedReal
+from ergolab.fixedpoint import ONE, SCALE, FixedReal
 from ergolab.stats import decimal_string
 from ergolab.systems import default_crossing_budget, special_flow_step
 
@@ -342,3 +345,26 @@ def reference_excess(base, f, n_list, eps: Fraction, samples: int, seed: int):
         for n in counts:
             counts[n] += abs(sums[n - 1]) * eps.denominator > eps.numerator * n
     return [(n, counts[n] / samples) for n in n_list]
+
+
+def kernel_excess(base, f, n_list, eps: Fraction, xs) -> dict[int, int]:
+    """Exceedance counts per n from ``certified_cells`` over every orbit point.
+
+    ``xs`` are raw 64-bit starts ``x = raw / 2**64``, all scanned at once, so a
+    refusal names the earliest refused step of any start, then the first
+    such start.  ``f`` must keep ``max |v| * max(n_list)`` below ``2**62``.
+    """
+    starts = [FixedReal(raw << (SCALE - 64)) for raw in xs]
+    values = np.asarray(f.values, dtype=np.int64)
+    totals = np.zeros(len(starts), dtype=np.int64)
+    counts = {}
+    for offset, cells in cocycles.certified_cells(base, f.walls, starts, max(n_list)):
+        terms = values[cells]
+        for n in n_list:
+            if offset < n <= offset + terms.shape[1]:
+                sums = totals + terms[:, : n - offset].sum(axis=1)
+                # |S_n| * den > num * n  iff  |S_n| > floor(num * n / den); |S_n| < 2**62
+                bound = min(eps.numerator * n // eps.denominator, 1 << 62)
+                counts[n] = int(np.count_nonzero(np.abs(sums) > bound))
+        totals += terms.sum(axis=1)
+    return counts

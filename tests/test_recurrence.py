@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from ergolab import cocycles
+from ergolab import cocycles, recurrence
 from ergolab.angles import AngleSpec
 from ergolab.cocycles import (
     IntegralProfile,
@@ -28,6 +28,7 @@ from ergolab.recurrence import (
     CascadeState,
     Returns,
     TargetSet,
+    _excess_rotation,
     _guarded_less,
     _rational_orbit_sums,
     cascade_apply,
@@ -49,6 +50,7 @@ from ergolab.systems import (
 
 from _oracles import (
     excess_fraction_exact,
+    kernel_excess,
     near_return_times,
     reference_excess,
     reference_flow_near_rows,
@@ -363,6 +365,57 @@ def test_an_angle_within_one_ulp_of_half_refuses_only_up_to_half():
         assert scan_outcome(reference_rotation_near_times, rotation, 6, eps) == refused
         assert scan_outcome(near_returns, rotation, 0, 6, eps) == refused
     assert near_returns(rotation, 0, 6, HALF + TINY) == [1, 2, 3, 4, 5, 6]
+
+
+SWAP_COCYCLES = [
+    ([0, HALF], [1, -1]),
+    ([0, Fraction(3, 8)], [5, -3]),
+    ([0, Fraction(1, 4), HALF, Fraction(3, 4)], [0, 1, 0, -1]),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.builds(
+        lambda i, inexact: FixedReal((i << (SCALE - 12)) + 2 * inexact, inexact),
+        st.integers(0, (1 << 12) - 1),
+        st.booleans(),
+    ),
+    count=st.integers(1, 12),
+    eps=st.sampled_from([HALF - TINY, HALF, HALF + TINY, 1, 3]),
+    cocycle=st.sampled_from(SWAP_COCYCLES),
+)
+def test_the_half_swap_scans_like_the_rotation_by_half(x, count, eps, cocycle):
+    """The exchange of two halves is the rotation by 1/2, for near and joint scans too.
+
+    Odd steps lie at distance 1/2 from the start.  An eps above 1/2 takes
+    every step on both systems, whatever the start's radius.  From an exact
+    start the exchange decides every eps exactly, as the rational angle
+    does.  A 1-ulp start lies 2 ulps above a grid point, clear of the
+    exchange's walls at 0 and 1/2, where the exchange alone would refuse,
+    and of the cocycle walls.  From it, up to eps 1/2, the
+    exchange's distance ``1/2 ± 2`` ulps straddles eps, so it refuses the
+    first odd step it tests; the rational angle's distances are exact for
+    any start.
+    """
+    iet = IntervalExchange([HALF, HALF], (2, 1))
+    rotation = CircleRotation(AngleSpec.rational(1, 2))
+    f = StepCocycle(*cocycle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        near = scan_outcome(near_returns, rotation, x, count, eps)
+        joint = scan_outcome(joint_zero_returns, rotation, f, x, count, eps)
+        zeros = find_zero_sums(rotation, f, x, count).times.tolist()
+    if x.is_exact or eps > HALF:
+        assert scan_outcome(near_returns, iet, x, count, eps) == near
+        assert scan_outcome(joint_zero_returns, iet, f, x, count, eps) == joint
+        event("decided")
+        return
+    assert scan_outcome(near_returns, iet, x, count, eps) == (PrecisionExhaustedError, 1)
+    odd = [n for n in zeros if n % 2]
+    want = (PrecisionExhaustedError, odd[0]) if odd else joint
+    assert scan_outcome(joint_zero_returns, iet, f, x, count, eps) == want
+    event("joint refused" if odd else "joint decided")
 
 
 # --------------------------------------------------------------------------- #
@@ -1155,34 +1208,189 @@ def test_excess_probability_periodic_control_at_matched_eps():
 
 @pytest.mark.parametrize("angle", ["golden", "sqrt2"])
 def test_excess_probability_is_exact_at_a_wall_inside_the_64_bit_word(angle):
-    """A wall 2**60 ulps below an orbit point is decided for the requested system.
+    """A wall a few ulps below an orbit point is decided exactly where it clears the radius.
 
     The cocycle on walls ``{0, w, 1/2, 1/2 + w}`` with values ``(1, -1, -1, 1)``
-    has zero mean for every ``w``.  One of ``w`` and ``1/2 + w`` sits 2**60
-    ulps below the first seeded sample's orbit point at step 5: the two share
-    their top 64 bits, so a scan on 64-bit words alone puts the point on the
-    wrong side.  The estimate must equal the guarded per-sample reference,
-    and the kernel must decide that step at full precision.
+    has zero mean for every ``w``.  One of ``w`` and ``1/2 + w`` sits ``gap``
+    ulps below the first seeded sample's orbit point at step 5, whose radius
+    is 5 ulps.  At a gap of 2**60 ulps the two share their top 64 bits, so a
+    scan on 64-bit words alone puts the point on the wrong side; at 6 and 5
+    ulps the wall lies just outside the radius.  Each estimate must equal
+    the guarded per-sample reference.  At 3 ulps the wall lies inside the
+    radius, and the estimate refuses at step 5 as the certified cell kernel
+    does.
     """
     rot = CircleRotation(AngleSpec.preset(angle))
     samples, seed, n_list, eps = 100, 0, list(range(6, 31)), Fraction(1, 1000)
-    raw = int(np.random.default_rng(seed).integers(0, 1 << 64, size=samples, dtype=np.uint64)[0])
-    point = ((raw << 128) + 5 * rot.alpha.resolved.mantissa) % ONE
-    w = (point - (1 << 60)) % (ONE // 2)
-    f = StepCocycle([FixedReal(m) for m in (0, w, ONE // 2, ONE // 2 + w)], [1, -1, -1, 1])
+    xs = np.random.default_rng(seed).integers(0, 1 << 64, size=samples, dtype=np.uint64).tolist()
+    point = ((xs[0] << 128) + 5 * rot.alpha.resolved.mantissa) % ONE
+    assert 5 * rot.alpha.resolved.err_ulps == 5
     assert (point - (1 << 60)) >> 128 == point >> 128
-    decided = []
-    exact_cell = cocycles._exact_cell
+    for gap in (1 << 60, 6, 5, 3):
+        w = (point - gap) % (ONE // 2)
+        f = StepCocycle([FixedReal(m) for m in (0, w, ONE // 2, ONE // 2 + w)], [1, -1, -1, 1])
+        args = (rot, f, n_list, eps)
+        if gap >= 5:
+            got = sublinearity_estimate(*args, samples=samples, seed=seed)
+            assert got == reference_excess(*args, samples, seed)
+            continue
+        with pytest.raises(PrecisionExhaustedError) as refused:
+            sublinearity_estimate(*args, samples=samples, seed=seed)
+        with pytest.raises(PrecisionExhaustedError) as kernel:
+            kernel_excess(*args, xs)
+        assert refused.value.step == kernel.value.step == 5
+        assert str(refused.value) == str(kernel.value)
 
-    def spy(walls, mantissa, err, step):
-        decided.append((mantissa, step))
-        return exact_cell(walls, mantissa, err, step)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cocycles, "_exact_cell", spy)
-        got = sublinearity_estimate(rot, f, n_list, eps, samples=samples, seed=seed)
-    assert (point, 5) in decided
-    assert got == reference_excess(rot, f, n_list, eps, samples, seed)
+# the near-scan angles, two that resolve within an ulp of 0 and of 1/2, and
+# sqrt(4**188 + 1) mod 1 ~ 2**-189, 8 ulps: its jump points -j alpha crowd
+# below 1, so a start just past a wall meets them across the seam
+SWEEP_ANGLES = [
+    *NEAR_ANGLES,
+    AngleSpec.quadratic(0, 1, 10**120 + 1, 1),
+    AngleSpec.quadratic(1, 2, 10**120 + 1, 2),
+    AngleSpec.quadratic(0, 1, 4**188 + 1, 1),
+]
+# one step, a repeated n, an unsorted list, and either side of a 2**16-step block
+SWEEP_N_LISTS = [[1], [9, 9], [30, 1, 12], [2**16 - 1, 2**16, 2**16 + 1]]
+# the raw 64-bit starts of 0, 1/4 and 1/2
+CRAFTED_STARTS = [0, 1 << 62, 1 << 63]
+
+
+def cocycle_with_wall(cells: int, wall: int, p: int = 1, q: int = -1) -> StepCocycle:
+    """A zero-mean cocycle of 3 or 4 cells with a wall at the mantissa ``wall``.
+
+    3 cells: walls ``{0, w, 1 - w}``, values ``(p, 0, -p)``; 4 cells: walls
+    ``{0, w, 1/2, 1/2 + w}``, values ``(p, q, -p, -q)``.  A wall at 0 or 1/2
+    takes 4 cells with ``w`` one ulp.
+    """
+    w = min(wall, ONE - wall)
+    if cells == 3 and 0 < w < ONE // 2:
+        return StepCocycle([FixedReal(m) for m in (0, w, ONE - w)], [p, 0, -p])
+    w = wall % (ONE // 2) or 1
+    return StepCocycle([FixedReal(m) for m in (0, w, ONE // 2, ONE // 2 + w)], [p, q, -p, -q])
+
+
+def orbit_wall(rotation: CircleRotation, raw: int, k: int, gap: int) -> int:
+    """The mantissa ``gap`` radius units from the raw start's orbit point at step ``k``."""
+    alpha = rotation.alpha.resolved
+    return ((raw << 128) + k * alpha.mantissa + gap * alpha.err_ulps) % ONE
+
+
+@st.composite
+def sweep_cases(draw):
+    """A rotation, a 2 to 4 cell cocycle, an ``n_list``, eps and a few raw starts.
+
+    Walls lie on the 1/16 grid (the crafted starts then sit on some), at any
+    mantissa, or near the orbit point of one start at a step ``k`` of radius
+    ``k err``: within ``k + 1`` ulps either side, so the point is refused at
+    ``k`` or decided just outside its radius.  ``k`` is often the first or
+    last step of a block, where the block's largest radius is the point's
+    own or the start itself is the block's first jump point.
+    """
+    rotation = CircleRotation(draw(st.sampled_from(SWEEP_ANGLES)))
+    n_list = draw(st.one_of(
+        st.sampled_from(SWEEP_N_LISTS), st.lists(st.integers(1, 300), min_size=1, max_size=4)
+    ))
+    crafted = draw(st.lists(st.sampled_from(CRAFTED_STARTS), max_size=3, unique=True))
+    randoms = draw(st.lists(st.integers(0, (1 << 64) - 1), max_size=3))
+    xs = draw(st.permutations(crafted + randoms)) if crafted or randoms else [1 << 61]
+    eps = draw(st.sampled_from([Fraction(1, 20), Fraction(1, 3), Fraction(1, 10**6)]))
+    p, q = draw(st.integers(1, 3)), draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["halves", "grid", "any", "orbit", "orbit"]))
+    if kind == "halves":
+        return rotation, StepCocycle([0, HALF], [p, -p]), n_list, eps, xs
+    if kind == "grid":
+        wall = draw(st.integers(1, 15)) * (ONE // 16)
+    elif kind == "any":
+        wall = draw(st.integers(1, ONE - 1))
+    else:
+        top = max(n_list)
+        edges = sorted({0, 1, *(n - 1 for n in n_list), *n_list} - {top})
+        k = draw(st.one_of(st.sampled_from(edges), st.integers(0, top - 1)))
+        gap = draw(st.sampled_from([0, 1, -1, k - 1, 1 - k, k, -k, k + 1, -k - 1]))
+        wall = orbit_wall(rotation, draw(st.sampled_from(xs)), k, gap)
+    f = cocycle_with_wall(draw(st.integers(3, 4)), wall, p, q)
+    return rotation, f, n_list, eps, xs
+
+
+def excess_outcome(estimator, *args):
+    """Exceedance counts, or the type, message and step of the refusal."""
+    try:
+        return estimator(*args)
+    except PrecisionExhaustedError as exc:
+        return type(exc), str(exc), exc.step
+
+
+# an angle of 0 ± 1 ulp keeps every start put: the wall 5 ulps above the
+# second start refuses it at step 5, the mirrored wall 5 ulps below the
+# first start refuses that one only at step 6
+MIRROR_RAW = 0x1234_5678_9ABC_DEF0
+MIRROR_WALL = (MIRROR_RAW << 128) + 5
+# a wall k or k - 1 ulps from the golden orbit point at the last step k of a
+# block, whose radius k is the block's largest: both are refused at k
+EDGE_RAW = 0x9E37_79B9_7F4A_7C15
+EDGE_ROTATION = CircleRotation(AngleSpec.preset("golden"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sweep_cases())
+@example(case=(
+    CircleRotation(AngleSpec.quadratic(0, 1, 10**120 + 1, 1)),
+    cocycle_with_wall(3, MIRROR_WALL),
+    [10],
+    Fraction(1, 20),
+    [(1 << 64) - MIRROR_RAW, MIRROR_RAW],
+))
+@example(case=(
+    EDGE_ROTATION,
+    cocycle_with_wall(4, orbit_wall(EDGE_ROTATION, EDGE_RAW, 29, 29)),
+    [30, 12],
+    Fraction(1, 20),
+    [1 << 63, EDGE_RAW],
+))
+@example(case=(
+    EDGE_ROTATION,
+    cocycle_with_wall(3, orbit_wall(EDGE_ROTATION, EDGE_RAW, 29, -28)),
+    [30, 12],
+    Fraction(1, 20),
+    [EDGE_RAW, 1 << 62],
+))
+def test_jump_point_sweep_matches_the_kernel_and_per_sample_sums(case):
+    """The sweep's counts equal the kernel's and ``birkhoff_sums``', its refusals the kernel's.
+
+    A refusal names the earliest refused step of any start, then the first
+    such start, which need not be the first start that refuses.
+    """
+    rotation, f, n_list, eps, xs = case
+    want = excess_outcome(kernel_excess, rotation, f, n_list, eps, xs)
+    assert excess_outcome(_excess_rotation, rotation, f, n_list, eps, xs) == want
+    if isinstance(want, tuple):
+        event(f"refused at step {min(want[2], 2)}+")
+        return
+    counts = dict.fromkeys(n_list, 0)
+    for raw in xs:
+        sums = list(birkhoff_sums(rotation, f, FixedReal(raw << 128), max(n_list)))
+        for n in counts:
+            counts[n] += abs(sums[n - 1]) * eps.denominator > eps.numerator * n
+    assert want == counts
+    event("decided")
+
+
+def test_excess_probability_rejects_an_empty_n_list():
+    with pytest.raises(ValueError, match="n_list must not be empty"):
+        sublinearity_estimate(golden(), pm_one(), [], Fraction(1, 20), samples=100)
+
+
+def test_excess_probability_never_scans_every_orbit_point(monkeypatch):
+    """Irrational rotations take the jump-point sweep, never the per-point cell kernel."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the excess estimate scanned every orbit point")
+
+    monkeypatch.setattr(recurrence, "certified_cells", refuse)
+    got = sublinearity_estimate(golden(), pm_one(), [100, 1000], Fraction(1, 20), samples=500)
+    assert got == [(100, 0.0), (1000, 0.0)]
 
 
 @pytest.mark.parametrize(
