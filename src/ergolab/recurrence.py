@@ -549,11 +549,12 @@ def joint_zero_returns(
     if count < 1:
         raise ValueError("count must be at least 1")
     x = FixedReal.of(x).frac()
+    every = eps > _HALF  # no circle distance exceeds 1/2
     times, distances = [], []
     for n, (total, p) in enumerate(guarded_walk(base, f, x, count), start=1):
         if total == 0:
             d = circle_distance(p, x)
-            if eps > _HALF or _guarded_less(d, eps, step=n):
+            if every or _guarded_less(d, eps, step=n):
                 times.append(n)
                 distances.append(float(d))
         if p == x:  # back at the start: every later lap repeats this one
@@ -573,10 +574,11 @@ def _joint_laps(
     ``n`` takes those of its residue; the first zero whose residue straddles
     eps raises with ``step=n``, the step the per-step walk names.
     """
+    every = eps > _HALF  # no circle distance exceeds 1/2
     prefix, sides, distances = [0], [0], [0.0]
     for total, p in guarded_walk(base, f, x, lap):
         d = circle_distance(p, x)
-        side = True if eps > _HALF else _eps_side(d, eps)
+        side = True if every else _eps_side(d, eps)
         prefix.append(total)
         sides.append(-1 if side is None else int(side))
         distances.append(float(d))
@@ -805,7 +807,10 @@ def _excess_rotation(
             k1 = min(k0 + _SWEEP_BLOCK, hi)
             if k1 - k0 != size:
                 size = k1 - k0
-                order, ranked = _jump_points(a_m, size)
+                points = [-j * a_m % ONE for j in range(size)]
+                order = sorted(range(size), key=points.__getitem__)
+                # from 0, the point of j = 0, to ONE, the next one round the circle
+                ranked = [*(points[j] for j in order), ONE]
             turn, radius = k0 * a_m % ONE, (k1 - 1) * a_e
             suspects = []
             for r, x in enumerate(starts):
@@ -828,17 +833,6 @@ def _excess_rotation(
             if k1 == hi:  # every edge past 0 is an n of n_list
                 counts[k1] = sum(_exceeds(total, k1, eps) for total in totals)
     return counts
-
-
-def _jump_points(a_m: int, size: int) -> tuple[list[int], list[int]]:
-    """``(order, ranked)``: the points ``-j alpha mod 1`` for ``j < size`` in ascending order.
-
-    ``order`` holds the ``j`` of each; ``ranked`` the points, from the point 0
-    of ``j = 0``, closed by ``ONE`` for the next one round the circle.
-    """
-    points = [-j * a_m % ONE for j in range(size)]
-    order = sorted(range(size), key=points.__getitem__)
-    return order, [*(points[j] for j in order), ONE]
 
 
 def _suspect_steps(
