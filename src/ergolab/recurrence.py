@@ -492,7 +492,7 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
     when alpha is rational, the certified cell kernel otherwise).  Other
     bases step the orbit until it returns exactly to its start, and every
     later lap repeats the near times of that one.  No circle distance
-    exceeds 1/2, so an eps above 1/2 takes every time on any base.
+    exceeds 1/2, so an eps above 1/2 takes every step on any base.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -500,15 +500,14 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
     if count < 0:
         raise ValueError("count must be non-negative")
     x = FixedReal.of(x).frac()
-    if eps > _HALF:  # no circle distance exceeds 1/2
-        return list(range(1, count + 1))
     if isinstance(base, CircleRotation):
         return _rotation_near_times(base, count, eps).tolist()
+    every = eps > _HALF  # no circle distance exceeds 1/2
     out = []
     p = x
     for n in range(1, count + 1):
         p = base.apply(p)
-        if _guarded_less(circle_distance(p, x), eps, step=n):
+        if every or _guarded_less(circle_distance(p, x), eps, step=n):
             out.append(n)
         if p == x:  # back at the start: every later lap repeats this one
             return _lap_times(out, n, count).tolist()
@@ -782,10 +781,11 @@ def _excess_rotation(
     Certificate: the point of step ``k`` has the radius ``e = k err(alpha)``,
     and :meth:`Walls.locate` refuses it exactly when a wall lies in
     ``(m - e, m + e]``.  The two sorted neighbours of each bisection show
-    whether any jump point lies within the block's largest radius of
-    ``x - w``; only then are those steps tested one by one.  The suspects go
-    to the kernel's ``_exact_cell`` in step order, then start order, so a
-    refusal carries the message and ``step`` of the first refusal of
+    whether any jump point lies within the block's largest radius of the
+    turned start less the wall; only then are those steps tested one by
+    one (:func:`_suspect_steps`).  The suspects go to the kernel's
+    ``_exact_cell`` in step order, then start order, so a refusal carries
+    the message and ``step`` of the first refusal of
     :func:`~ergolab.cocycles.certified_cells` over the same starts, whose
     error margin is kept as well.  Every comparison is on exact integers.
     """

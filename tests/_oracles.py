@@ -336,14 +336,20 @@ def reference_joint_rows(base, f, x, count: int, eps: Fraction) -> list[tuple[in
     return rows
 
 
-def reference_excess(base, f, n_list, eps: Fraction, samples: int, seed: int):
-    """``P(|S_n| > eps n)`` with each seeded sample stepped through ``birkhoff_sums``."""
-    xs = np.random.default_rng(seed).integers(0, 1 << 64, size=samples, dtype=np.uint64)
+def reference_excess_counts(base, f, n_list, eps: Fraction, xs) -> dict[int, int]:
+    """Exceedance counts per n, each raw start ``x = raw / 2**64`` stepped through ``birkhoff_sums``."""
     counts = dict.fromkeys(n_list, 0)
-    for raw in xs.tolist():
+    for raw in xs:
         sums = list(cocycles.birkhoff_sums(base, f, FixedReal(raw << 128), max(n_list)))
         for n in counts:
             counts[n] += abs(sums[n - 1]) * eps.denominator > eps.numerator * n
+    return counts
+
+
+def reference_excess(base, f, n_list, eps: Fraction, samples: int, seed: int):
+    """``P(|S_n| > eps n)`` with each seeded sample stepped through ``birkhoff_sums``."""
+    xs = np.random.default_rng(seed).integers(0, 1 << 64, size=samples, dtype=np.uint64)
+    counts = reference_excess_counts(base, f, n_list, eps, xs.tolist())
     return [(n, counts[n] / samples) for n in n_list]
 
 

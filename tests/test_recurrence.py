@@ -53,6 +53,7 @@ from _oracles import (
     kernel_excess,
     near_return_times,
     reference_excess,
+    reference_excess_counts,
     reference_flow_near_rows,
     reference_flow_set_rows,
     reference_joint_rows,
@@ -1366,14 +1367,9 @@ def test_jump_point_sweep_matches_the_kernel_and_per_sample_sums(case):
     want = excess_outcome(kernel_excess, rotation, f, n_list, eps, xs)
     assert excess_outcome(_excess_rotation, rotation, f, n_list, eps, xs) == want
     if isinstance(want, tuple):
-        event(f"refused at step {min(want[2], 2)}+")
+        event("refused at step 1" if want[2] == 1 else "refused past step 1")
         return
-    counts = dict.fromkeys(n_list, 0)
-    for raw in xs:
-        sums = list(birkhoff_sums(rotation, f, FixedReal(raw << 128), max(n_list)))
-        for n in counts:
-            counts[n] += abs(sums[n - 1]) * eps.denominator > eps.numerator * n
-    assert want == counts
+    assert want == reference_excess_counts(rotation, f, n_list, eps, xs)
     event("decided")
 
 
