@@ -393,11 +393,10 @@ def test_the_half_swap_scans_like_the_rotation_by_half(x, count, eps, cocycle):
     every step on both systems, whatever the start's radius.  From an exact
     start the exchange decides every eps exactly, as the rational angle
     does.  A 1-ulp start lies 2 ulps above a grid point, clear of the
-    exchange's walls at 0 and 1/2, where the exchange alone would refuse,
-    and of the cocycle walls.  From it, up to eps 1/2, the
-    exchange's distance ``1/2 ± 2`` ulps straddles eps, so it refuses the
-    first odd step it tests; the rational angle's distances are exact for
-    any start.
+    cocycle walls and of the exchange's walls at 0 and 1/2, where the
+    exchange alone would refuse.  From it, up to eps 1/2, the exchange's
+    distance ``1/2 ± 2`` ulps straddles eps, so it refuses the first odd
+    step it tests; the rational angle's distances are exact for any start.
     """
     iet = IntervalExchange([HALF, HALF], (2, 1))
     rotation = CircleRotation(AngleSpec.rational(1, 2))
