@@ -19,9 +19,11 @@ infinitely often:
   recurrence of skew products built on ``f``.
 
 Everything that can be exact is exact: integer sums, rational zero times,
-rational-angle dispatch to closed-form orbit-class enumeration.  Guarded
-fixed-point comparisons back the rest; an undecidable comparison raises
-``PrecisionExhaustedError`` rather than silently guessing.
+rational angles on exact integer grids.  Guarded fixed-point comparisons
+back the rest; an undecidable comparison raises ``PrecisionExhaustedError``
+rather than silently guessing.  Each rotation scan has one engine: zero
+sums run the certified cell kernel (or, from an exact start, a rational
+lap), and excess estimates sweep jump points, ``p/q`` on ``q 2**64`` points.
 
 Periodic orbits cost one lap.  A rational angle's lap is stepped in
 integers; an interval-exchange walk that returns exactly to its start
@@ -325,19 +327,22 @@ def _warn_rational(what: str) -> None:
     )
 
 
+def _grid_edges(walls: Walls, scale: int) -> list[int]:
+    """Per wall ``m / 2**192``, the least ``pos = ceil(m scale / 2**192)`` at or past it."""
+    return [-((-m * scale) >> SCALE) for m in walls.mantissas]
+
+
 def _rational_orbit_sums(alpha: Fraction, f: StepCocycle, x0: Fraction) -> list[int]:
     """Prefix sums ``P_0..P_q`` of f over one period of the rational rotation.
 
-    Positions are integers over ``L = lcm(q, den x0)``.  A position ``pos``
-    lies at or past the dyadic wall ``m / 2**192`` iff
-    ``pos >= ceil(m L / 2**192)``, so cells come from bisection over those
-    integer edges.
+    Positions are integers over ``L = lcm(q, den x0)``, and cells come from
+    bisection over the integer edges of :func:`_grid_edges`.
     """
     q = alpha.denominator
     x0 %= 1
     scale = math.lcm(q, x0.denominator)
     step = alpha.numerator * (scale // q)
-    edges = [-((-m * scale) >> SCALE) for m in f.walls.mantissas]
+    edges = _grid_edges(f.walls, scale)
     values = f.values
     pos = x0.numerator * (scale // x0.denominator)
     prefix = [0]
@@ -379,15 +384,6 @@ def _lap_zero_times(prefix: Sequence[int], count: int) -> np.ndarray:
     return np.array(sorted(times), dtype=np.int64)
 
 
-def _lap_sum(prefix: Sequence[int], n: int) -> int:
-    """``S_n = m P_L + P_r`` for ``n = m L + r``, from one lap's sums ``P_0..P_L``.
-
-    Sums ``P_0..P_n`` of a walk that has not returned serve as a lap of ``n``.
-    """
-    m, r = divmod(n, len(prefix) - 1)
-    return m * prefix[-1] + prefix[r]
-
-
 def _rational_residue_distances(alpha: Fraction) -> list[Fraction]:
     """Circle distance ``||n alpha||`` as a function of ``n mod q`` (exact)."""
     q = alpha.denominator
@@ -397,14 +393,6 @@ def _rational_residue_distances(alpha: Fraction) -> list[Fraction]:
         k = (r * p) % q
         out.append(Fraction(min(k, q - k), q))
     return out
-
-
-_INT64_HEADROOM = 1 << 62
-
-
-def _kernel_safe(f: StepCocycle, count: int) -> bool:
-    max_abs = max(abs(v) for v in f.values)
-    return max_abs * count < _INT64_HEADROOM
 
 
 # --------------------------------------------------------------------------- #
@@ -421,13 +409,13 @@ def _concat_times(chunks: list[np.ndarray]) -> np.ndarray:
 def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Returns:
     """All times ``1 <= n <= count`` with exact Birkhoff sum ``S_n(x) = 0``.
 
-    Rational rotation angles dispatch to closed-form enumeration of the
-    q-periodic orbit (with a :class:`RationalAngleWarning`, since the
-    recurrence theorems assume ergodicity); irrational rotations run the
-    exact fast kernel; interval exchanges run the guarded walk, which stops
-    at an exact return to the start and takes the later laps from that
-    lap's prefix sums.  The result has an int64 ``times`` column and the
-    constant value 0.
+    A rational angle and an exact start enumerate the q-periodic orbit in
+    closed form (with a :class:`RationalAngleWarning`, since the recurrence
+    theorems assume ergodicity); every other rotation runs the certified
+    cell kernel, summing in int64 while ``max |v| * count < 2**62`` and in
+    Python integers past it.  Interval exchanges run the guarded walk, which
+    stops at an exact return to the start and takes the later laps from
+    that lap's prefix sums.  The result has an int64 ``times`` column.
     """
     if not f.is_integer:
         raise ValueError("zero-sum detection needs an integer-valued cocycle")
@@ -440,8 +428,9 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
         if x_exact is not None:
             prefix = _rational_orbit_sums(base.alpha.as_fraction(), f, x_exact)
             return Returns(_lap_zero_times(prefix, count))
-    if isinstance(base, CircleRotation) and _kernel_safe(f, count):
-        values = np.asarray(f.values, dtype=np.int64)
+    if isinstance(base, CircleRotation):
+        wide = max(abs(v) for v in f.values) * count >= 1 << 62
+        values = np.asarray(f.values, dtype=object if wide else np.int64)
         total = 0
         chunks = []
         for offset, cells in certified_cells(base, f.walls, x, count):
@@ -659,7 +648,8 @@ def flow_zero_near_returns(
       ``Fraction`` columns with the constant value ``Fraction(0)``.  The
       test against ``eps`` uses the base distance's error interval and
       raises :class:`PrecisionExhaustedError` when that interval straddles
-      ``eps``; the reported distance is the nominal value;
+      ``eps`` (no circle distance exceeds 1/2, so an eps above 1/2 tests
+      the height alone); the reported distance is the nominal value;
     * torus winding: zeros of the closed-form trigonometric integral by
       sign-change bracketing (tolerance 1e-12 in t; tangential zeros
       between grid points are missed by design), distances as the max of
@@ -690,10 +680,11 @@ def flow_zero_near_returns(
     _flow_preamble(system, f, start, allow_zero_value, "the flow zero/near scan")
     # the walk ends before any eps test, so a walk error comes first
     zeros = list(iter_flow_zeros(system, f, start, t_max, max_crossings))
+    every = eps > _HALF  # no circle distance exceeds 1/2
     times, distances = [], []
     for t, state in zeros:
-        near = abs(state.b - start.b) < eps and _guarded_less(
-            circle_distance(start.a, state.a), eps
+        near = abs(state.b - start.b) < eps and (
+            every or _guarded_less(circle_distance(start.a, state.a), eps)
         )
         if near:
             times.append(t)
@@ -723,15 +714,15 @@ def sublinearity_estimate(
 
     Starting points are uniform on the 2^-64 grid, and the threshold test
     ``|S_n| * den > num * n`` is exact integer arithmetic.  Every sum is
-    exact for the requested system.  Irrational rotations sweep the jump
-    points of ``x -> S_n f(x)``: each block of at most ``2**16`` steps is
-    sorted once, and every sample then costs a bisection per wall and block
-    instead of a cell per step.  A point that cannot be placed raises
-    :class:`PrecisionExhaustedError` with the ``step`` and message that the
-    certified cell kernel gives.  Rational angles use closed-form
-    orbit-class sums per sample, in integers; other bases step each sample
-    on the guarded walk until it returns exactly to its start, so a
-    periodic orbit costs one lap.
+    exact for the requested system.  Every rotation sweeps the jump points
+    of ``x -> S_n f(x)``: each block of at most ``2**16`` steps is sorted
+    once, and every sample then costs a bisection per wall and block
+    instead of a cell per step.  A rational angle ``p/q`` is swept exactly,
+    on ``q 2**64`` points, over one period.  A point that cannot be placed
+    raises :class:`PrecisionExhaustedError` with the ``step`` and message
+    that the certified cell kernel gives.  Other bases step each sample on
+    the guarded walk until it returns exactly to its start, so a periodic
+    orbit costs one lap.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
@@ -747,10 +738,9 @@ def sublinearity_estimate(
         raise ValueError("all n must be at least 1")
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 1 << 64, size=samples, dtype=np.uint64).tolist()
-    if isinstance(base, CircleRotation) and base.is_rational:
-        _warn_rational("the excess-probability estimate")
-        counts = _excess_rational(base.alpha.as_fraction(), f, n_list, eps, xs)
-    elif isinstance(base, CircleRotation) and _kernel_safe(f, max(n_list)):
+    if isinstance(base, CircleRotation):
+        if base.is_rational:
+            _warn_rational("the excess-probability estimate")
         counts = _excess_rotation(base, f, n_list, eps, xs)
     else:
         counts = _excess_loop(base, f, n_list, eps, xs)
@@ -768,6 +758,12 @@ def _excess_rotation(
     base: CircleRotation, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
 ) -> dict[int, int]:
     """Exceedance counts per n from one sweep over the jump points of ``x -> S_n f(x)``.
+
+    The circle has ``2**192`` points for an irrational angle.  A rational
+    ``p/q`` takes the ``q 2**64`` points that refine the 2^-64 sample grid,
+    the exact step ``(p mod q) 2**64`` and the walls of :func:`_grid_edges`;
+    its orbits close after ``q`` steps, so the sweep stops there and
+    ``S_{mq+r} = m S_q + S_r``.
 
     With ``t_k = -k alpha mod 1``, the point ``x + k alpha`` lies below a wall
     ``w`` exactly when ``t_k`` is in the arc ``(x - w, x]``.  So one sorted
@@ -787,37 +783,45 @@ def _excess_rotation(
     ``_exact_cell`` in step order, then start order, so a refusal carries
     the message and ``step`` of the first refusal of
     :func:`~ergolab.cocycles.certified_cells` over the same starts, whose
-    error margin is kept as well.  Every comparison is on exact integers.
+    error margin is kept as well.  The rational grid has radius 0, and the
+    neighbours ``u <= a < u'`` of a bisection are never within 0 of ``a``:
+    it has no suspects.  Every comparison is on exact integers.
     """
-    a_m, a_e = base.alpha.resolved.mantissa, base.alpha.resolved.err_ulps
-    if max(n_list) * a_e >= 1 << 128:  # past the margin of certified_cells
+    if base.is_rational:
+        alpha = base.alpha.as_fraction()
+        circle, a_m, a_e = alpha.denominator << 64, alpha.numerator << 64, 0
+    else:
+        circle, a_m, a_e = ONE, base.alpha.resolved.mantissa, base.alpha.resolved.err_ulps
+    lap = min(max(n_list), circle >> 64)  # a rational period q; 2**128 fails the margin
+    if lap * a_e >= 1 << 128:  # past the margin of certified_cells
         raise PrecisionExhaustedError(
             "accumulated orbit error exceeds the coarse kernel's margin"
         )
     values = f.values
     # wall 0 first with jump 0: it only guards, and its bisection places y
-    cuts = [(0, 0), *zip(f.walls.mantissas[1:], (v - u for u, v in zip(values, values[1:])))]
-    starts = [raw << (SCALE - 64) for raw in xs]
+    jumps = (v - u for u, v in zip(values, values[1:]))
+    cuts = [(0, 0), *zip(_grid_edges(f.walls, circle)[1:], jumps)]
+    starts = [raw * (circle >> 64) for raw in xs]
     totals = [0] * len(starts)
-    counts = {}
+    sums_at = {0: totals[:]}  # the totals at each edge
     size = 0
-    edges = sorted({0, *n_list})
+    edges = sorted({0, lap, *(n % lap for n in n_list)})
     for lo, hi in zip(edges, edges[1:]):
         for k0 in range(lo, hi, _SWEEP_BLOCK):
             k1 = min(k0 + _SWEEP_BLOCK, hi)
             if k1 - k0 != size:
                 size = k1 - k0
-                points = [-j * a_m % ONE for j in range(size)]
+                points = [-j * a_m % circle for j in range(size)]
                 order = sorted(range(size), key=points.__getitem__)
-                # from 0, the point of j = 0, to ONE, the next one round the circle
-                ranked = [*(points[j] for j in order), ONE]
-            turn, radius = k0 * a_m % ONE, (k1 - 1) * a_e
+                # from 0, the point of j = 0, to the next one round the circle
+                ranked = [*(points[j] for j in order), circle]
+            turn, radius = k0 * a_m % circle, (k1 - 1) * a_e
             suspects = []
             for r, x in enumerate(starts):
-                y = (x + turn) % ONE
+                y = (x + turn) % circle
                 total = size * values[0]
                 for w, jump in cuts:
-                    a = y - w if y >= w else y - w + ONE
+                    a = y - w if y >= w else y - w + circle
                     i = bisect_right(ranked, a)  # at least 1: ranked[0] is 0
                     if a - ranked[i - 1] < radius or ranked[i] - a <= radius:
                         suspects += [
@@ -830,8 +834,14 @@ def _excess_rotation(
                 totals[r] += total
             for k, r in sorted(suspects):
                 _exact_cell(f.walls, (starts[r] + k * a_m) % ONE, k * a_e, k)
-            if k1 == hi:  # every edge past 0 is an n of n_list
-                counts[k1] = sum(_exceeds(total, k1, eps) for total in totals)
+        sums_at[hi] = totals[:]
+    counts = {}
+    for n in n_list:
+        sums = sums_at.get(n)
+        if sums is None:  # past a rational period: S_{mq+r} = m S_q + S_r
+            m, r = divmod(n, lap)
+            sums = [m * s + t for s, t in zip(sums_at[lap], sums_at[r])]
+        counts[n] = sum(_exceeds(total, n, eps) for total in sums)
     return counts
 
 
@@ -861,22 +871,10 @@ def _suspect_steps(
     return steps
 
 
-def _excess_rational(
-    alpha: Fraction, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
-) -> dict[int, int]:
-    """Exceedance counts per n from each sample's closed-form orbit-class sums."""
-    counts = dict.fromkeys(n_list, 0)
-    for raw in xs:
-        prefix = _rational_orbit_sums(alpha, f, Fraction(raw, 1 << 64))
-        for n in counts:
-            counts[n] += _exceeds(_lap_sum(prefix, n), n, eps)
-    return counts
-
-
 def _excess_loop(
     base: BaseMap, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
 ) -> dict[int, int]:
-    """Exceedance counts per n, each sample on the guarded walk up to its first return."""
+    """Exceedance counts per n on an interval exchange, each sample walked to its return."""
     counts = dict.fromkeys(n_list, 0)
     for raw in xs:
         x = FixedReal(raw << (SCALE - 64))
@@ -885,6 +883,7 @@ def _excess_loop(
             prefix.append(total)
             if p == x:  # back at the start: every later lap repeats this one
                 break
+        lap = len(prefix) - 1  # or max(n_list), if the walk has not returned
         for n in counts:
-            counts[n] += _exceeds(_lap_sum(prefix, n), n, eps)
+            counts[n] += _exceeds(n // lap * prefix[lap] + prefix[n % lap], n, eps)
     return counts

@@ -13,7 +13,8 @@ step with ``birkhoff_sums`` and ``apply``, never closing a lap, and decide
 eps on ``Fraction`` bounds, to pin the detectors that close periodic laps.
 So is :func:`kernel_excess`, the former excess scan over every orbit point
 with ``certified_cells``, kept to pin the jump-point sweep that replaced it,
-refusals included.
+refusals included, and :func:`rational_excess`, the former rational-angle
+estimator, kept to pin the sweep on the exact rational grid.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from ergolab import cocycles
+from ergolab import cocycles, recurrence
 from ergolab.cocycles import IntegralProfile
 from ergolab.errors import CrossingBudgetError, PrecisionExhaustedError
 from ergolab.fixedpoint import ONE, SCALE, FixedReal
@@ -373,4 +374,20 @@ def kernel_excess(base, f, n_list, eps: Fraction, xs) -> dict[int, int]:
                 bound = min(eps.numerator * n // eps.denominator, 1 << 62)
                 counts[n] = int(np.count_nonzero(np.abs(sums) > bound))
         totals += terms.sum(axis=1)
+    return counts
+
+
+def rational_excess(alpha: Fraction, f, n_list, eps: Fraction, xs) -> dict[int, int]:
+    """Exceedance counts per n from each raw start's closed-form orbit-class sums.
+
+    Every start ``x = raw / 2**64`` steps one period of the rational angle
+    ``alpha`` in integers, and ``S_n`` follows from that lap's prefix sums.
+    """
+    counts = dict.fromkeys(n_list, 0)
+    for raw in xs:
+        prefix = recurrence._rational_orbit_sums(alpha, f, Fraction(raw, 1 << 64))
+        q = len(prefix) - 1
+        for n in counts:
+            total = n // q * prefix[q] + prefix[n % q]
+            counts[n] += abs(total) * eps.denominator > eps.numerator * n
     return counts

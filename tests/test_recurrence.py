@@ -61,6 +61,7 @@ from _oracles import (
     reference_profile_nodes,
     reference_rotation_near_times,
     reference_zero_times,
+    rational_excess,
     rotation_orbit,
     step_value,
     target_arc_membership,
@@ -115,18 +116,62 @@ def test_zero_cocycle_every_time_is_a_zero():
     assert [r.time for r in records] == [1, 2, 3, 4, 5]
 
 
-def test_golden_zero_set_matches_pure_loop():
-    """Fast kernel output equals the independent big-integer loop, time for time."""
-    rot, f = golden(), pm_one()
-    x = Fraction(1, 10)
-    records = find_zero_sums(rot, f, x, 10**4)
-    assert records, "ergodic zero-mean scan found no zero sums"
-    want = [
-        n
-        for n, s in enumerate(birkhoff_sums(rot, f, FixedReal.of(x), 10**4), start=1)
-        if s == 0
-    ]
-    assert [r.time for r in records] == want
+WIDE = 1 << 61
+# the golden orbit point of this exact start at step 2**16 + 5 lies 2 ulps
+# below the wall at 1/2, inside its radius of 2**16 + 5 ulps
+NEAR_WALL_START = FixedReal(
+    (ONE // 2 - 2 - (2**16 + 5) * golden().alpha.resolved.mantissa) % ONE
+)
+
+
+def zero_scan_outcome(scan):
+    """The zero times of ``scan()``, or the type, message and step of its refusal."""
+    try:
+        return [int(n) for n in scan()]
+    except PrecisionExhaustedError as exc:
+        return type(exc), str(exc), exc.step
+
+
+@pytest.mark.parametrize(
+    "values, x, count",
+    [
+        ([1, -1], Fraction(1, 10), 10**4),
+        ([WIDE, -WIDE], Fraction(1, 10), 2**16 + 1),
+        ([WIDE, -WIDE], NEAR_WALL_START, 2**16 + 10),
+    ],
+    ids=["unit", "wide", "wide-refused"],
+)
+def test_golden_zero_set_matches_pure_loop(values, x, count):
+    """Fast kernel output equals the independent big-integer loop, time for time.
+
+    Values of ``±2**61`` take Python-integer sums past ``2**62``, over a
+    count that crosses a ``2**16``-step block seam of the cell kernel.  A
+    refusal must match the loop's type, message and step.
+    """
+    rot, f = golden(), StepCocycle([0, HALF], values)
+    got = zero_scan_outcome(lambda: find_zero_sums(rot, f, x, count).times.tolist())
+    sums = birkhoff_sums(rot, f, FixedReal.of(x), count)
+    want = zero_scan_outcome(lambda: [n for n, s in enumerate(sums, start=1) if s == 0])
+    assert got == want
+    if x is NEAR_WALL_START:
+        assert want[0] is PrecisionExhaustedError and want[2] == 2**16 + 5
+    else:
+        assert got, "ergodic zero-mean scan found no zero sums"
+
+
+@pytest.mark.parametrize("value", [WIDE, 1 << 64], ids=["wide", "past-int64"])
+def test_wide_golden_zero_scan_never_walks_step_by_step(monkeypatch, value):
+    """A rotation zero scan takes the cell kernel whatever the size of the cocycle."""
+    rot, f, x = golden(), StepCocycle([0, HALF], [value, -value]), Fraction(1, 10)
+    want = [n for n, s in enumerate(birkhoff_sums(rot, f, FixedReal.of(x), 10**4), start=1)
+            if s == 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rotation zero scan walked step by step")
+
+    monkeypatch.setattr(recurrence, "guarded_walk", refuse)
+    assert find_zero_sums(rot, f, x, 10**4).times.tolist() == want
+    assert want
 
 
 def test_rational_closed_form_matches_oracle():
@@ -1048,6 +1093,25 @@ def test_flow_zero_on_the_roof_at_the_horizon_is_located_after_gluing():
             flow_zero_near_returns(roof, f, start, 3, 1)
 
 
+def test_flow_eps_above_half_tests_the_height_alone():
+    """No circle distance exceeds 1/2, so an eps above 1/2 never meets the base radius.
+
+    Over the rotation by 1/2 the 1-ulp start 1/10 comes back at distance
+    1/2 at odd times, known to within 2 ulps; an eps just above 1/2 then
+    takes every zero, as eps 1 does.
+    """
+    roof = Roof([0, Fraction(1, 4), HALF, Fraction(3, 4)], [1] * 4,
+                CircleRotation(AngleSpec.rational(1, 2)))
+    f = PhaseFunction.from_base_values(roof, [0, 1, 0, -1])
+    start = SpecialFlowState(FixedReal(ONE // 10, 1), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        wide = flow_zero_near_returns(roof, f, start, 4, 1, allow_zero_value=True)
+        just = flow_zero_near_returns(roof, f, start, 4, HALF + TINY, allow_zero_value=True)
+    assert wide.times == [1, 2, 3, 4]
+    assert flow_rows(just, "distance") == flow_rows(wide, "distance")
+
+
 FLOW_ANGLES = ["golden", "sqrt2", (1, 2), (1, 3), (2, 5)]
 BAND_CUTS = [Fraction(1, 3), Fraction(2, 5), HALF, Fraction(5, 7), Fraction(3, 4)]
 BAND_VALUES = [0, 1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 6)]
@@ -1372,6 +1436,78 @@ def test_jump_point_sweep_matches_the_kernel_and_per_sample_sums(case):
     event("decided")
 
 
+# a repeated n, an unsorted list, and either side of a 2**16-step block
+RATIONAL_N_LISTS = [[9, 9], [30, 1, 12], [2**16 - 1, 2**16, 2**16 + 1]]
+
+
+def rational_orbit_wall(p: int, q: int, seed: int, k: int) -> int:
+    """The last mantissa at or below the first seeded sample's point at step ``k`` of ``p/q``."""
+    raw = int(np.random.default_rng(seed).integers(0, 1 << 64, size=100, dtype=np.uint64)[0])
+    point = (raw * q + k * (p % q << 64)) % (q << 64)  # on the grid of q 2**64 points
+    return (point << 128) // q
+
+
+@st.composite
+def rational_excess_cases(draw):
+    """A rational angle ``p/q``, any sign of ``p``, with a zero-mean cocycle, n, eps and seed.
+
+    Walls lie at 1/2, 1 to 3 ulps apart, within ``2**128 / q`` ulps of 0 and
+    1 (where the grid edge of the wall near 1 is the whole circle), at or
+    one ulp past the first sample's orbit point at a step ``k``, or
+    anywhere.
+    """
+    q = draw(st.one_of(st.integers(1, 400), st.sampled_from([1009, 4099])))
+    p = draw(st.integers(-3 * q, 3 * q))
+    n_list = draw(st.one_of(
+        st.sampled_from(RATIONAL_N_LISTS), st.lists(st.integers(1, 3 * q), min_size=1, max_size=4)
+    ))
+    seed = draw(st.integers(0, 1 << 20))
+    kind = draw(st.sampled_from(["halves", "ulps", "near-one", "orbit", "any"]))
+    if kind == "halves":
+        f = StepCocycle([0, HALF], [1, -1])
+    elif kind == "ulps":
+        f = cocycle_with_wall(4, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    elif kind == "near-one":
+        f = cocycle_with_wall(3, ONE - draw(st.integers(1, (1 << 128) // q)))
+    elif kind == "orbit":
+        k = draw(st.integers(0, min(q, max(n_list)) - 1))
+        wall = rational_orbit_wall(p, q, seed, k) + draw(st.integers(0, 1))
+        f = cocycle_with_wall(draw(st.integers(3, 4)), wall)
+    else:
+        f = cocycle_with_wall(draw(st.integers(3, 4)), draw(st.integers(1, ONE - 1)))
+    eps = draw(st.sampled_from([Fraction(1, 20), Fraction(1, 3), Fraction(1, 10**30)]))
+    return AngleSpec.rational(p, q), f, n_list, eps, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=rational_excess_cases())
+@example(case=(
+    AngleSpec.rational(-4001, 65537),
+    cocycle_with_wall(3, ONE - (1 << 111)),
+    [2**16 + 1, 2**16 - 1],
+    Fraction(1, 10**30),
+    7,
+))
+@example(case=(AngleSpec.rational(5, 10007), cocycle_with_wall(4, 2, 3), [10007, 1], HALF, 0))
+@example(case=(  # a wall one ulp past the first sample's point at step 2
+    AngleSpec.rational(3, 7),
+    cocycle_with_wall(3, rational_orbit_wall(3, 7, 0, 2) + 1),
+    [5, 40],
+    Fraction(1, 10**30),
+    0,
+))
+def test_rational_sweep_matches_the_orbit_class_estimator(case):
+    """A rational angle swept on the ``q 2**64`` grid gives the per-sample lap estimate."""
+    angle, f, n_list, eps, seed = case
+    rotation = CircleRotation(angle)
+    with pytest.warns(RationalAngleWarning):
+        got = sublinearity_estimate(rotation, f, n_list, eps, samples=100, seed=seed)
+    xs = np.random.default_rng(seed).integers(0, 1 << 64, size=100, dtype=np.uint64).tolist()
+    counts = rational_excess(angle.as_fraction(), f, n_list, eps, xs)
+    assert got == [(n, counts[n] / 100) for n in n_list]
+    event("past one period" if max(n_list) > angle.q else "within one period")
+
+
 def test_excess_probability_rejects_an_empty_n_list():
     with pytest.raises(ValueError, match="n_list must not be empty"):
         sublinearity_estimate(golden(), pm_one(), [], Fraction(1, 20), samples=100)
@@ -1386,6 +1522,28 @@ def test_excess_probability_never_scans_every_orbit_point(monkeypatch):
     monkeypatch.setattr(recurrence, "certified_cells", refuse)
     got = sublinearity_estimate(golden(), pm_one(), [100, 1000], Fraction(1, 20), samples=500)
     assert got == [(100, 0.0), (1000, 0.0)]
+
+
+def test_every_rotation_takes_the_excess_sweep(monkeypatch):
+    """Wide cocycles and rational angles never reach the per-sample estimators."""
+    wide = (golden(), StepCocycle([0, HALF], [WIDE, -WIDE]), [7, 100, 1000], Fraction(1, 20))
+    rational_angle = CircleRotation(AngleSpec.rational(4001, 10007))
+    rational = (rational_angle, pm_one(), [10, 10**5], Fraction(1, 10**4))
+    xs = np.random.default_rng(3).integers(0, 1 << 64, size=100, dtype=np.uint64).tolist()
+    alpha = rational_angle.alpha.as_fraction()
+    want = {
+        "wide": reference_excess(*wide, samples=100, seed=3),
+        "rational": [(n, c / 100) for n, c in rational_excess(alpha, *rational[1:], xs).items()],
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rotation took a per-sample estimator")
+
+    monkeypatch.setattr(recurrence, "_excess_loop", refuse)
+    monkeypatch.setattr(recurrence, "_rational_orbit_sums", refuse)
+    assert sublinearity_estimate(*wide, samples=100, seed=3) == want["wide"]
+    with pytest.warns(RationalAngleWarning):
+        assert sublinearity_estimate(*rational, samples=100, seed=3) == want["rational"]
 
 
 @pytest.mark.parametrize(
