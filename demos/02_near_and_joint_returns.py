@@ -20,8 +20,8 @@ base = CircleRotation(AngleSpec.preset("golden"))
 x0 = Fraction(1, 10)
 
 # 1. pure near-returns: d(S^n x, x) < 1/50
-close_times = near_returns(base, x0, 10_000, Fraction(1, 50))
-print("near-return times (eps=1/50):", close_times)
+close = near_returns(base, x0, 10_000, Fraction(1, 50))
+print("near-return times (eps=1/50):", close.times)
 print("Fibonacci denominators:      ", [c.denominator for c in cf_convergents(base.alpha, 12)])
 
 # 2. simultaneous events: zero sum and distance < 1/100

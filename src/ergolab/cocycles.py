@@ -18,9 +18,9 @@ the (provably few) steps whose interval comes near a wall with full
 192-bit guarded arithmetic.  Zero-sum scans and near-return times (cells
 of the displacement ``n alpha`` against walls at the eps boundaries) run
 on it, and its cells equal those of :func:`guarded_walk`, the only guarded
-per-step orbit loop, on which Birkhoff sums, interval-exchange zero, joint
-and excess scans, induced excursions and skew orbits run.  The
-interval-exchange scans stop the walk
+per-step orbit loop, on which Birkhoff sums, interval-exchange zero, near,
+joint and excess scans, induced excursions and skew orbits run (a near
+scan walks without a cocycle).  The interval-exchange scans stop the walk
 where it returns exactly to its start, so a periodic orbit costs one lap;
 :func:`birkhoff_sums`, the reference, walks every step.
 """
@@ -185,17 +185,17 @@ def certified_cells(
 # --------------------------------------------------------------------------- #
 
 
-def guarded_walk(base: BaseMap, f: StepCocycle, x: FixedReal, count: int) -> Iterator[tuple]:
+def guarded_walk(base: BaseMap, f: StepCocycle | None, x: FixedReal, count: int) -> Iterator:
     """Yield ``(S_n f(x), S^n x)`` for ``n = 1, ..., count``: the guarded orbit walk.
 
     ``x`` is a circle point in ``[0, 1)``.  Step ``i`` locates the cell of
     ``S^i x``, raising :class:`PrecisionExhaustedError` with ``step=i``
     where it cannot, then applies ``base`` once; a refusal inside
     ``base.apply`` (an interval exchange's own walls) passes through
-    without a step.  O(1) memory.
+    without a step.  ``f=None`` steps the orbit alone, every sum 0.  O(1) memory.
     """
-    locate, values, apply = f.walls.locate, f.values, base.apply
-    total, p = 0, x
+    locate, values = (lambda p: 0, (0,)) if f is None else (f.walls.locate, f.values)
+    total, p, apply = 0, x, base.apply
     for i in range(count):
         try:
             total += values[locate(p)]

@@ -433,7 +433,7 @@ _DETECTORS: dict[str, _Detector] = {
     "near_returns": _Detector(
         _CASCADE_BASES, ("none", *_STEPS),
         {"start": _CASCADE_START, "count": _COUNT, "eps": _EPS}, False,
-        lambda c: (["time"], [near_returns(c.system, **c.detector_args)], None),
+        lambda c: (["time"], [near_returns(c.system, **c.detector_args).times], None),
     ),
     "joint_returns": _Detector(
         _CASCADE_BASES, ("integer step",),

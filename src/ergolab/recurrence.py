@@ -26,10 +26,10 @@ sums run the certified cell kernel (or, from an exact start, a rational
 lap), and excess estimates sweep jump points, ``p/q`` on ``q 2**64`` points.
 
 Periodic orbits cost one lap.  A rational angle's lap is stepped in
-integers; an interval-exchange walk that returns exactly to its start
-(same mantissa and error radius, which needs exact offsets throughout)
-stops there, because the state determines every later step.  Later laps
-then follow from the lap's prefix sums, ``S_{mL+r} = m S_L + S_r``, and a
+integers.  Interval-exchange zero, near and joint scans share one guarded
+walk (a near scan has no cocycle), which stops where it is back at its
+start exactly, radius included: the state fixes every later step.  Later
+laps follow from the lap's prefix sums, ``S_{mL+r} = m S_L + S_r``, and a
 first lap without a refusal has none later.
 """
 from __future__ import annotations
@@ -310,12 +310,10 @@ def _eps_side(value: FixedReal, threshold: Fraction) -> bool | None:
     return None
 
 
-def _guarded_less(value: FixedReal, threshold: Fraction, step=None) -> bool:
-    """Decide ``value < threshold`` or raise if the error interval straddles it."""
-    side = _eps_side(value, threshold)
-    if side is None:
-        raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=step)
-    return side
+def _near_side(distance: FixedReal, eps: Fraction) -> bool | None:
+    """:func:`_eps_side` for a circle distance: at most 1/2, it is near any larger eps."""
+    side = _eps_side(distance, eps)
+    return True if side is None and eps > _HALF else side  # it cannot lie above such an eps
 
 
 def _warn_rational(what: str) -> None:
@@ -363,19 +361,21 @@ def _lap_times(residues: list[int], q: int, count: int) -> np.ndarray:
     return times[times <= count]
 
 
-def _lap_zero_times(prefix: Sequence[int], count: int) -> np.ndarray:
+def _lap_zero_times(prefix: Sequence[int], count: int, residues=None) -> np.ndarray:
     """Zero times ``1 <= n <= count`` of ``S_{mL+r} = m P_L + P_r``, as a sorted int64 array.
 
     ``prefix`` holds one lap's sums ``P_0..P_L`` of an orbit that repeats
-    every ``L`` steps.  A zero lap sum repeats the lap's zeros; otherwise
-    each residue ``r`` has at most one zero, in lap ``m = -P_r / P_L``.
+    every ``L`` steps; only the ascending ``residues`` (default ``1..L``)
+    are expanded.  A zero lap sum repeats the lap's zeros; otherwise each
+    residue ``r`` has at most one zero, in lap ``m = -P_r / P_L``.
     """
     lap = len(prefix) - 1
     cycle = prefix[lap]
+    residues = range(1, lap + 1) if residues is None else residues
     if cycle == 0:
-        return _lap_times([r for r in range(1, lap + 1) if prefix[r] == 0], lap, count)
+        return _lap_times([r for r in residues if prefix[r] == 0], lap, count)
     times = []
-    for r in range(1, lap + 1):
+    for r in residues:
         if prefix[r] % cycle == 0:
             m = -(prefix[r] // cycle)
             n = m * lap + r
@@ -413,9 +413,8 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
     closed form (with a :class:`RationalAngleWarning`, since the recurrence
     theorems assume ergodicity); every other rotation runs the certified
     cell kernel, summing in int64 while ``max |v| * count < 2**62`` and in
-    Python integers past it.  Interval exchanges run the guarded walk, which
-    stops at an exact return to the start and takes the later laps from
-    that lap's prefix sums.  The result has an int64 ``times`` column.
+    Python integers past it.  Interval exchanges run :func:`_exchange_scan`.
+    The result has an int64 ``times`` column.
     """
     if not f.is_integer:
         raise ValueError("zero-sum detection needs an integer-valued cocycle")
@@ -438,14 +437,7 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
             chunks.append(np.flatnonzero(sums == 0) + (offset + 1))
             total = int(sums[-1])
         return Returns(_concat_times(chunks))
-    zeros = []
-    for n, (total, p) in enumerate(guarded_walk(base, f, x, count), start=1):
-        if total == 0:
-            zeros.append(n)
-        if p == x:  # back at the start: every later lap repeats this one
-            prefix = [0, *(s for s, _ in guarded_walk(base, f, x, n))]
-            return Returns(_lap_zero_times(prefix, count))
-    return Returns(np.array(zeros, dtype=np.int64))
+    return _exchange_scan(base, f, x, count, None)
 
 
 def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.ndarray:
@@ -473,34 +465,24 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     return _concat_times(chunks)[1:]  # step 0 is the start itself
 
 
-def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> list[int]:
+def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> Returns:
     """All times ``1 <= n <= count`` with circle distance ``d(S^n x, x) < eps``.
 
     For rotations the distance is ``||n alpha||`` independently of the
     start, so the scan is a pure displacement test (exact residue table
-    when alpha is rational, the certified cell kernel otherwise).  Other
-    bases step the orbit until it returns exactly to its start, and every
-    later lap repeats the near times of that one.  No circle distance
-    exceeds 1/2, so an eps above 1/2 takes every step on any base.
+    when alpha is rational, the certified cell kernel otherwise).  Interval
+    exchanges run :func:`_exchange_scan` without a cocycle.  No circle
+    distance exceeds 1/2, so an eps above 1/2 takes every step on any base.
+    The result has an int64 ``times`` column and no distances.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if count < 0:
         raise ValueError("count must be non-negative")
-    x = FixedReal.of(x).frac()
     if isinstance(base, CircleRotation):
-        return _rotation_near_times(base, count, eps).tolist()
-    every = eps > _HALF  # no circle distance exceeds 1/2
-    out = []
-    p = x
-    for n in range(1, count + 1):
-        p = base.apply(p)
-        if every or _guarded_less(circle_distance(p, x), eps, step=n):
-            out.append(n)
-        if p == x:  # back at the start: every later lap repeats this one
-            return _lap_times(out, n, count).tolist()
-    return out
+        return Returns(_rotation_near_times(base, count, eps))
+    return Returns(_exchange_scan(base, None, FixedReal.of(x).frac(), count, eps).times)
 
 
 def joint_zero_returns(
@@ -512,9 +494,7 @@ def joint_zero_returns(
     with a distance column (exact rationals for rational angles, float
     rendering of the guarded value otherwise), computed for the surviving
     times only.  Rational angles take the near times from the exact residue
-    table for any start; interval exchanges walk the orbit once, or, when it
-    returns exactly to its start, one lap and then one more for the laps
-    algebra.
+    table for any start; interval exchanges run :func:`_exchange_scan`.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -536,50 +516,69 @@ def joint_zero_returns(
         raise ValueError("zero-sum detection needs an integer-valued cocycle")
     if count < 1:
         raise ValueError("count must be at least 1")
-    x = FixedReal.of(x).frac()
-    every = eps > _HALF  # no circle distance exceeds 1/2
+    return _exchange_scan(base, f, FixedReal.of(x).frac(), count, eps)
+
+
+def _exchange_scan(
+    base: BaseMap, f: StepCocycle | None, x: FixedReal, count: int, eps: Fraction | None
+) -> Returns:
+    """Times ``1 <= n <= count`` with ``S_n f(x) = 0`` and ``d(S^n x, x) < eps``, on one walk.
+
+    ``f=None`` keeps every time (a near scan) and ``eps=None`` every zero (a
+    zero scan, without a distance column).  The guarded walk steps the
+    orbit; a zero whose distance straddles eps raises with its step.  A walk
+    back at ``x`` exactly (same mantissa and radius) stops there, and
+    :func:`_exchange_laps` takes every later lap from that one.
+    """
     times, distances = [], []
     for n, (total, p) in enumerate(guarded_walk(base, f, x, count), start=1):
-        if total == 0:
+        if total == 0 and eps is None:
+            times.append(n)
+        elif total == 0:
             d = circle_distance(p, x)
-            if every or _guarded_less(d, eps, step=n):
+            side = _near_side(d, eps)
+            if side is None:
+                raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=n)
+            if side:
                 times.append(n)
                 distances.append(float(d))
         if p == x:  # back at the start: every later lap repeats this one
-            return _joint_laps(base, f, x, n, count, eps)
-    return Returns(
-        np.array(times, dtype=np.int64), distance=np.array(distances, dtype=np.float64)
-    )
+            return _exchange_laps(base, f, x, n, count, eps)
+    times = np.array(times, dtype=np.int64)
+    return Returns(times) if eps is None else Returns(times, distance=np.array(distances))
 
 
-def _joint_laps(
-    base: BaseMap, f: StepCocycle, x: FixedReal, lap: int, count: int, eps: Fraction
+def _exchange_laps(
+    base: BaseMap, f: StepCocycle | None, x: FixedReal, lap: int, count: int, eps: Fraction | None
 ) -> Returns:
-    """Joint times of a walk from ``x`` that is back at ``x`` after ``lap`` steps.
+    """:func:`_exchange_scan` of a walk from ``x`` that is back at ``x`` after ``lap`` steps.
 
     Every lap repeats the first, so one more lap gives the prefix sums and,
-    per residue, the eps side and distance of its point.  A zero at time
-    ``n`` takes those of its residue; the first zero whose residue straddles
-    eps raises with ``step=n``, the step the per-step walk names.
+    per residue, the eps side and distance of its point.  Only residues
+    whose point is near or straddles eps are expanded into zero times, so a
+    near scan holds no more times than it keeps.  A zero at time ``n`` takes
+    the side and distance of its residue; the first zero whose residue
+    straddles eps raises with ``step=n``, the step the per-step walk names.
     """
-    every = eps > _HALF  # no circle distance exceeds 1/2
-    prefix, sides, distances = [0], [0], [0.0]
-    for total, p in guarded_walk(base, f, x, lap):
-        d = circle_distance(p, x)
-        side = True if every else _eps_side(d, eps)
+    prefix, kept, distances = [0], [], []
+    for r, (total, p) in enumerate(guarded_walk(base, f, x, lap), start=1):
         prefix.append(total)
-        sides.append(-1 if side is None else int(side))
-        distances.append(float(d))
-    times = _lap_zero_times(prefix, count)
-    residues = (times - 1) % lap + 1
-    at_times = np.array(sides, dtype=np.int8)[residues]
-    refused = np.flatnonzero(at_times < 0)
+        if eps is None:
+            kept.append(r)
+            continue
+        d = circle_distance(p, x)
+        side = _near_side(d, eps)
+        if side is not False:
+            kept.append(r)
+            distances.append(float(d) if side else np.nan)  # NaN: it straddles eps
+    times = _lap_zero_times(prefix, count, kept)
+    if eps is None:
+        return Returns(times)
+    distance = np.array(distances, dtype=np.float64)[np.searchsorted(kept, (times - 1) % lap + 1)]
+    refused = np.flatnonzero(np.isnan(distance))
     if refused.size:
         raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=int(times[refused[0]]))
-    near = at_times > 0
-    return Returns(
-        times[near], distance=np.array(distances, dtype=np.float64)[residues[near]]
-    )
+    return Returns(times, distance=distance)
 
 
 # --------------------------------------------------------------------------- #
@@ -680,12 +679,11 @@ def flow_zero_near_returns(
     _flow_preamble(system, f, start, allow_zero_value, "the flow zero/near scan")
     # the walk ends before any eps test, so a walk error comes first
     zeros = list(iter_flow_zeros(system, f, start, t_max, max_crossings))
-    every = eps > _HALF  # no circle distance exceeds 1/2
     times, distances = [], []
     for t, state in zeros:
-        near = abs(state.b - start.b) < eps and (
-            every or _guarded_less(circle_distance(start.a, state.a), eps)
-        )
+        near = abs(state.b - start.b) < eps and _near_side(circle_distance(start.a, state.a), eps)
+        if near is None:
+            raise PrecisionExhaustedError(_AMBIGUOUS_EPS)
         if near:
             times.append(t)
             distances.append(flow_distance(system, start, state))

@@ -33,6 +33,8 @@ from ergolab.fixedpoint import ONE, SCALE, FixedReal
 from ergolab.stats import decimal_string
 from ergolab.systems import default_crossing_budget, special_flow_step
 
+HALF = Fraction(1, 2)
+
 mpmath.mp.dps = 60
 
 
@@ -243,7 +245,8 @@ def reference_flow_near_rows(roof, f, start, t_max, eps, max_crossings=None):
     """``(time, value, distance)`` rows of the flow zero/near scan.
 
     The base distance is known to within the summed error radii of the two
-    base points: the eps test is decided on that interval, and raises
+    base points, and no circle distance exceeds 1/2: the eps test is decided
+    on that interval capped at 1/2, and raises
     :class:`PrecisionExhaustedError` where the interval straddles eps.
     """
     rows = []
@@ -253,7 +256,7 @@ def reference_flow_near_rows(roof, f, start, t_max, eps, max_crossings=None):
         height = abs(start.b - state.b)
         if height >= eps or base - radius >= eps:
             continue
-        if base + radius >= eps:
+        if min(base + radius, HALF) >= eps:
             raise PrecisionExhaustedError("ambiguous eps test")
         rows.append((t, Fraction(0), max(base, height)))
     return rows
@@ -275,12 +278,13 @@ def walk_points(base, x, count: int):
 def eps_side(p, x, eps: Fraction, step: int) -> tuple[bool, Fraction]:
     """``(d(p, x) < eps, nominal distance)`` on the ``Fraction`` error interval.
 
-    Raises :class:`PrecisionExhaustedError` with ``step`` where it straddles eps.
+    No circle distance exceeds 1/2, so the interval is capped there.  Raises
+    :class:`PrecisionExhaustedError` with ``step`` where it straddles eps.
     """
     delta = Fraction((p.mantissa - x.mantissa) % ONE, ONE)
     distance = min(delta, 1 - delta)
     radius = Fraction(p.err_ulps + x.err_ulps, ONE)
-    if distance + radius < eps:
+    if min(distance + radius, HALF) < eps:
         return True, distance
     if distance - radius >= eps:
         return False, distance

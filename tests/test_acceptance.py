@@ -160,7 +160,7 @@ def test_02_rational_angles_match_orbit_tables(gate):
                     if min(residues[n % q], q - residues[n % q]) * eps.denominator
                     < eps.numerator * q
                 ]
-                if near_returns(base, x0, N, eps) != want:
+                if near_returns(base, x0, N, eps).times.tolist() != want:
                     failures.append(f"near p/q={p}/{q} eps={eps}")
             orbit = [(x0 + Fraction(k * p, q)) % 1 for k in range(q)]
             reps = N // q + 1

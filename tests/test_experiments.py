@@ -315,6 +315,33 @@ def test_failed_run_still_writes_manifest(tmp_path):
     assert "ReturnBudgetError" in stored["error"]
 
 
+@pytest.mark.parametrize("start", [str(Fraction(k, 10)) for k in range(10)])
+@pytest.mark.parametrize("kind", ["zero_sums", "near_returns", "joint_returns"])
+def test_a_rounded_exchange_is_refused_at_its_own_walls(tmp_path, kind, start):
+    """Lengths 3/10 and 1/5 round to the 192-bit grid, so the orbit never closes.
+
+    From every multiple of 1/10 the walk meets one of the exchange's walls
+    with a nonzero radius, and ``IntervalExchange.apply`` refuses it.  That
+    refusal carries no step, so the manifest records ``error_step: null``.
+    """
+    detector = {"kind": kind, "start": start, "count": 100_000}
+    config = {
+        "system": {"kind": "interval_exchange", "lengths": ["3/10", "1/5", "1/2"],
+                   "permutation": [3, 2, 1]},
+        "detector": detector,
+        "output": {"directory": "iet", "formats": ["csv"]},
+    }
+    if kind != "zero_sums":
+        detector["eps"] = "1/100"
+    if kind != "near_returns":
+        config["cocycle"] = {"kind": "step", "breakpoints": ["0", "1/2"], "values": [1, -1]}
+    with pytest.raises(PrecisionExhaustedError) as refusal:
+        run_experiment(config, out_root=tmp_path)
+    assert refusal.value.step is None
+    stored = json.loads((tmp_path / "iet" / "manifest.json").read_text())
+    assert stored["status"] == "error" and stored["error_step"] is None
+
+
 # --------------------------------------------------------------------------- #
 # command line
 # --------------------------------------------------------------------------- #

@@ -29,7 +29,7 @@ from ergolab.recurrence import (
     Returns,
     TargetSet,
     _excess_rotation,
-    _guarded_less,
+    _eps_side,
     _rational_orbit_sums,
     cascade_apply,
     find_zero_sums,
@@ -263,15 +263,15 @@ def test_kernel_zero_times_stitch_across_chunks(angle, wall_offset, monkeypatch)
 
 def test_period_three_near_returns():
     rot = CircleRotation(AngleSpec.rational(1, 3))
-    assert near_returns(rot, 0, 10, Fraction(1, 10**9)) == [3, 6, 9]
+    assert near_returns(rot, 0, 10, Fraction(1, 10**9)).times.tolist() == [3, 6, 9]
 
 
 def test_eps_one_accepts_everything():
-    assert near_returns(golden(), Fraction(1, 3), 12, 1) == list(range(1, 13))
+    assert near_returns(golden(), Fraction(1, 3), 12, 1).times.tolist() == list(range(1, 13))
 
 
 def test_golden_near_returns_are_fibonacci_denominators():
-    got = near_returns(golden(), Fraction(1, 10), 100, Fraction(1, 100))
+    got = near_returns(golden(), Fraction(1, 10), 100, Fraction(1, 100)).times.tolist()
     assert got == [55, 89]
     # independent check at 50 digits
     with mpmath.workdps(50):
@@ -288,7 +288,8 @@ def test_golden_near_returns_are_fibonacci_denominators():
 def test_near_returns_rational_matches_oracle():
     rot = CircleRotation(AngleSpec.rational(3, 7))
     eps = Fraction(1, 5)
-    assert near_returns(rot, Fraction(1, 9), 200, eps) == near_return_times(3, 7, 200, eps)
+    got = near_returns(rot, Fraction(1, 9), 200, eps).times.tolist()
+    assert got == near_return_times(3, 7, 200, eps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,14 +306,15 @@ def test_near_returns_rational_laps_match_oracle(q, p, count, eps_den):
         rot = CircleRotation(AngleSpec.rational(p, q))
     eps = Fraction(1, eps_den)
     got = near_returns(rot, Fraction(1, 9), count, eps)
-    assert type(got) is list and all(type(n) is int for n in got)
+    assert isinstance(got, Returns) and got.times.dtype == np.int64 and got.distance is None
     g = math.gcd(p, q)
-    assert got == near_return_times(p // g, q // g, count, eps)
+    assert got.times.tolist() == near_return_times(p // g, q // g, count, eps)
 
 
 def test_near_returns_on_interval_exchange():
     iet = IntervalExchange([Fraction(1, 4), Fraction(3, 4)], (2, 1))  # rotation by 3/4
-    assert near_returns(iet, Fraction(1, 10), 12, Fraction(1, 10**6)) == [4, 8, 12]
+    got = near_returns(iet, Fraction(1, 10), 12, Fraction(1, 10**6))
+    assert got.times.tolist() == [4, 8, 12]
 
 
 NEAR_ANGLES = [
@@ -366,7 +368,7 @@ def test_irrational_near_times_match_the_per_n_oracle(case):
     rotation, count, eps = case
     x = Fraction(1, 10)
     want = scan_outcome(reference_rotation_near_times, rotation, count, eps)
-    near = scan_outcome(near_returns, rotation, x, count, eps)
+    near = scan_outcome(near_list, rotation, x, count, eps)
     joint = scan_outcome(joint_zero_returns, rotation, pm_one(), x, count, eps)
     if isinstance(want, tuple):
         assert near == joint == want
@@ -389,7 +391,7 @@ def test_an_angle_below_one_ulp_is_near_at_every_step():
     count, eps = 2**16 + 1, Fraction(1, 100)
     every = list(range(1, count + 1))
     assert reference_rotation_near_times(rotation, count, eps) == every
-    assert near_returns(rotation, Fraction(1, 10), count, eps) == every
+    assert near_returns(rotation, Fraction(1, 10), count, eps).times.tolist() == every
     zeros = find_zero_sums(rotation, pm_one(), Fraction(1, 10), count)
     joint = joint_zero_returns(rotation, pm_one(), Fraction(1, 10), count, eps)
     assert joint.times.tolist() == zeros.times.tolist()
@@ -401,7 +403,7 @@ def test_an_angle_within_one_ulp_of_half_refuses_only_up_to_half():
 
     Up to eps 1/2 the first step is refused, as the oracle refuses it.  Past
     1/2 every step is near: no circle distance exceeds 1/2, although the
-    oracle's bound ``distance + radius`` does and refuses.
+    bound ``distance + radius`` does, so the oracle caps it at 1/2.
     """
     rotation = CircleRotation(AngleSpec.quadratic(1, 2, 10**120 + 1, 2))
     resolved = rotation.alpha.resolved
@@ -409,8 +411,10 @@ def test_an_angle_within_one_ulp_of_half_refuses_only_up_to_half():
     for eps in (HALF - TINY, HALF):
         refused = (PrecisionExhaustedError, 1)
         assert scan_outcome(reference_rotation_near_times, rotation, 6, eps) == refused
-        assert scan_outcome(near_returns, rotation, 0, 6, eps) == refused
-    assert near_returns(rotation, 0, 6, HALF + TINY) == [1, 2, 3, 4, 5, 6]
+        assert scan_outcome(near_list, rotation, 0, 6, eps) == refused
+    every = [1, 2, 3, 4, 5, 6]
+    assert reference_rotation_near_times(rotation, 6, HALF + TINY) == every
+    assert near_returns(rotation, 0, 6, HALF + TINY).times.tolist() == every
 
 
 SWAP_COCYCLES = [
@@ -448,15 +452,15 @@ def test_the_half_swap_scans_like_the_rotation_by_half(x, count, eps, cocycle):
     f = StepCocycle(*cocycle)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RationalAngleWarning)
-        near = scan_outcome(near_returns, rotation, x, count, eps)
+        near = scan_outcome(near_list, rotation, x, count, eps)
         joint = scan_outcome(joint_zero_returns, rotation, f, x, count, eps)
         zeros = find_zero_sums(rotation, f, x, count).times.tolist()
     if x.is_exact or eps > HALF:
-        assert scan_outcome(near_returns, iet, x, count, eps) == near
+        assert scan_outcome(near_list, iet, x, count, eps) == near
         assert scan_outcome(joint_zero_returns, iet, f, x, count, eps) == joint
         event("decided")
         return
-    assert scan_outcome(near_returns, iet, x, count, eps) == (PrecisionExhaustedError, 1)
+    assert scan_outcome(near_list, iet, x, count, eps) == (PrecisionExhaustedError, 1)
     odd = [n for n in zeros if n % 2]
     want = (PrecisionExhaustedError, odd[0]) if odd else joint
     assert scan_outcome(joint_zero_returns, iet, f, x, count, eps) == want
@@ -493,7 +497,7 @@ def test_joint_golden_is_exact_intersection():
     records = joint_zero_returns(rot, f, x, 10**4, eps)
     assert records, "no joint zero/near-return events found"
     zero_times = {r.time for r in find_zero_sums(rot, f, x, 10**4)}
-    near_times = set(near_returns(rot, x, 10**4, eps))
+    near_times = set(near_returns(rot, x, 10**4, eps).times.tolist())
     assert {r.time for r in records} == zero_times & near_times
     assert all(0 < r.distance < float(eps) for r in records)
 
@@ -514,7 +518,7 @@ def test_joint_rational_angle_from_an_inexact_start_is_exact():
         warnings.simplefilter("ignore", RationalAngleWarning)
         joint = joint_zero_returns(rot, f, x, count, eps)
         zeros = set(find_zero_sums(rot, f, x, count).times.tolist())
-    near = set(near_returns(rot, x, count, eps))
+    near = set(near_returns(rot, x, count, eps).times.tolist())
     assert joint.times.tolist() == sorted(zeros & near) == list(range(3, count + 1, 3))
     assert joint.distance == [0] * (count // 3)
 
@@ -531,7 +535,7 @@ def joint_apply_calls(monkeypatch, iet, eps) -> int:
     """
     f, x, count = pm_one(), Fraction(5, 9), 5_000
     zeros = set(find_zero_sums(iet, f, x, count).times.tolist())
-    near = set(near_returns(iet, x, count, eps))
+    near = set(near_returns(iet, x, count, eps).times.tolist())
     assert zeros & near and zeros - near
     apply = IntervalExchange.apply
     calls = []
@@ -625,6 +629,11 @@ def lap_of(base, x, limit):
     return None
 
 
+def near_list(*args) -> list[int]:
+    """The times of :func:`near_returns` as a list of ints."""
+    return near_returns(*args).times.tolist()
+
+
 def scan_outcome(detector, *args):
     """The detector's rows, or the type and step of its refusal."""
     try:
@@ -646,13 +655,15 @@ def test_closed_laps_match_the_per_step_walk(case, data):
     lap = lap_of(iet, x, size) or 8
     laps, shift = data.draw(st.integers(0, 4)), data.draw(st.sampled_from([-1, 0, 1]))
     count = max(1, laps * lap + shift)
-    eps = Fraction(data.draw(st.integers(1, size // 2)), size) + data.draw(
-        st.sampled_from([0, Fraction(1, 3 * size)])
-    )
+    eps = data.draw(st.one_of(
+        st.builds(lambda k, third: Fraction(k, size) + third,
+                  st.integers(1, size // 2), st.sampled_from([0, Fraction(1, 3 * size)])),
+        st.just(HALF + TINY),  # above every distance, even one whose interval passes 1/2
+    ))
     assert scan_outcome(find_zero_sums, iet, f, x, count) == scan_outcome(
         lambda *a: [(n, None) for n in reference_zero_times(*a)], iet, f, x, count
     )
-    assert scan_outcome(near_returns, iet, x, count, eps) == scan_outcome(
+    assert scan_outcome(near_list, iet, x, count, eps) == scan_outcome(
         reference_near_times, iet, x, count, eps
     )
     joint = scan_outcome(joint_zero_returns, iet, f, x, count, eps)
@@ -757,7 +768,7 @@ def test_a_return_with_a_wider_radius_does_not_close_the_lap():
     refused = (PrecisionExhaustedError, None)
     assert scan_outcome(find_zero_sums, iet, f, x, 100) == refused
     assert scan_outcome(lambda: reference_zero_times(iet, f, x, 100)) == refused
-    assert scan_outcome(near_returns, iet, x, 100, eps) == refused
+    assert scan_outcome(near_list, iet, x, 100, eps) == refused
     assert scan_outcome(reference_near_times, iet, x, 100, eps) == refused
     assert scan_outcome(joint_zero_returns, iet, f, x, 100, eps) == refused
     assert scan_outcome(reference_joint_rows, iet, f, x, 100, eps) == refused
@@ -826,12 +837,7 @@ def test_integer_eps_test_matches_the_fraction_interval(k, err, case, den):
     eps = Fraction(k, ONE) if den == ONE else Fraction(k * den // ONE + 1, den)
     lo, hi = value.interval()
     want = True if hi < eps else False if lo >= eps else None
-    try:
-        got = _guarded_less(value, eps, step=7)
-    except PrecisionExhaustedError as exc:
-        assert exc.step == 7
-        got = None
-    assert got == want
+    assert _eps_side(value, eps) == want
 
 
 # --------------------------------------------------------------------------- #
@@ -1098,7 +1104,7 @@ def test_flow_eps_above_half_tests_the_height_alone():
 
     Over the rotation by 1/2 the 1-ulp start 1/10 comes back at distance
     1/2 at odd times, known to within 2 ulps; an eps just above 1/2 then
-    takes every zero, as eps 1 does.
+    takes every zero, as eps 1 and the oracle, capped at 1/2, do.
     """
     roof = Roof([0, Fraction(1, 4), HALF, Fraction(3, 4)], [1] * 4,
                 CircleRotation(AngleSpec.rational(1, 2)))
@@ -1108,8 +1114,9 @@ def test_flow_eps_above_half_tests_the_height_alone():
         warnings.simplefilter("ignore", RationalAngleWarning)
         wide = flow_zero_near_returns(roof, f, start, 4, 1, allow_zero_value=True)
         just = flow_zero_near_returns(roof, f, start, 4, HALF + TINY, allow_zero_value=True)
+        want = reference_flow_near_rows(roof, f, start, 4, HALF + TINY)
     assert wide.times == [1, 2, 3, 4]
-    assert flow_rows(just, "distance") == flow_rows(wide, "distance")
+    assert flow_rows(just, "distance") == flow_rows(wide, "distance") == want
 
 
 FLOW_ANGLES = ["golden", "sqrt2", (1, 2), (1, 3), (2, 5)]
