@@ -195,9 +195,6 @@ class FixedReal:
         return FixedReal(self.mantissa % ONE, self.err_ulps)
 
 
-ZERO = FixedReal(0, 0)
-
-
 def guarded_compare(a: FixedReal, b: FixedReal) -> Cmp:
     """Compare two FixedReals; ``AMBIGUOUS`` unless the error intervals are disjoint.
 

@@ -26,11 +26,14 @@ sums run the certified cell kernel (or, from an exact start, a rational
 lap), and excess estimates sweep jump points, ``p/q`` on ``q 2**64`` points.
 
 Periodic orbits cost one lap.  A rational angle's lap is stepped in
-integers.  Interval-exchange zero, near and joint scans share one guarded
-walk (a near scan has no cocycle), which stops where it is back at its
-start exactly, radius included: the state fixes every later step.  Later
-laps follow from the lap's prefix sums, ``S_{mL+r} = m S_L + S_r``, and a
-first lap without a refusal has none later.
+integers.  Interval-exchange zero, near, joint and excess scans walk one
+lap of the guarded walk, once (a near scan has no cocycle).  It stops
+where it is back at its start exactly, radius included, since the state
+fixes every later step; a walk that never returns is one lap of the whole
+scan.  Later laps follow from the lap's prefix sums,
+``S_{mL+r} = m S_L + S_r``, and a first lap without a refusal has none
+later.  Every guarded eps test compares integers with one bound per scan,
+``ceil(eps 2**192)``.
 """
 from __future__ import annotations
 
@@ -293,27 +296,25 @@ class TargetSet:
 
 
 _AMBIGUOUS_EPS = "comparison against eps is ambiguous at this precision"
-_HALF = Fraction(1, 2)
 
 
-def _eps_side(value: FixedReal, threshold: Fraction) -> bool | None:
-    """``value < threshold`` on the whole error interval, or None where it straddles.
+def _eps_bound(eps: Fraction) -> int:
+    """``ceil(eps 2**192)``: an integer ``m`` has ``m / 2**192 < eps`` iff ``m`` is below it."""
+    return math.ceil(eps * ONE)
 
-    In integers: ``(m ± e) / 2**192 < num / den`` iff ``(m ± e) * den < num * 2**192``.
+
+def _near_side(distance: FixedReal, bound: int) -> bool | None:
+    """Whether a circle distance is below eps on its whole error interval, None where it straddles.
+
+    ``bound`` is :func:`_eps_bound` of eps.  No circle distance exceeds 1/2,
+    so a straddle is near when eps > 1/2, that is when ``bound > 2**191``.
     """
-    m, e = value.mantissa, value.err_ulps
-    num, den = threshold.numerator << SCALE, threshold.denominator
-    if (m + e) * den < num:
+    m, e = distance.mantissa, distance.err_ulps
+    if m + e < bound:
         return True
-    if (m - e) * den >= num:
+    if m - e >= bound:
         return False
-    return None
-
-
-def _near_side(distance: FixedReal, eps: Fraction) -> bool | None:
-    """:func:`_eps_side` for a circle distance: at most 1/2, it is near any larger eps."""
-    side = _eps_side(distance, eps)
-    return True if side is None and eps > _HALF else side  # it cannot lie above such an eps
+    return True if bound > ONE >> 1 else None
 
 
 def _warn_rational(what: str) -> None:
@@ -370,6 +371,8 @@ def _lap_zero_times(prefix: Sequence[int], count: int, residues=None) -> np.ndar
     residue ``r`` has at most one zero, in lap ``m = -P_r / P_L``.
     """
     lap = len(prefix) - 1
+    if not lap:  # an empty walk is no lap
+        return np.empty(0, dtype=np.int64)
     cycle = prefix[lap]
     residues = range(1, lap + 1) if residues is None else residues
     if cycle == 0:
@@ -454,9 +457,9 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
         dist = _rational_residue_distances(base.alpha.as_fraction())
         q = len(dist)
         return _lap_times([r for r in range(1, q + 1) if dist[r % q] < eps], q, count)
-    if eps > _HALF:
+    lo = _eps_bound(eps)
+    if lo > ONE >> 1:
         return np.arange(1, count + 1, dtype=np.int64)
-    lo = math.ceil(eps * ONE)
     walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
     chunks = [
         np.flatnonzero(cells[0] == 0) + offset
@@ -525,60 +528,52 @@ def _exchange_scan(
     """Times ``1 <= n <= count`` with ``S_n f(x) = 0`` and ``d(S^n x, x) < eps``, on one walk.
 
     ``f=None`` keeps every time (a near scan) and ``eps=None`` every zero (a
-    zero scan, without a distance column).  The guarded walk steps the
-    orbit; a zero whose distance straddles eps raises with its step.  A walk
-    back at ``x`` exactly (same mantissa and radius) stops there, and
-    :func:`_exchange_laps` takes every later lap from that one.
+    zero scan, without a distance column).  :func:`_exchange_lap` walks one
+    lap, and every later lap repeats it.  A zero at time ``n`` takes the
+    distance of its residue; the first whose residue straddles eps raises
+    with ``step=n``, the step a per-step walk names.
     """
-    times, distances = [], []
-    for n, (total, p) in enumerate(guarded_walk(base, f, x, count), start=1):
-        if total == 0 and eps is None:
-            times.append(n)
-        elif total == 0:
-            d = circle_distance(p, x)
-            side = _near_side(d, eps)
-            if side is None:
-                raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=n)
-            if side:
-                times.append(n)
-                distances.append(float(d))
-        if p == x:  # back at the start: every later lap repeats this one
-            return _exchange_laps(base, f, x, n, count, eps)
-    times = np.array(times, dtype=np.int64)
-    return Returns(times) if eps is None else Returns(times, distance=np.array(distances))
-
-
-def _exchange_laps(
-    base: BaseMap, f: StepCocycle | None, x: FixedReal, lap: int, count: int, eps: Fraction | None
-) -> Returns:
-    """:func:`_exchange_scan` of a walk from ``x`` that is back at ``x`` after ``lap`` steps.
-
-    Every lap repeats the first, so one more lap gives the prefix sums and,
-    per residue, the eps side and distance of its point.  Only residues
-    whose point is near or straddles eps are expanded into zero times, so a
-    near scan holds no more times than it keeps.  A zero at time ``n`` takes
-    the side and distance of its residue; the first zero whose residue
-    straddles eps raises with ``step=n``, the step the per-step walk names.
-    """
-    prefix, kept, distances = [0], [], []
-    for r, (total, p) in enumerate(guarded_walk(base, f, x, lap), start=1):
-        prefix.append(total)
-        if eps is None:
-            kept.append(r)
-            continue
-        d = circle_distance(p, x)
-        side = _near_side(d, eps)
-        if side is not False:
-            kept.append(r)
-            distances.append(float(d) if side else np.nan)  # NaN: it straddles eps
+    prefix, kept, distances = _exchange_lap(base, f, x, count, eps)
     times = _lap_zero_times(prefix, count, kept)
     if eps is None:
         return Returns(times)
+    lap = len(prefix) - 1
     distance = np.array(distances, dtype=np.float64)[np.searchsorted(kept, (times - 1) % lap + 1)]
     refused = np.flatnonzero(np.isnan(distance))
     if refused.size:
         raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=int(times[refused[0]]))
     return Returns(times, distance=distance)
+
+
+def _exchange_lap(
+    base: BaseMap, f: StepCocycle | None, x: FixedReal, count: int, eps: Fraction | None
+) -> tuple[list[int], list[int] | None, list[float]]:
+    """One lap of the guarded walk from ``x``: its prefix sums, kept residues and distances.
+
+    The walk stops where it is back at ``x`` exactly (same mantissa and
+    radius), since the state fixes every later step, or after ``count``
+    steps; a walk that never returns is one lap of ``count`` steps.
+    ``prefix`` holds ``S_0..S_L``.  Without eps every residue is kept
+    (``kept`` is None).  With eps, ``kept`` lists the ascending residues
+    whose point is near or straddles eps, and ``distances`` their
+    distances, NaN for a straddle; a zero that straddles raises at once
+    with its step, before a later refusal of the walk could hide it.
+    """
+    bound = None if eps is None else _eps_bound(eps)
+    prefix, kept, distances = [0], None if eps is None else [], []
+    for r, (total, p) in enumerate(guarded_walk(base, f, x, count), start=1):
+        prefix.append(total)
+        if bound is not None:
+            d = circle_distance(p, x)
+            side = _near_side(d, bound)
+            if side is None and total == 0:
+                raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=r)
+            if side is not False:
+                kept.append(r)
+                distances.append(float(d) if side else np.nan)  # NaN: it straddles eps
+        if p == x:  # back at the start: every later lap repeats this one
+            break
+    return prefix, kept, distances
 
 
 # --------------------------------------------------------------------------- #
@@ -679,9 +674,10 @@ def flow_zero_near_returns(
     _flow_preamble(system, f, start, allow_zero_value, "the flow zero/near scan")
     # the walk ends before any eps test, so a walk error comes first
     zeros = list(iter_flow_zeros(system, f, start, t_max, max_crossings))
+    bound = _eps_bound(eps)
     times, distances = [], []
     for t, state in zeros:
-        near = abs(state.b - start.b) < eps and _near_side(circle_distance(start.a, state.a), eps)
+        near = abs(state.b - start.b) < eps and _near_side(circle_distance(start.a, state.a), bound)
         if near is None:
             raise PrecisionExhaustedError(_AMBIGUOUS_EPS)
         if near:
@@ -718,9 +714,9 @@ def sublinearity_estimate(
     instead of a cell per step.  A rational angle ``p/q`` is swept exactly,
     on ``q 2**64`` points, over one period.  A point that cannot be placed
     raises :class:`PrecisionExhaustedError` with the ``step`` and message
-    that the certified cell kernel gives.  Other bases step each sample on
-    the guarded walk until it returns exactly to its start, so a periodic
-    orbit costs one lap.
+    that the certified cell kernel gives.  Interval exchanges walk one lap
+    per sample (:func:`_exchange_lap`), which ends where the walk returns
+    exactly to its start, so a periodic orbit costs one lap.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
@@ -872,16 +868,15 @@ def _suspect_steps(
 def _excess_loop(
     base: BaseMap, f: StepCocycle, n_list: list[int], eps: Fraction, xs: list[int]
 ) -> dict[int, int]:
-    """Exceedance counts per n on an interval exchange, each sample walked to its return."""
+    """Exceedance counts per n on an interval exchange, one :func:`_exchange_lap` per sample.
+
+    A sample's walk stops at its exact return, or after ``max(n_list)``
+    steps, and ``S_{mL+r} = m S_L + S_r`` gives every n.
+    """
     counts = dict.fromkeys(n_list, 0)
     for raw in xs:
-        x = FixedReal(raw << (SCALE - 64))
-        prefix = [0]
-        for total, p in guarded_walk(base, f, x, max(n_list)):
-            prefix.append(total)
-            if p == x:  # back at the start: every later lap repeats this one
-                break
-        lap = len(prefix) - 1  # or max(n_list), if the walk has not returned
+        prefix = _exchange_lap(base, f, FixedReal(raw << (SCALE - 64)), max(n_list), None)[0]
+        lap = len(prefix) - 1
         for n in counts:
             counts[n] += _exceeds(n // lap * prefix[lap] + prefix[n % lap], n, eps)
     return counts

@@ -5,7 +5,10 @@ its step.  :func:`ergolab.cocycles.guarded_walk` does, so any other loop
 that calls ``.apply(`` would be a copy of it.  These tests read the package
 source and fail on such a loop outside the allow-list: iterated fiber maps
 and the special-flow walks (roof crossings).  Interval-exchange near scans,
-which have no cocycle, walk on it too, with ``f=None``.
+which have no cocycle, walk on it too, with ``f=None``.  In ``recurrence.py``
+one function, ``_exchange_lap``, calls the walk: every interval-exchange
+scan and excess estimate takes its lap from there, so the lap closure at an
+exact return has one home.
 """
 import ast
 from pathlib import Path
@@ -106,3 +109,32 @@ def test_only_the_guarded_walk_and_named_loops_apply_maps_in_loops():
                 offenders.append(f"{path.name}:{line} in {owner or 'module scope'}")
     assert offenders == []
     assert allowed_sites == ALLOWED  # the rule still names the real loops
+
+
+def callers(source: str, name: str) -> set[str | None]:
+    """Owners of every call of ``name`` or of an attribute ``.name``."""
+    owners = set()
+    for owner, top in _owners(ast.parse(source)):
+        for call in ast.walk(top):
+            if isinstance(call, ast.Call) and name in (
+                getattr(call.func, "id", None), getattr(call.func, "attr", None)
+            ):
+                owners.add(owner)
+    return owners
+
+
+def test_finder_sees_every_call_form():
+    snippet = (
+        "def a(base):\n"
+        "    return list(guarded_walk(base, None, 0, 1))\n"
+        "def b(base):\n"
+        "    return [s for s, _ in cocycles.guarded_walk(base, None, 0, 1)]\n"
+        "def c(walk=guarded_walk):\n"
+        "    return walk\n"
+    )
+    assert callers(snippet, "guarded_walk") == {"a", "b"}
+
+
+def test_one_recurrence_function_walks_the_orbit():
+    source = (PACKAGE / "recurrence.py").read_text()
+    assert callers(source, "guarded_walk") == {"_exchange_lap"}

@@ -28,8 +28,9 @@ from ergolab.recurrence import (
     CascadeState,
     Returns,
     TargetSet,
+    _eps_bound,
     _excess_rotation,
-    _eps_side,
+    _near_side,
     _rational_orbit_sums,
     cascade_apply,
     find_zero_sums,
@@ -527,6 +528,18 @@ DYADIC_IET = ([Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 4)], 
 NON_DYADIC_IET = ([Fraction(3, 10), Fraction(1, 5), Fraction(1, 2)], (3, 2, 1))
 
 
+def apply_calls(monkeypatch, scan):
+    """The result of ``scan()`` and the number of ``IntervalExchange.apply`` calls it made."""
+    apply = IntervalExchange.apply
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            IntervalExchange, "apply", lambda self, p: calls.append(p) or apply(self, p)
+        )
+        result = scan()
+    return result, len(calls)
+
+
 def joint_apply_calls(monkeypatch, iet, eps) -> int:
     """``apply`` calls of a 5,000-step joint scan from 5/9, after checking its rows.
 
@@ -537,24 +550,34 @@ def joint_apply_calls(monkeypatch, iet, eps) -> int:
     zeros = set(find_zero_sums(iet, f, x, count).times.tolist())
     near = set(near_returns(iet, x, count, eps).times.tolist())
     assert zeros & near and zeros - near
-    apply = IntervalExchange.apply
-    calls = []
-    monkeypatch.setattr(
-        IntervalExchange, "apply", lambda self, p: calls.append(p) or apply(self, p)
-    )
-    joint = joint_zero_returns(iet, f, x, count, eps)
+    joint, calls = apply_calls(monkeypatch, lambda: joint_zero_returns(iet, f, x, count, eps))
     assert joint.times.tolist() == sorted(zeros & near)
     assert all(0 <= d < float(eps) for d in joint.distance.tolist())
-    return len(calls)
+    return calls
 
 
 def test_joint_walks_an_interval_exchange_once(monkeypatch):
     """From 5/9 the dyadic exchange is back at the start after 8 steps.
 
-    The error radius is back too, so the scan walks that lap and one more
-    for the laps algebra: 16 ``apply`` calls for 5,000 steps.
+    The error radius is back too, so the scan walks that one lap and takes
+    every later lap from it: 8 ``apply`` calls for 5,000 steps.
     """
-    assert joint_apply_calls(monkeypatch, IntervalExchange(*DYADIC_IET), Fraction(1, 5)) == 16
+    assert joint_apply_calls(monkeypatch, IntervalExchange(*DYADIC_IET), Fraction(1, 5)) == 8
+
+
+@pytest.mark.parametrize("scan", ["zero", "near"])
+def test_zero_and_near_scans_walk_an_interval_exchange_once(monkeypatch, scan):
+    """The zero and near scans from 5/9 walk the same 8-step lap, and match every step."""
+    iet, f, count, eps = IntervalExchange(*DYADIC_IET), pm_one(), 5_000, Fraction(1, 5)
+    x = FixedReal.of(Fraction(5, 9))
+    if scan == "zero":
+        want = reference_zero_times(iet, f, x, count)
+        got, calls = apply_calls(monkeypatch, lambda: find_zero_sums(iet, f, x, count))
+    else:
+        want = reference_near_times(iet, x, count, eps)
+        got, calls = apply_calls(monkeypatch, lambda: near_returns(iet, x, count, eps))
+    assert got.times.tolist() == want and want
+    assert calls == 8
 
 
 def test_joint_walks_a_non_dyadic_exchange_step_by_step(monkeypatch):
@@ -574,6 +597,22 @@ def test_birkhoff_sums_never_close_a_lap(monkeypatch):
     sums = list(birkhoff_sums(iet, pm_one(), FixedReal.of(Fraction(5, 9)), 1_000))
     assert len(sums) == len(calls) == 1_000
     assert calls[8] == calls[0] == FixedReal.of(Fraction(5, 9))
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        golden,
+        lambda: CircleRotation(AngleSpec.rational(2, 5)),
+        lambda: IntervalExchange(*DYADIC_IET),
+        lambda: IntervalExchange(*NON_DYADIC_IET),
+    ],
+    ids=["irrational", "rational", "dyadic-iet", "non-dyadic-iet"],
+)
+def test_an_empty_near_scan_returns_no_times(base):
+    """``count=0`` walks no step: an empty ``Returns`` on every base."""
+    got = near_returns(base(), Fraction(5, 9), 0, Fraction(1, 5))
+    assert isinstance(got, Returns) and got.times.tolist() == [] and got == []
 
 
 # --------------------------------------------------------------------------- #
@@ -722,6 +761,28 @@ def test_joint_refusal_first_reached_in_a_later_lap(
     assert scan_outcome(joint_zero_returns, iet, f, x, 400, eps) == want
 
 
+@pytest.mark.parametrize(
+    "eps, near_step, joint_step",
+    [(Fraction(1, 5), 2, 2), (Fraction(1, 10), 3, 6), (Fraction(3, 10), 1, 8)],
+)
+def test_a_straddling_zero_is_refused_before_a_later_wall(eps, near_step, joint_step):
+    """A zero whose distance straddles eps names the refusal, not a wall met later.
+
+    From 0 the rounded exchange ``[3/10, 1/5, 1/2]`` never returns to its
+    start and is refused at its own walls at step 9, without a step.  Its
+    exact orbit lies in ``(1/10)Z``, so an eps on that grid straddles at the
+    first zero that meets it (any step, for a near scan), and the scans name
+    that step, as the per-step walk does.
+    """
+    iet, f, x = IntervalExchange(*NON_DYADIC_IET), pm_one(), FixedReal(0)
+    near = scan_outcome(near_returns, iet, x, 100, eps)
+    assert near == scan_outcome(reference_near_times, iet, x, 100, eps)
+    joint = scan_outcome(joint_zero_returns, iet, f, x, 100, eps)
+    assert joint == scan_outcome(reference_joint_rows, iet, f, x, 100, eps)
+    assert (near, joint) == ((PrecisionExhaustedError, near_step),
+                             (PrecisionExhaustedError, joint_step))
+
+
 def test_returns_rows_are_plain_python_views():
     rot, f = golden(), pm_one()
     joint = joint_zero_returns(rot, f, Fraction(1, 10), 10**4, Fraction(1, 100))
@@ -828,16 +889,17 @@ EPS_CASES = {
     den=st.one_of(st.just(ONE), st.integers(1, 10**12)),
 )
 def test_integer_eps_test_matches_the_fraction_interval(k, err, case, den):
-    """The cross-multiplied test decides exactly as the ``interval()`` bounds do.
+    """The integer bound decides exactly as the ``interval()`` bounds do.
 
     ``den = 2**192`` puts eps on the grid, so the interval's ends meet it
-    exactly; other denominators put it between grid points.
+    exactly; other denominators put it between grid points.  No circle
+    distance exceeds 1/2, so a straddle is near when eps > 1/2.
     """
     value = EPS_CASES[case](k, err)
     eps = Fraction(k, ONE) if den == ONE else Fraction(k * den // ONE + 1, den)
     lo, hi = value.interval()
-    want = True if hi < eps else False if lo >= eps else None
-    assert _eps_side(value, eps) == want
+    want = True if hi < eps else False if lo >= eps else True if eps > HALF else None
+    assert _near_side(value, _eps_bound(eps)) == want
 
 
 # --------------------------------------------------------------------------- #
