@@ -23,7 +23,6 @@ from .cocycles import (
 from .errors import (
     BudgetExceededError,
     ConfigError,
-    CrossingBudgetError,
     ErgolabError,
     PrecisionExhaustedError,
     RationalAngleWarning,
@@ -89,7 +88,6 @@ __all__ = [
     "Cmp",
     "ConfigError",
     "ContinuedFraction",
-    "CrossingBudgetError",
     "DEFAULT_RETURN_BUDGET",
     "ErgolabError",
     "ExperimentConfig",

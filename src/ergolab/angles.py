@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .errors import PrecisionExhaustedError, RationalAngleError
-from .fixedpoint import ONE, SCALE, FixedReal
+from .fixedpoint import SCALE, FixedReal
 
 _GUARD_BITS = 32
 
@@ -80,11 +80,7 @@ class AngleSpec:
             p, q = p // g, q // g
             self.p, self.q = p, q
             self.surd = None
-            num = p << SCALE
-            if num % q == 0:
-                self.raw = FixedReal(num // q, 0)
-            else:
-                self.raw = FixedReal((2 * num + q) // (2 * q), 1)
+            self.raw = FixedReal.from_fraction(Fraction(p, q))
         elif kind in ("surd", "preset"):
             assert surd is not None
             a, b, c, d = surd

@@ -33,11 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    CrossingBudgetError,
-    PrecisionExhaustedError,
-    ResonantFrequencyError,
-)
+from .errors import PrecisionExhaustedError, ResonantFrequencyError
 from .fixedpoint import ONE, SCALE, FixedReal, Real, Walls, as_fraction
 from .systems import (
     BaseMap,
@@ -46,7 +42,6 @@ from .systems import (
     SpecialFlowState,
     TorusPoint,
     TorusWinding,
-    default_crossing_budget,
 )
 
 _LOW_BITS = SCALE - 64  # coarse kernel keeps the top 64 of 192 bits
@@ -364,11 +359,7 @@ class IntegralProfile:
 
 
 def _flow_walk(
-    roof: Roof,
-    f: PhaseFunction,
-    state: SpecialFlowState,
-    t_max: Real,
-    max_crossings: int | None = None,
+    roof: Roof, f: PhaseFunction, state: SpecialFlowState, t_max: Real
 ) -> tuple[int, int, Iterator[tuple]]:
     """Walk the special flow from ``state`` to ``t_max`` once, in scaled integers.
 
@@ -382,9 +373,11 @@ def _flow_walk(
     starts at time ``t`` in the state ``(a, b)``, after any gluing, with
     integral ``sigma``, lasts ``dt`` at slope ``v`` and ends on the roof when
     ``on_roof``.  The last piece ends at the horizon.  Each roof crossing
-    applies the base map once and locates the new point's cell once; past
-    the crossing budget the walk raises :class:`CrossingBudgetError`.  A
-    start on or above the roof raises :class:`ValueError`.
+    applies the base map once and locates the new point's cell once.  The
+    horizon bounds the walk: the first crossing uses up the start's room
+    and each later one a whole roof height, so it makes at most
+    ``ceil(t_max / min height)``.  A start on or above the roof raises
+    :class:`ValueError`.
     """
     if f.roof is not roof:
         raise ValueError("phase function was built over a different roof")
@@ -393,9 +386,6 @@ def _flow_walk(
         raise ValueError("t_max must be positive")
     if state.b >= roof.height_at(state.a):
         raise ValueError("state lies on or above the roof")
-    budget = (
-        default_crossing_budget(roof, horizon) if max_crossings is None else max_crossings
-    )
     den = math.lcm(
         horizon.denominator,
         state.b.denominator,
@@ -409,7 +399,7 @@ def _flow_walk(
 
     def segments() -> Iterator[tuple]:
         a, b = state.a, state.b.numerator * (den // state.b.denominator)
-        t = sigma = crossings = 0
+        t = sigma = 0
         while True:
             cell = locate(a)
             cell_tops, cell_vals = tops[cell], vals[cell]
@@ -428,29 +418,19 @@ def _flow_walk(
                 band += 1
             a = apply(a)
             b = 0
-            crossings += 1
-            if crossings > budget:
-                raise CrossingBudgetError(
-                    f"crossing budget exceeded after {crossings} roof crossings"
-                )
 
     return den, vden, segments()
 
 
 def integral_profile(
-    roof: Roof,
-    f: PhaseFunction,
-    state: SpecialFlowState,
-    t_max: Real,
-    max_crossings: int | None = None,
+    roof: Roof, f: PhaseFunction, state: SpecialFlowState, t_max: Real
 ) -> IntegralProfile:
     """Exact orbit-integral profile of the special flow started at ``state``.
 
     One node per band or roof crossing and one at the horizon, from the
     scaled-integer walk; all node times and values are exact rationals.
-    Raises :class:`CrossingBudgetError` past the crossing budget.
     """
-    den, vden, segments = _flow_walk(roof, f, state, t_max, max_crossings)
+    den, vden, segments = _flow_walk(roof, f, state, t_max)
     nodes = [(Fraction(0), Fraction(0))]
     for t, sigma, _, _, dt, v, _ in segments:
         nodes.append((Fraction(t + dt, den), Fraction(sigma + v * dt, den * vden)))
@@ -458,11 +438,7 @@ def integral_profile(
 
 
 def iter_flow_zeros(
-    roof: Roof,
-    f: PhaseFunction,
-    state: SpecialFlowState,
-    t_max: Real,
-    max_crossings: int | None = None,
+    roof: Roof, f: PhaseFunction, state: SpecialFlowState, t_max: Real
 ) -> Iterator[tuple[Fraction, SpecialFlowState]]:
     """Yield ``(t, T_t state)`` at each zero ``0 < t <= t_max`` of the orbit integral.
 
@@ -473,7 +449,7 @@ def iter_flow_zeros(
     state ``(P a, 0)``, whose cell is located like every other base point of
     the walk.  Walks the orbit once and builds ``Fraction``s for zeros only.
     """
-    den, _, segments = _flow_walk(roof, f, state, t_max, max_crossings)
+    den, _, segments = _flow_walk(roof, f, state, t_max)
     for t, sigma, a, b, dt, v, on_roof in segments:
         if sigma == 0:
             if t:

@@ -27,10 +27,6 @@ class BudgetExceededError(ErgolabError):
     """Base class for iteration-budget failures (exit code 3)."""
 
 
-class CrossingBudgetError(BudgetExceededError):
-    """A special-flow step needed more roof crossings than the allowed budget."""
-
-
 class ReturnBudgetError(BudgetExceededError):
     """An induced-map orbit failed to return to the target set within the budget."""
 

@@ -485,7 +485,7 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> Returns:
         raise ValueError("count must be non-negative")
     if isinstance(base, CircleRotation):
         return Returns(_rotation_near_times(base, count, eps))
-    return Returns(_exchange_scan(base, None, FixedReal.of(x).frac(), count, eps).times)
+    return _exchange_scan(base, None, FixedReal.of(x).frac(), count, eps)
 
 
 def joint_zero_returns(
@@ -528,14 +528,15 @@ def _exchange_scan(
     """Times ``1 <= n <= count`` with ``S_n f(x) = 0`` and ``d(S^n x, x) < eps``, on one walk.
 
     ``f=None`` keeps every time (a near scan) and ``eps=None`` every zero (a
-    zero scan, without a distance column).  :func:`_exchange_lap` walks one
-    lap, and every later lap repeats it.  A zero at time ``n`` takes the
+    zero scan); neither has a distance column.  :func:`_exchange_lap` walks
+    one lap, and every later lap repeats it.  A zero at time ``n`` takes the
     distance of its residue; the first whose residue straddles eps raises
-    with ``step=n``, the step a per-step walk names.
+    with ``step=n``, the step a per-step walk names.  Every step of a near
+    scan is a zero, so its straddles have already raised in the walk.
     """
     prefix, kept, distances = _exchange_lap(base, f, x, count, eps)
     times = _lap_zero_times(prefix, count, kept)
-    if eps is None:
+    if eps is None or f is None:
         return Returns(times)
     lap = len(prefix) - 1
     distance = np.array(distances, dtype=np.float64)[np.searchsorted(kept, (times - 1) % lap + 1)]
@@ -557,13 +558,16 @@ def _exchange_lap(
     (``kept`` is None).  With eps, ``kept`` lists the ascending residues
     whose point is near or straddles eps, and ``distances`` their
     distances, NaN for a straddle; a zero that straddles raises at once
-    with its step, before a later refusal of the walk could hide it.
+    with its step, before a later refusal of the walk could hide it.  A
+    point's radius never shrinks along the walk, so once it has outgrown
+    the start's the walk cannot close and only zeros can be reported: eps
+    is decided only at a zero or at the start's radius.
     """
     bound = None if eps is None else _eps_bound(eps)
     prefix, kept, distances = [0], None if eps is None else [], []
     for r, (total, p) in enumerate(guarded_walk(base, f, x, count), start=1):
         prefix.append(total)
-        if bound is not None:
+        if bound is not None and (total == 0 or p.err_ulps == x.err_ulps):
             d = circle_distance(p, x)
             side = _near_side(d, bound)
             if side is None and total == 0:
@@ -604,7 +608,6 @@ def flow_zero_set_returns(
     t_max: Real,
     target: TargetSet,
     allow_zero_value: bool = False,
-    max_crossings: int | None = None,
 ) -> Returns:
     """Times ``0 < t <= t_max`` with orbit integral exactly 0 and ``T_t x`` in the target.
 
@@ -618,7 +621,7 @@ def flow_zero_set_returns(
     """
     _flow_preamble(roof, f, start, allow_zero_value, "the flow zero/set scan")
     # the walk ends before any membership test, so a walk error comes first
-    zeros = list(iter_flow_zeros(roof, f, start, t_max, max_crossings))
+    zeros = list(iter_flow_zeros(roof, f, start, t_max))
     times = [t for t, state in zeros if target.contains_state(state)]
     return Returns(times, value=Fraction(0), in_set=True)
 
@@ -630,7 +633,6 @@ def flow_zero_near_returns(
     t_max: Real,
     eps: Real,
     allow_zero_value: bool = False,
-    max_crossings: int | None = None,
 ) -> Returns:
     """Times with vanishing orbit integral and phase point ``eps``-close to the start.
 
@@ -673,7 +675,7 @@ def flow_zero_near_returns(
         raise ValueError("eps must be positive")
     _flow_preamble(system, f, start, allow_zero_value, "the flow zero/near scan")
     # the walk ends before any eps test, so a walk error comes first
-    zeros = list(iter_flow_zeros(system, f, start, t_max, max_crossings))
+    zeros = list(iter_flow_zeros(system, f, start, t_max))
     bound = _eps_bound(eps)
     times, distances = [], []
     for t, state in zeros:

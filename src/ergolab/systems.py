@@ -8,13 +8,12 @@ exact (see :mod:`ergolab.cocycles`).
 """
 from __future__ import annotations
 
-import math
 import warnings
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .angles import AngleSpec
-from .errors import CrossingBudgetError, RationalAngleWarning
+from .errors import RationalAngleWarning
 from .fixedpoint import (
     ONE,
     FixedReal,
@@ -202,7 +201,7 @@ class Roof:
     these values and must stay exactly rational.
     """
 
-    __slots__ = ("walls", "heights", "base", "_heights_fr", "min_height")
+    __slots__ = ("walls", "heights", "base", "_heights_fr")
 
     def __init__(self, breakpoints: Sequence[Real], heights: Sequence[Real], base: BaseMap):
         self.walls = Walls([FixedReal.of(b) for b in breakpoints])
@@ -216,7 +215,6 @@ class Roof:
         self.heights = heights
         self.base = base
         self._heights_fr = tuple(h.to_fraction() for h in heights)
-        self.min_height = min(self._heights_fr)
 
     @classmethod
     def constant(cls, height: Real, base: BaseMap) -> "Roof":
@@ -266,29 +264,21 @@ class SpecialFlowState:
         return f"SpecialFlowState(a={float(self.a):.12f}, b={self.b})"
 
 
-def default_crossing_budget(roof: Roof, duration: Fraction) -> int:
-    """Crossings cannot exceed duration / min height (plus the partial first cell)."""
-    return int(math.ceil(duration / roof.min_height)) + 2
-
-
 def special_flow_step(
-    roof: Roof,
-    state: SpecialFlowState,
-    t: Real,
-    max_crossings: int | None = None,
+    roof: Roof, state: SpecialFlowState, t: Real
 ) -> tuple[SpecialFlowState, int]:
     """Flow ``(a, b)`` upward for duration ``t``, gluing ``(a, r(a)) ~ (P a, 0)``.
 
     Returns the final state and the number of roof crossings.  When the
     residual time lands exactly on the roof the gluing applies (the new
-    state has height 0, matching the half-open convention).  Raises
-    :class:`CrossingBudgetError` if more than ``max_crossings`` crossings
-    are needed, and :class:`ValueError` for a start on or above the roof.
+    state has height 0, matching the half-open convention).  The first
+    crossing uses up the start's room ``r(a) - b > 0`` and each later one a
+    whole roof height, so there are at most ``ceil(t / min height)``.
+    Raises :class:`ValueError` for a start on or above the roof.
     """
     remaining = as_fraction(t)
     if remaining < 0:
         raise ValueError("flow duration must be non-negative")
-    budget = default_crossing_budget(roof, remaining) if max_crossings is None else max_crossings
     a, b = state.a, state.b
     room = roof.height_at(a) - b
     if room <= 0:
@@ -299,10 +289,6 @@ def special_flow_step(
         a = roof.base.apply(a)
         b = Fraction(0)
         crossings += 1
-        if crossings > budget:
-            raise CrossingBudgetError(
-                f"crossing budget exceeded after {crossings} roof crossings"
-            )
         room = roof.height_at(a)
     return SpecialFlowState(a, b + remaining), crossings
 

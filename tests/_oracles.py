@@ -28,10 +28,10 @@ import numpy as np
 
 from ergolab import cocycles, recurrence
 from ergolab.cocycles import IntegralProfile
-from ergolab.errors import CrossingBudgetError, PrecisionExhaustedError
+from ergolab.errors import PrecisionExhaustedError
 from ergolab.fixedpoint import ONE, SCALE, FixedReal
 from ergolab.stats import decimal_string
-from ergolab.systems import default_crossing_budget, special_flow_step
+from ergolab.systems import special_flow_step
 
 HALF = Fraction(1, 2)
 
@@ -187,20 +187,15 @@ def reference_csv_bytes(header, rows, digits: int) -> bytes:
     return buffer.getvalue().encode("ascii")
 
 
-def reference_profile_nodes(roof, f, state, t_max, max_crossings=None):
+def reference_profile_nodes(roof, f, state, t_max):
     """Orbit-integral nodes of a special flow by a ``Fraction`` walk, event by event.
 
-    Band tops, then the roof gluing; past the crossing budget it raises
-    :class:`CrossingBudgetError`.
+    Band tops, then the roof gluing, up to the horizon.
     """
     horizon = Fraction(t_max)
-    budget = (
-        default_crossing_budget(roof, horizon) if max_crossings is None else max_crossings
-    )
     a, b = state.a, state.b
     t = sigma = Fraction(0)
     nodes = [(t, sigma)]
-    crossings = 0
     while True:
         cell = roof.cell_of(a)
         tops, vals = f.band_tops[cell], f.band_values[cell]
@@ -218,14 +213,11 @@ def reference_profile_nodes(roof, f, state, t_max, max_crossings=None):
             band += 1
         a = roof.base.apply(a)
         b = Fraction(0)
-        crossings += 1
-        if crossings > budget:
-            raise CrossingBudgetError(f"crossing budget exceeded after {crossings} crossings")
 
 
-def reference_flow_zero_states(roof, f, start, t_max, max_crossings=None):
+def reference_flow_zero_states(roof, f, start, t_max):
     """``(t, state)`` at each profile zero, re-stepped with ``special_flow_step``."""
-    nodes = reference_profile_nodes(roof, f, start, t_max, max_crossings)
+    nodes = reference_profile_nodes(roof, f, start, t_max)
     out = []
     state, t_cur = start, Fraction(0)
     for t in IntegralProfile(nodes).zeros():
@@ -235,13 +227,13 @@ def reference_flow_zero_states(roof, f, start, t_max, max_crossings=None):
     return out
 
 
-def reference_flow_set_rows(roof, f, start, t_max, target, max_crossings=None):
+def reference_flow_set_rows(roof, f, start, t_max, target):
     """``(time, value, in_set)`` rows of the flow zero/set scan."""
-    zeros = reference_flow_zero_states(roof, f, start, t_max, max_crossings)
+    zeros = reference_flow_zero_states(roof, f, start, t_max)
     return [(t, Fraction(0), True) for t, state in zeros if target.contains_state(state)]
 
 
-def reference_flow_near_rows(roof, f, start, t_max, eps, max_crossings=None):
+def reference_flow_near_rows(roof, f, start, t_max, eps):
     """``(time, value, distance)`` rows of the flow zero/near scan.
 
     The base distance is known to within the summed error radii of the two
@@ -250,7 +242,7 @@ def reference_flow_near_rows(roof, f, start, t_max, eps, max_crossings=None):
     :class:`PrecisionExhaustedError` where the interval straddles eps.
     """
     rows = []
-    for t, state in reference_flow_zero_states(roof, f, start, t_max, max_crossings):
+    for t, state in reference_flow_zero_states(roof, f, start, t_max):
         base = circle_distance(Fraction(start.a.mantissa, ONE), Fraction(state.a.mantissa, ONE))
         radius = Fraction(start.a.err_ulps + state.a.err_ulps, ONE)
         height = abs(start.b - state.b)

@@ -26,7 +26,6 @@ from ergolab.cocycles import (
     winding_zero_times,
 )
 from ergolab.errors import (
-    CrossingBudgetError,
     PrecisionExhaustedError,
     ResonantFrequencyError,
 )
@@ -447,12 +446,6 @@ def test_lebesgue_density_piecewise():
     x = SpecialFlowState(Fraction(3, 4), Fraction(1, 8))
     t = Fraction(1, 16)
     assert orbit_integral(roof, f, x, t) / t == f.value_at(x) == -1
-
-
-def test_profile_budget_guard():
-    roof, f = halves_flow(1, 2)
-    with pytest.raises(CrossingBudgetError):
-        integral_profile(roof, f, SpecialFlowState(0), 100, max_crossings=5)
 
 
 @pytest.mark.parametrize("height", [1, 3], ids=["on-roof", "above-roof"])

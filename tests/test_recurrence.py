@@ -586,6 +586,25 @@ def test_joint_walks_a_non_dyadic_exchange_step_by_step(monkeypatch):
     assert joint_apply_calls(monkeypatch, iet, Fraction(3, 20)) == 5_000
 
 
+def test_a_walk_that_cannot_close_tests_eps_at_its_zeros_only(monkeypatch):
+    """Once a point's radius outgrows the start's, eps is decided at zeros alone.
+
+    Every offset of the non-dyadic exchange carries an error radius, so from
+    1/7 the radius grows at the first step and the walk can never be back at
+    its start: one ``circle_distance`` call per zero, not one per step.
+    """
+    iet, f, x, count = IntervalExchange(*NON_DYADIC_IET), pm_one(), Fraction(1, 7), 20_000
+    eps = Fraction(3, 5)
+    zeros = find_zero_sums(iet, f, x, count).times.tolist()
+    distance = recurrence.circle_distance
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(recurrence, "circle_distance", lambda p, q: calls.append(p) or distance(p, q))
+        joint = joint_zero_returns(iet, f, x, count, eps)
+    assert joint.times.tolist() == zeros and zeros
+    assert len(calls) == len(zeros) < count
+
+
 def test_birkhoff_sums_never_close_a_lap(monkeypatch):
     """The reference walks every step even where the orbit returns after 8."""
     iet = IntervalExchange(*DYADIC_IET)
@@ -1227,12 +1246,11 @@ def flow_cases(draw):
         times = [t for t, _ in nodes[1:]] if landing == "node" else IntegralProfile(nodes).zeros()
         if times:
             t_max = draw(st.sampled_from(times))
-    max_crossings = draw(st.one_of(st.none(), st.integers(0, 40)))
     cuts = sorted(draw(st.sets(st.sampled_from(TARGET_CUTS), min_size=2, max_size=4)))
     band = draw(st.sampled_from([None, (0, HALF), (THIRD, 2)]))
     target = TargetSet(list(zip(cuts[::2], cuts[1::2])), band=band)
     eps = draw(st.sampled_from([Fraction(1, 50), Fraction(1, 10), THIRD, Fraction(1)]))
-    return roof, f, start, t_max, max_crossings, target, eps
+    return roof, f, start, t_max, target, eps
 
 
 def outcome(run):
@@ -1252,21 +1270,17 @@ def flow_rows(returns: Returns, column: str) -> list[tuple]:
 @given(case=flow_cases())
 def test_one_flow_walk_matches_the_two_walk_reference(case):
     """Profile nodes and detector rows equal the Fraction walk plus re-stepping, refusals included."""
-    roof, f, start, t_max, max_crossings, target, eps = case
+    roof, f, start, t_max, target, eps = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RationalAngleWarning)
-        nodes = outcome(lambda: cocycles.integral_profile(roof, f, start, t_max, max_crossings).nodes)
+        nodes = outcome(lambda: cocycles.integral_profile(roof, f, start, t_max).nodes)
         in_set = outcome(lambda: flow_rows(flow_zero_set_returns(
-            roof, f, start, t_max, target, True, max_crossings), "in_set"))
+            roof, f, start, t_max, target, True), "in_set"))
         near = outcome(lambda: flow_rows(flow_zero_near_returns(
-            roof, f, start, t_max, eps, True, max_crossings=max_crossings), "distance"))
-    assert nodes == outcome(lambda: reference_profile_nodes(roof, f, start, t_max, max_crossings))
-    assert in_set == outcome(
-        lambda: reference_flow_set_rows(roof, f, start, t_max, target, max_crossings)
-    )
-    assert near == outcome(
-        lambda: reference_flow_near_rows(roof, f, start, t_max, eps, max_crossings)
-    )
+            roof, f, start, t_max, eps, True), "distance"))
+    assert nodes == outcome(lambda: reference_profile_nodes(roof, f, start, t_max))
+    assert in_set == outcome(lambda: reference_flow_set_rows(roof, f, start, t_max, target))
+    assert near == outcome(lambda: reference_flow_near_rows(roof, f, start, t_max, eps))
 
 
 def test_winding_near_returns_unit_eps_gives_half_grid():

@@ -1,4 +1,5 @@
 """Base systems: rotations, interval exchanges, torus windings, special flows."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.angles import AngleSpec
-from ergolab.errors import CrossingBudgetError
 from ergolab.fixedpoint import FixedReal, ONE
 from ergolab.systems import (
     CircleRotation,
@@ -206,12 +206,6 @@ def test_flow_period_two_returns_home():
     assert state.b == 0
 
 
-def test_crossing_budget_raises():
-    roof = unit_roof(AngleSpec.rational(1, 2))
-    with pytest.raises(CrossingBudgetError):
-        special_flow_step(roof, SpecialFlowState(0), 100, max_crossings=3)
-
-
 def test_variable_roof_heights_are_exact():
     base = CircleRotation(AngleSpec.rational(1, 2))
     roof = Roof([0, Fraction(1, 2)], [Fraction(1, 2), Fraction(3, 2)], base)
@@ -249,6 +243,39 @@ def test_flow_semigroup_law(a_num, b_num, t_num, u_num):
     assert k_direct == k1 + k2
     assert direct.a == final.a
     assert direct.b == final.b
+
+
+BASES = [
+    CircleRotation(AngleSpec.preset("golden")),
+    CircleRotation(AngleSpec.rational(3, 8)),
+    IntervalExchange([Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 4)], [4, 3, 2, 1]),
+]
+
+
+@settings(max_examples=300)
+@given(
+    base=st.sampled_from(BASES),
+    inner=st.sets(st.integers(min_value=1, max_value=15), max_size=3),
+    data=st.data(),
+)
+def test_the_horizon_bounds_the_roof_crossings(base, inner, data):
+    """Within time t a special flow crosses its roof at most ceil(t / min height) times.
+
+    The first crossing uses up the start's room ``r(a) - b > 0`` and each
+    later one a whole roof height, so ``c`` crossings take more than
+    ``(c - 1) min height``: the walks need no crossing budget of their own.
+    """
+    walls = [Fraction(0)] + [Fraction(k, 16) for k in sorted(inner)]
+    heights = [
+        Fraction(data.draw(st.integers(1, 40)), data.draw(st.sampled_from([1, 2, 4, 8])))
+        for _ in walls
+    ]
+    roof = Roof(walls, heights, base)
+    a = SpecialFlowState(Fraction(data.draw(st.integers(0, 63)), 64)).a
+    start = SpecialFlowState(a, roof.height_at(a) * Fraction(data.draw(st.integers(0, 63)), 64))
+    t = Fraction(data.draw(st.integers(0, 400)), data.draw(st.sampled_from([1, 2, 3, 7])))
+    _, crossings = special_flow_step(roof, start, t)
+    assert crossings <= math.ceil(t / min(heights))
 
 
 def test_flow_distance_is_max_metric():
