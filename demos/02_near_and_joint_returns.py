@@ -3,7 +3,8 @@
 A rotation orbit comes back within eps of its start along the
 continued-fraction denominators; independently, the +-1 step cocycle
 sums to zero on its own schedule.  The joint detector intersects the
-two and reports how close each surviving time gets.
+two and reports how close each surviving time gets.  A long sparse scan
+shows the three gaps between near times.
 """
 from fractions import Fraction
 
@@ -37,3 +38,11 @@ for horizon in (1_000, 10_000, 100_000):
     events = joint_zero_returns(base, f, x0, horizon, Fraction(1, 10))
     best = min(rec.distance for rec in events)
     print(f"horizon {horizon:6d}: {len(events):5d} events, closest approach {best:.3e}")
+
+# 3. a long horizon: sqrt2 within 1e-6 over 10^10 steps.  Near times are
+# sparse here, so the scan walks only the returns of n*alpha to the eps arc,
+# which by the three-gap theorem come after one of three gaps
+root2 = CircleRotation(AngleSpec.preset("sqrt2"))
+far = near_returns(root2, 0, 10**10, Fraction(1, 10**6)).times.tolist()
+print(f"\nsqrt2 near-returns up to 10^10 (eps=1e-6): {len(far)}, first {far[:3]}")
+print("gaps between them:", sorted({b - a for a, b in zip(far, far[1:])}))

@@ -15,14 +15,15 @@ The module also houses the one certified cell classifier for rotation
 orbits, :func:`certified_cells`: a numpy scan of one start or a batch of
 starts that classifies points by their top 64 mantissa bits and decides
 the (provably few) steps whose interval comes near a wall with full
-192-bit guarded arithmetic.  Zero-sum scans and near-return times (cells
-of the displacement ``n alpha`` against walls at the eps boundaries) run
-on it, and its cells equal those of :func:`guarded_walk`, the only guarded
-per-step orbit loop, on which Birkhoff sums, interval-exchange zero, near,
-joint and excess scans, induced excursions and skew orbits run (a near
-scan walks without a cocycle).  The interval-exchange scans stop the walk
-where it returns exactly to its start, so a periodic orbit costs one lap;
-:func:`birkhoff_sums`, the reference, walks every step.
+192-bit guarded arithmetic.  Zero-sum scans and dense near-return times
+(cells of the displacement ``n alpha`` against walls at the eps
+boundaries) run on it, and its cells equal those of :func:`guarded_walk`,
+the only guarded per-step orbit loop, on which Birkhoff sums,
+interval-exchange zero, near, joint and excess scans, induced excursions
+and skew orbits run (a near scan walks without a cocycle).  The
+interval-exchange scans stop the walk where it returns exactly to its
+start, so a periodic orbit costs one lap; :func:`birkhoff_sums`, the
+reference, walks every step.
 """
 from __future__ import annotations
 

@@ -21,9 +21,12 @@ infinitely often:
 Everything that can be exact is exact: integer sums, rational zero times,
 rational angles on exact integer grids.  Guarded fixed-point comparisons
 back the rest; an undecidable comparison raises ``PrecisionExhaustedError``
-rather than silently guessing.  Each rotation scan has one engine: zero
-sums run the certified cell kernel (or, from an exact start, a rational
-lap), and excess estimates sweep jump points, ``p/q`` on ``q 2**64`` points.
+rather than silently guessing.  Zero sums on a rotation run the certified
+cell kernel (or, from an exact start, a rational lap), and excess estimates
+sweep jump points, ``p/q`` on ``q 2**64`` points.  Irrational near times
+run the kernel where they are dense and a three-gap walk of the returns
+of ``n alpha`` where they are sparse; the two give the same times and
+refusals.
 
 Periodic orbits cost one lap.  A rational angle's lap is stepped in
 integers.  Interval-exchange zero, near, joint and excess scans walk one
@@ -64,6 +67,7 @@ from .errors import (
     ZeroValueStartError,
 )
 from .fixedpoint import (
+    MAX_ERR_ULPS,
     ONE,
     SCALE,
     FixedReal,
@@ -387,6 +391,75 @@ def _lap_zero_times(prefix: Sequence[int], count: int, residues=None) -> np.ndar
     return np.array(sorted(times), dtype=np.int64)
 
 
+def least_multiple_in_range(a: int, m: int, lo: int, hi: int) -> int | None:
+    """The least ``x >= 0`` with ``lo <= a x mod m <= hi``, or None if there is none.
+
+    ``0 <= lo`` and ``hi < m``; an empty range (``lo > hi``) has none.  If
+    no multiple of ``a`` lies in ``[lo, hi]``, the least ``x`` has
+    ``a x - m y`` in it for the least ``y >= 1`` with ``m y mod a`` in
+    ``[-hi mod a, -lo mod a]``: the same question on ``(m mod a, a)``, so
+    the recursion takes Euclid's O(log m) steps on exact integers.
+    """
+    if lo > hi:
+        return None
+    if lo == 0:
+        return 0
+    a %= m
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    y = least_multiple_in_range(m % a, a, -hi % a, -lo % a)
+    return None if y is None else -(-(lo + m * y) // a)
+
+
+def _first_entry(a: int, m: int, start: int, length: int) -> int | None:
+    """The least ``n >= 1`` with ``n a mod m`` in the arc ``[start, start + length)`` mod m."""
+    lo = (start - a) % m  # where (n - 1) a must land
+    if lo + length > m:  # that arc holds 0: n = 1
+        return 1
+    x = least_multiple_in_range(a, m, lo, lo + length - 1)
+    return None if x is None else x + 1
+
+
+def return_gaps(a: int, m: int, length: int) -> tuple[int, int | None]:
+    """``(t1, t2)``: the least ``n >= 1`` with ``n a mod m`` in ``[0, length)`` and in ``(m - length, m)``.
+
+    ``1 <= length <= m``.  By the three-gap theorem (Sos 1958, Slater 1967)
+    a point of an arc of that length returns to it after ``t1``, ``t2`` or
+    ``t1 + t2`` steps, so no return gap is below ``min(t1, t2)``.  ``t2``
+    is None where no step lands in ``(m - length, m)``; then ``t1`` is
+    the period of ``n a mod m`` and every return takes it.
+    """
+    return _first_entry(a, m, 0, length), _first_entry(a, m, m - length + 1, length - 1)
+
+
+def arc_returns(a: int, m: int, start: int, length: int, count: int) -> list[int]:
+    """The ascending times ``1 <= n <= count`` with ``n a mod m`` in ``[start, start + length)`` mod m.
+
+    ``1 <= length <= m``.  Three-gap walk: with ``(t1, t2)`` of
+    :func:`return_gaps`, ``d1 = t1 a mod m`` and ``d2 = -t2 a mod m``, a
+    point ``y`` past the arc's start returns after ``t1`` steps if
+    ``y + d1 < length``, else after ``t2`` if ``y >= d2``, else after
+    ``t1 + t2``.  Exact integers throughout, one iteration per time.
+    """
+    t1, t2 = return_gaps(a, m, length)
+    d1, d2 = t1 * a % m, m if t2 is None else -t2 * a % m
+    n = _first_entry(a, m, start, length) or count + 1  # None: no step lands in the arc
+    y = (n * a - start) % m
+    times = []
+    while n <= count:
+        times.append(n)
+        if y + d1 < length:
+            n, y = n + t1, y + d1
+        elif y >= d2:
+            n, y = n + t2, y - d2
+        else:
+            n, y = n + t1 + t2, y + d1 - d2
+    return times
+
+
 def _rational_residue_distances(alpha: Fraction) -> list[Fraction]:
     """Circle distance ``||n alpha||`` as a function of ``n mod q`` (exact)."""
     q = alpha.denominator
@@ -443,6 +516,16 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
     return _exchange_scan(base, f, x, count, None)
 
 
+# The walk costs 1-2 us per listed step, its 192-bit test included, and the
+# kernel 4-6 ns per step at 10**5 to 10**7 steps (Python 3.11, 2 shared
+# CPUs), so with every gap at least 250 steps the walk is at worst about
+# as fast.  Measured on golden, sqrt2 and (1 + sqrt 3)/4 at eps 1/30 to
+# 1/2000: the walk took 0.25-0.81 of the kernel's time where min(t1, t2)
+# was 233 to 610, 0.5-1.5 times it at 144 and 169, and 1.1-20 times it at
+# 3 to 89.
+_WALK_MIN_GAP = 250
+
+
 def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.ndarray:
     """Sorted int64 times ``1 <= n <= count`` with ``||n alpha|| < eps``, for any start.
 
@@ -452,6 +535,13 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     cell 0 of the walls ``{0, 2 lo - 1}``, so both walls are eps boundaries
     and a refusal names the step whose interval straddles eps.  No circle
     distance exceeds 1/2, so a larger eps takes every time.
+
+    Sparse scans take :func:`_near_walk` instead, which visits only the
+    returns to that arc: its iterations are at most ``count / min(t1, t2)``
+    (:func:`return_gaps`), so it runs where that gap is at least
+    ``_WALK_MIN_GAP`` and every radius is one :meth:`Walls.locate` accepts.
+    Both engines give the same times, refusal step and message; a horizon
+    past the kernel's error margin always takes the kernel, which refuses it.
     """
     if base.is_rational:
         dist = _rational_residue_distances(base.alpha.as_fraction())
@@ -460,7 +550,12 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     lo = _eps_bound(eps)
     if lo > ONE >> 1:
         return np.arange(1, count + 1, dtype=np.int64)
+    alpha = base.alpha.resolved
     walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
+    if (count + 1) * alpha.err_ulps <= MAX_ERR_ULPS:  # far inside the kernel's margin
+        t1, t2 = return_gaps(alpha.mantissa, ONE, _near_arc(alpha, lo, count)[1])
+        if min(t1, t2 or t1) >= _WALK_MIN_GAP:  # t2 None: every gap is t1
+            return _near_walk(alpha, walls, lo, count)
     chunks = [
         np.flatnonzero(cells[0] == 0) + offset
         for offset, cells in certified_cells(base, walls, FixedReal(lo - 1), count + 1)
@@ -468,12 +563,42 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     return _concat_times(chunks)[1:]  # step 0 is the start itself
 
 
+def _near_arc(alpha: FixedReal, lo: int, count: int) -> tuple[int, int]:
+    """``(start, length)`` of the near arc ``[1 - lo, lo)`` widened by ``count err(alpha) + 2`` ulps each way."""
+    widen = count * alpha.err_ulps + 2
+    return (1 - lo - widen) % ONE, min(2 * (lo + widen) - 1, ONE)
+
+
+def _near_walk(alpha: FixedReal, walls: Walls, lo: int, count: int) -> np.ndarray:
+    """The near times of :func:`_rotation_near_times` from the returns of ``n alpha`` to the widened arc.
+
+    :func:`arc_returns` lists, exactly, every step whose displacement lies
+    in :func:`_near_arc`; a step outside it is at least ``count err(alpha)
+    + 2`` ulps, more than its radius, past both eps walls, so it is far.
+    Each candidate is placed by the kernel's own 192-bit test against
+    ``walls``, ``{0, 2 lo - 1}``, from the point ``lo - 1``, in step order,
+    so a refusal carries the step and message of :func:`certified_cells`.
+    The radius must stay within :data:`MAX_ERR_ULPS`: past it that test
+    refuses every step, where the kernel still places a step far from the
+    walls by its 64-bit word.
+    """
+    a_m, a_e = alpha.mantissa, alpha.err_ulps
+    times = [
+        n for n in arc_returns(a_m, ONE, *_near_arc(alpha, lo, count), count)
+        if _exact_cell(walls, (lo - 1 + n * a_m) % ONE, n * a_e, n) == 0
+    ]
+    return np.array(times, dtype=np.int64)
+
+
 def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> Returns:
     """All times ``1 <= n <= count`` with circle distance ``d(S^n x, x) < eps``.
 
     For rotations the distance is ``||n alpha||`` independently of the
-    start, so the scan is a pure displacement test (exact residue table
-    when alpha is rational, the certified cell kernel otherwise).  Interval
+    start, so the scan is a pure displacement test: an exact residue table
+    when alpha is rational; otherwise the certified cell kernel, or, when
+    near times are at least ``_WALK_MIN_GAP`` steps apart, a walk over the
+    returns of ``n alpha`` to the eps arc that costs one step per near time
+    (:func:`_rotation_near_times`).  Interval
     exchanges run :func:`_exchange_scan` without a cocycle.  No circle
     distance exceeds 1/2, so an eps above 1/2 takes every step on any base.
     The result has an int64 ``times`` column and no distances.
@@ -557,7 +682,8 @@ def _exchange_lap(
     ``prefix`` holds ``S_0..S_L``.  Without eps every residue is kept
     (``kept`` is None).  With eps, ``kept`` lists the ascending residues
     whose point is near or straddles eps, and ``distances`` their
-    distances, NaN for a straddle; a zero that straddles raises at once
+    distances, NaN for a straddle, when there is a cocycle (a near scan
+    keeps none); a zero that straddles raises at once
     with its step, before a later refusal of the walk could hide it.  A
     point's radius never shrinks along the walk, so once it has outgrown
     the start's the walk cannot close and only zeros can be reported: eps
@@ -574,7 +700,8 @@ def _exchange_lap(
                 raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=r)
             if side is not False:
                 kept.append(r)
-                distances.append(float(d) if side else np.nan)  # NaN: it straddles eps
+                if f is not None:  # a near scan keeps the times alone
+                    distances.append(float(d) if side else np.nan)  # NaN: it straddles eps
         if p == x:  # back at the start: every later lap repeats this one
             break
     return prefix, kept, distances

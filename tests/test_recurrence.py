@@ -10,7 +10,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import cocycles, recurrence
-from ergolab.angles import AngleSpec
+from ergolab.angles import AngleSpec, cf_convergents
 from ergolab.cocycles import (
     IntegralProfile,
     PhaseFunction,
@@ -23,7 +23,7 @@ from ergolab.errors import (
     RationalAngleWarning,
     ZeroValueStartError,
 )
-from ergolab.fixedpoint import ONE, SCALE, FixedReal
+from ergolab.fixedpoint import MAX_ERR_ULPS, ONE, SCALE, FixedReal
 from ergolab.recurrence import (
     CascadeState,
     Returns,
@@ -416,6 +416,205 @@ def test_an_angle_within_one_ulp_of_half_refuses_only_up_to_half():
     every = [1, 2, 3, 4, 5, 6]
     assert reference_rotation_near_times(rotation, 6, HALF + TINY) == every
     assert near_returns(rotation, 0, 6, HALF + TINY).times.tolist() == every
+
+
+# --------------------------------------------------------------------------- #
+# the three-gap walk of sparse rotation near scans
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def multiple_cases(draw):
+    """``(a, m, lo, hi)`` with ``m <= 2**12``: shared factors, ``a = 0``, ``lo = 0``, empty ranges."""
+    d = draw(st.sampled_from([1, 1, 2, 3, 8, 64]))
+    m = d * draw(st.integers(1, (1 << 12) // d))
+    a = d * draw(st.integers(0, 2 * m // d))
+    lo = draw(st.one_of(st.just(0), st.integers(0, m - 1)))
+    hi = draw(st.integers(0, m - 1))
+    return a, m, lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=multiple_cases())
+@example(case=(0, 97, 0, 5))
+@example(case=(0, 97, 1, 96))
+@example(case=(6, 36, 1, 5))
+@example(case=(6, 36, 7, 11))
+@example(case=(5, 36, 9, 8))
+def test_least_multiple_in_range_matches_brute_force(case):
+    """The Euclid-like recursion finds the least ``x`` with ``lo <= a x mod m <= hi``.
+
+    ``a x mod m`` repeats with a period dividing ``m``, so ``x < m`` covers it.
+    """
+    a, m, lo, hi = case
+    want = next((x for x in range(m) if lo <= a * x % m <= hi), None)
+    assert recurrence.least_multiple_in_range(a, m, lo, hi) == want
+    event("none" if want is None else "found")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_arc_returns_match_brute_force(data):
+    """The three-gap walk lists every time ``n a mod m`` lands in the arc, on any modulus."""
+    d = data.draw(st.sampled_from([1, 1, 2, 4, 6]))
+    m = d * data.draw(st.integers(1, 256 // d))
+    a = data.draw(st.integers(0, 2 * m))
+    start = data.draw(st.integers(0, m - 1))
+    length = data.draw(st.integers(1, m))
+    count = data.draw(st.integers(0, 3 * m))
+    want = [n for n in range(1, count + 1) if (n * a - start) % m < length]
+    assert recurrence.arc_returns(a, m, start, length, count) == want
+    t1, t2 = recurrence.return_gaps(a, m, length)
+    assert t1 == next(n for n in range(1, m + 1) if n * a % m < length)
+    assert t2 == next((n for n in range(1, m + 1) if n * a % m > m - length), None)
+
+
+def refuse_kernel(*args, **kwargs):
+    raise AssertionError("the near scan ran the cell kernel")
+
+
+def refuse_walk(*args, **kwargs):
+    raise AssertionError("the near scan took the three-gap walk")
+
+
+def engine_outcome(engine: str, rotation, count: int, eps: Fraction):
+    """One engine's near times, or the type, message and step of its refusal.
+
+    ``walk`` lowers the crossover gap to 1 and refuses the cell kernel, so
+    every scan that reaches an engine takes the walk; ``kernel`` does the
+    opposite.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if engine == "walk":
+            patch.setattr(recurrence, "_WALK_MIN_GAP", 1)
+            patch.setattr(recurrence, "certified_cells", refuse_kernel)
+        else:
+            patch.setattr(recurrence, "_WALK_MIN_GAP", math.inf)
+            patch.setattr(recurrence, "_near_walk", refuse_walk)
+        try:
+            return near_list(rotation, 0, count, eps)
+        except PrecisionExhaustedError as exc:
+            return type(exc), str(exc), exc.step
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=rotation_near_cases())
+def test_the_walk_engine_matches_the_oracle_and_the_kernel(case):
+    """The walk, forced past the crossover rule, gives the oracle's times and refusal step.
+
+    Its refusals carry the cell kernel's type, message and step as well,
+    and a joint scan on the walk keeps the oracle's rows.
+    """
+    rotation, count, eps = case
+    walk = engine_outcome("walk", rotation, count, eps)
+    want = scan_outcome(reference_rotation_near_times, rotation, count, eps)
+    assert walk == engine_outcome("kernel", rotation, count, eps)
+    x = Fraction(1, 10)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recurrence, "_WALK_MIN_GAP", 1)
+        joint = scan_outcome(joint_zero_returns, rotation, pm_one(), x, count, eps)
+    if isinstance(want, tuple):
+        assert (walk[0], walk[2]) == want == joint
+        event("refused")
+    else:
+        assert walk == want
+        assert joint == rotation_joint_oracle(rotation, pm_one(), x, count, eps)
+        event("decided")
+
+
+# golden, sqrt2 and a surd of the benchmark's (a + b sqrt(c)) / d family
+LONG_ANGLES = {
+    "golden": AngleSpec.preset("golden"),
+    "sqrt2": AngleSpec.preset("sqrt2"),
+    "(2+sqrt11)/7": AngleSpec.quadratic(2, 1, 11, 7),
+}
+
+
+@pytest.mark.parametrize("angle", LONG_ANGLES)
+@pytest.mark.parametrize("count", [10**6, 10**7])
+@pytest.mark.parametrize("eps", [Fraction(1, 997), Fraction(1, 1_000_003), Fraction(1, 10**9)], ids=str)
+def test_the_walk_engine_matches_the_kernel_at_long_horizons(angle, count, eps):
+    """Sparse and dense near times up to 10**7 steps: the walk lists the kernel's."""
+    rotation = CircleRotation(LONG_ANGLES[angle])
+    walk = engine_outcome("walk", rotation, count, eps)
+    assert isinstance(walk, list)
+    assert walk == engine_outcome("kernel", rotation, count, eps)
+
+
+@pytest.mark.parametrize("angle", LONG_ANGLES)
+@pytest.mark.parametrize("ulps", [-2, 0, 3])
+def test_the_walk_refuses_where_the_kernel_does_past_a_long_horizon(angle, ulps):
+    """An eps a few ulps from ``||q alpha||``, ``q`` a convergent denominator past 10**5.
+
+    No earlier step comes as close (a best approximation), and the radius
+    at ``q`` is ``q`` ulps, so both engines refuse at ``q``.
+    """
+    spec = LONG_ANGLES[angle]
+    rotation = CircleRotation(spec)
+    q = next(c.denominator for c in cf_convergents(spec, 30) if c.denominator > 10**5)
+    m = q * rotation.alpha.resolved.mantissa % ONE
+    eps = Fraction(min(m, ONE - m) + ulps, ONE)
+    walk = engine_outcome("walk", rotation, 3 * q, eps)
+    assert walk[0] is PrecisionExhaustedError and walk[2] == q
+    assert walk == engine_outcome("kernel", rotation, 3 * q, eps)
+
+
+def test_a_radius_past_the_safety_margin_keeps_the_kernel(monkeypatch):
+    """The walk needs every radius within ``MAX_ERR_ULPS``; past it the kernel runs.
+
+    So a horizon whose radius reaches ``2**128`` ulps is refused up front
+    with the kernel's message, with no step, as before.
+    """
+    rotation = golden()
+    a_e = rotation.alpha.resolved.err_ulps
+    eps = Fraction(1, 1_000_003)
+    monkeypatch.setattr(recurrence, "_WALK_MIN_GAP", 1)
+    monkeypatch.setattr(recurrence, "_near_walk", refuse_walk)
+    count = -(-(1 << 128) // a_e) - 1  # the least with (count + 1) err >= 2**128
+    with pytest.raises(PrecisionExhaustedError) as refused:
+        near_returns(rotation, 0, count, eps)
+    assert str(refused.value) == "accumulated orbit error exceeds the coarse kernel's margin"
+    assert refused.value.step is None
+    monkeypatch.setattr(recurrence, "certified_cells", refuse_kernel)
+    with pytest.raises(AssertionError, match="cell kernel"):
+        near_returns(rotation, 0, MAX_ERR_ULPS // a_e, eps)  # (count + 1) err > MAX_ERR_ULPS
+
+
+def test_sparse_rotation_near_scans_skip_the_cell_kernel(monkeypatch):
+    """sqrt2 at eps about 10**-6 returns about every 5 * 10**5 steps: 10**8 steps take the walk.
+
+    The near half of a joint scan takes it too; its zero half is stubbed
+    here, since the zero scan runs the kernel.
+    """
+    rotation = CircleRotation(AngleSpec.preset("sqrt2"))
+    count, eps = 10**8, Fraction(1, 1_000_003)
+    monkeypatch.setattr(recurrence, "certified_cells", refuse_kernel)
+    near = near_returns(rotation, 0, count, eps).times.tolist()
+    assert len(near) == 200 and near[0] == 470_832  # a Pell denominator
+    a_m = rotation.alpha.resolved.mantissa
+    distances = [min(n * a_m % ONE, ONE - n * a_m % ONE) for n in near]
+    assert max(distances) < _eps_bound(eps) and near[-1] <= count
+
+    def zeros(*args):
+        return Returns(np.array([1, 2, *near, count], dtype=np.int64))
+
+    monkeypatch.setattr(recurrence, "find_zero_sums", zeros)
+    joint = joint_zero_returns(rotation, pm_one(), 0, count, eps)
+    assert joint.times.tolist() == near
+    assert joint.distance.tolist() == [float(Fraction(d, ONE)) for d in distances]
+
+
+@pytest.mark.parametrize(
+    "spec, count, eps",
+    [("sqrt2", 10**5, Fraction(3, 7)), ("golden", 10**6, Fraction(1, 150))],
+    ids=["sqrt2-3/7", "golden-1/150"],
+)
+def test_dense_rotation_near_scans_keep_the_cell_kernel(monkeypatch, spec, count, eps):
+    """A near time every few steps (``min(t1, t2)`` of 1 and 34) stays on the kernel."""
+    rotation = CircleRotation(AngleSpec.preset(spec))
+    monkeypatch.setattr(recurrence, "_near_walk", refuse_walk)
+    times = near_returns(rotation, 0, count, eps).times
+    assert len(times) > count // 200
 
 
 SWAP_COCYCLES = [
