@@ -12,23 +12,25 @@ Three observable families:
   and are evaluated in floating point (documented 1e-12 territory).
 
 The module also houses the one certified cell classifier for rotation
-orbits, :func:`certified_cells`: a numpy scan of one start or a batch of
-starts that classifies points by their top 64 mantissa bits and decides
-the (provably few) steps whose interval comes near a wall with full
-192-bit guarded arithmetic.  Zero-sum scans and dense near-return times
-(cells of the displacement ``n alpha`` against walls at the eps
-boundaries) run on it, and its cells equal those of :func:`guarded_walk`,
-the only guarded per-step orbit loop, on which Birkhoff sums,
-interval-exchange zero, near, joint and excess scans, induced excursions
-and skew orbits run (a near scan walks without a cocycle).  The
-interval-exchange scans stop the walk where it returns exactly to its
-start, so a periodic orbit costs one lap; :func:`birkhoff_sums`, the
-reference, walks every step.
+orbits, :func:`certified_cells`: a numpy scan of one start that classifies
+points by their top 64 mantissa bits and decides at full 192-bit guarded
+precision the steps that :func:`steps_within` lists near a wall.  That
+listing rests on one exact integer primitive, the three-gap walk
+:func:`arc_returns` over the returns of ``n alpha`` to an arc, which also
+lists the candidate near times of sparse near scans and the suspect steps
+of the excess sweep.  Zero-sum scans and dense near-return times (cells of
+the displacement ``n alpha`` against walls at the eps boundaries) run on
+the kernel, and its cells equal those of :func:`guarded_walk`, the only
+guarded per-step orbit loop, on which Birkhoff sums, interval-exchange
+zero, near, joint and excess scans, induced excursions and skew orbits run
+(a near scan walks without a cocycle).  The interval-exchange scans stop
+the walk where it returns exactly to its start, so a periodic orbit costs
+one lap; :func:`birkhoff_sums`, the reference, walks every step.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -103,6 +105,92 @@ class StepCocycle:
 # --------------------------------------------------------------------------- #
 
 
+def least_multiple_in_range(a: int, m: int, lo: int, hi: int) -> int | None:
+    """The least ``x >= 0`` with ``lo <= a x mod m <= hi``, or None if there is none.
+
+    ``0 <= lo`` and ``hi < m``; an empty range (``lo > hi``) has none.  If
+    no multiple of ``a`` lies in ``[lo, hi]``, the least ``x`` has
+    ``a x - m y`` in it for the least ``y >= 1`` with ``m y mod a`` in
+    ``[-hi mod a, -lo mod a]``: the same question on ``(m mod a, a)``, so
+    the recursion takes Euclid's O(log m) steps on exact integers.
+    """
+    if lo > hi:
+        return None
+    if lo == 0:
+        return 0
+    a %= m
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    y = least_multiple_in_range(m % a, a, -hi % a, -lo % a)
+    return None if y is None else -(-(lo + m * y) // a)
+
+
+def _first_entry(a: int, m: int, start: int, length: int) -> int | None:
+    """The least ``n >= 1`` with ``n a mod m`` in the arc ``[start, start + length)`` mod m."""
+    lo = (start - a) % m  # where (n - 1) a must land
+    if lo + length > m:  # that arc holds 0: n = 1
+        return 1
+    x = least_multiple_in_range(a, m, lo, lo + length - 1)
+    return None if x is None else x + 1
+
+
+def return_gaps(a: int, m: int, length: int) -> tuple[int, int | None]:
+    """``(t1, t2)``: the least ``n >= 1`` with ``n a mod m`` in ``[0, length)`` and in ``(m - length, m)``.
+
+    ``1 <= length <= m``.  By the three-gap theorem (Sos 1958, Slater 1967)
+    a point of an arc of that length returns to it after ``t1``, ``t2`` or
+    ``t1 + t2`` steps, so no return gap is below ``min(t1, t2)``.  ``t2``
+    is None where no step lands in ``(m - length, m)``; then ``t1`` is
+    the period of ``n a mod m`` and every return takes it.
+    """
+    return _first_entry(a, m, 0, length), _first_entry(a, m, m - length + 1, length - 1)
+
+
+def arc_returns(
+    a: int, m: int, start: int, length: int, count: int, gaps: tuple | None = None
+) -> list[int]:
+    """The ascending times ``1 <= n <= count`` with ``n a mod m`` in ``[start, start + length)`` mod m.
+
+    ``1 <= length <= m``.  Three-gap walk: with ``(t1, t2)`` of
+    :func:`return_gaps` (``gaps``, if the caller has them), ``d1 = t1 a
+    mod m`` and ``d2 = -t2 a mod m``, a point ``y`` past the arc's start
+    returns after ``t1`` steps if ``y + d1 < length``, else after ``t2`` if
+    ``y >= d2``, else after ``t1 + t2``.  Exact integers throughout, one
+    iteration per time; an arc first entered past ``count`` costs one
+    :func:`_first_entry`.
+    """
+    n = _first_entry(a, m, start, length)
+    if n is None or n > count:
+        return []
+    t1, t2 = gaps or return_gaps(a, m, length)
+    d1, d2 = t1 * a % m, m if t2 is None else -t2 * a % m
+    y = (n * a - start) % m
+    times = []
+    while n <= count:
+        times.append(n)
+        if y + d1 < length:
+            n, y = n + t1, y + d1
+        elif y >= d2:
+            n, y = n + t2, y - d2
+        else:
+            n, y = n + t1 + t2, y + d1 - d2
+    return times
+
+
+def steps_within(a: int, m: int, x: int, point: int, radius: int, count: int) -> list[int]:
+    """The ascending steps ``0 <= n < count`` with ``x + n a mod m`` within ``radius`` of ``point``.
+
+    ``0 <= 2 radius < m``: the arc ``[point - radius, point + radius]``
+    holds step 0 or not, and :func:`arc_returns` lists the rest.
+    """
+    start = (point - radius - x) % m
+    head = [0] if count > 0 and -start % m <= 2 * radius else []
+    return head + arc_returns(a, m, start, 2 * radius + 1, count - 1)
+
+
 def _exact_cell(walls: Walls, mantissa: int, err: int, step: int) -> int:
     try:
         return walls.locate(FixedReal(mantissa, err))
@@ -110,70 +198,56 @@ def _exact_cell(walls: Walls, mantissa: int, err: int, step: int) -> int:
         raise PrecisionExhaustedError(str(exc), step=step) from None
 
 
+_BLOCK = 1 << 16
+
+
 def certified_cells(
-    rotation: CircleRotation,
-    walls: Walls,
-    starts: FixedReal | Sequence[FixedReal],
-    count: int,
+    rotation: CircleRotation, walls: Walls, start: FixedReal, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(offset, cells)``: the cells of ``S^i x`` for every start ``x``.
+    """Yield ``(offset, cells)``: the cells of ``S^i x``, ``x = start``, from step ``offset`` on.
 
-    ``starts`` is one circle point or a sequence of them.  ``cells`` is an
-    int64 view of shape ``(len(starts), L)`` for the steps
-    ``offset .. offset + L - 1``; a block holds about ``2**16`` elements.
+    ``cells`` is an int64 array of at most ``2**16`` consecutive steps.
 
-    Certificate: truncation to the top-64-bit word ``c_i`` is one-sided and
-    the error interval (below ``2**128`` ulps, or the scan is refused) adds
-    at most one word each way, so the point lies in the words
-    ``[c_i - 1, c_i + i + 1]``.  Each wall word ``w`` thus guards the band
-    ``[w - (count + 4), w + 3)``; the wall at 0 wraps.  A word's
-    ``searchsorted`` index among the band bounds is even, ``k``, for cell
-    ``k // 2 - 1`` and odd for a suspect, which is decided at 192 bits or
-    raises :class:`PrecisionExhaustedError` with the earliest such step of its
-    block.  The index is tabulated once per top-12-bit bucket of words; only
-    words in a bucket that a bound splits are searched one by one.
+    Certificate: the top-64-bit word of step ``i``, stepped in uint64, lags
+    the point's own word by at most ``i`` words, and the point's error
+    interval is below ``2**128`` ulps (or the scan is refused, as is a
+    horizon of ``2**62`` steps).  So a step whose nominal point lies more
+    than ``R = (count + 2) 2**128`` ulps from every wall has its word on
+    the point's side of every wall word, and its interval clear of every
+    wall.  :func:`steps_within` lists the other steps, wall by wall; they
+    are decided at 192 bits in step order, and the first that cannot be
+    raises :class:`PrecisionExhaustedError` with its step.  Every other word
+    is placed among the wall words, by one table per top-12-bit bucket of
+    words and, in a bucket that a wall word splits, one search per word.
     """
-    starts = [starts] if isinstance(starts, FixedReal) else list(starts)
-    if count <= 0 or not starts:
+    if count <= 0:
         return
     a_m, a_e = rotation.alpha.resolved.mantissa, rotation.alpha.resolved.err_ulps
-    x_m = [x.mantissa % ONE for x in starts]
-    x_e = [x.err_ulps for x in starts]
-    if max(x_e) + count * a_e >= 1 << _LOW_BITS:
+    x_m, x_e = start.mantissa % ONE, start.err_ulps
+    if count >= 1 << 62 or x_e + count * a_e >= 1 << _LOW_BITS:
         raise PrecisionExhaustedError(
             "accumulated orbit error exceeds the coarse kernel's margin"
         )
-    a64 = np.uint64(a_m >> _LOW_BITS)
-    x64 = np.array([m >> _LOW_BITS for m in x_m], dtype=np.uint64)
-    # bounds [0, 3, lo_1, hi_1, ..., lo_0 + 2**64]: overlapping bands merge under
-    # the running max, and bounds past the wrapped band at 0 are clipped to it
-    top = (1 << 64) - (count + 4)
-    bounds = [0, 3]
-    for m in walls.mantissas[1:]:
-        w = m >> _LOW_BITS
-        bounds += [max(w - (count + 4), bounds[-1]), max(w + 3, bounds[-1])]
-    bounds = np.array([min(b, top) for b in bounds] + [top], dtype=np.uint64)
-    # searchsorted index -> cell, with -1 marking the odd (suspect) indices
-    cell_of = np.arange(len(bounds) + 1, dtype=np.int64) // 2 - 1
-    cell_of[1::2] = -1
-    # the index is monotone in the word: a top-12-bit bucket whose end words
-    # share it has that cell throughout, and -1 marks a bucket a bound splits
+    reach = (count + 2) << _LOW_BITS
+    listed = sorted({
+        n for w in walls.mantissas for n in steps_within(a_m, ONE, x_m, w, reach, count)
+    })
+    wall_words = np.array([w >> _LOW_BITS for w in walls.mantissas], dtype=np.uint64)
+    # the cell is monotone in the word: a top-12-bit bucket whose end words
+    # share it has that cell throughout, and -1 marks a bucket a wall word splits
     first = np.arange(1 << 12, dtype=np.uint64) << 52
-    ends = [np.searchsorted(bounds, e, side="right") for e in (first, first | ((1 << 52) - 1))]
-    bucket_cell = np.where(ends[0] == ends[1], cell_of[ends[0]], -1)
-    block = max(1, (1 << 16) // len(starts))
-    for offset in range(0, count, block):
-        steps = np.arange(offset, min(offset + block, count), dtype=np.uint64)
-        coarse = (steps[:, None] * a64 + x64).ravel()  # step-major, wraps mod 2**64
-        cells = bucket_cell.take((coarse >> 52).view(np.int64))
-        near = np.flatnonzero(cells < 0)
-        index = np.searchsorted(bounds, coarse[near], side="right")
-        cells[near] = cell_of[index]
-        for j in near[index % 2 == 1].tolist():  # suspects, in step order
-            i, r = divmod(j, len(starts))
-            i += offset
-            cells[j] = _exact_cell(walls, (x_m[r] + i * a_m) % ONE, x_e[r] + i * a_e, i)
-        yield offset, cells.reshape(len(steps), len(starts)).T
+    last = first + ((1 << 52) - 1)
+    lo, hi = (np.searchsorted(wall_words, e, side="right") - 1 for e in (first, last))
+    bucket_cell = np.where(lo == hi, lo, -1)
+    a64, x64 = np.uint64(a_m >> _LOW_BITS), np.uint64(x_m >> _LOW_BITS)
+    for offset in range(0, count, _BLOCK):
+        words = np.arange(offset, min(offset + _BLOCK, count), dtype=np.uint64) * a64 + x64
+        cells = bucket_cell.take((words >> 52).view(np.int64))
+        split = np.flatnonzero(cells < 0)
+        cells[split] = np.searchsorted(wall_words, words[split], side="right") - 1
+        for i in listed[bisect_left(listed, offset):bisect_left(listed, offset + len(cells))]:
+            cells[i - offset] = _exact_cell(walls, (x_m + i * a_m) % ONE, x_e + i * a_e, i)
+        yield offset, cells
 
 
 # --------------------------------------------------------------------------- #
@@ -349,11 +423,6 @@ class IntegralProfile:
         if s_last == 0 and t_last > 0:
             out.append(t_last)
         return out
-
-    def to_csv_rows(self, digits: int = 30) -> list[tuple[str, str]]:
-        from .stats import decimal_string
-
-        return [(decimal_string(t, digits), decimal_string(s, digits)) for t, s in self.nodes]
 
     def __repr__(self) -> str:
         return f"IntegralProfile({len(self.nodes)} nodes, horizon={self.horizon})"

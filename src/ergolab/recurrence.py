@@ -55,9 +55,12 @@ from .cocycles import (
     StepCocycle,
     TrigPolynomial,
     _exact_cell,
+    arc_returns,
     certified_cells,
     guarded_walk,
     iter_flow_zeros,
+    return_gaps,
+    steps_within,
     winding_integral,
     winding_zero_times,
 )
@@ -391,75 +394,6 @@ def _lap_zero_times(prefix: Sequence[int], count: int, residues=None) -> np.ndar
     return np.array(sorted(times), dtype=np.int64)
 
 
-def least_multiple_in_range(a: int, m: int, lo: int, hi: int) -> int | None:
-    """The least ``x >= 0`` with ``lo <= a x mod m <= hi``, or None if there is none.
-
-    ``0 <= lo`` and ``hi < m``; an empty range (``lo > hi``) has none.  If
-    no multiple of ``a`` lies in ``[lo, hi]``, the least ``x`` has
-    ``a x - m y`` in it for the least ``y >= 1`` with ``m y mod a`` in
-    ``[-hi mod a, -lo mod a]``: the same question on ``(m mod a, a)``, so
-    the recursion takes Euclid's O(log m) steps on exact integers.
-    """
-    if lo > hi:
-        return None
-    if lo == 0:
-        return 0
-    a %= m
-    if a == 0:
-        return None
-    x = -(-lo // a)
-    if a * x <= hi:
-        return x
-    y = least_multiple_in_range(m % a, a, -hi % a, -lo % a)
-    return None if y is None else -(-(lo + m * y) // a)
-
-
-def _first_entry(a: int, m: int, start: int, length: int) -> int | None:
-    """The least ``n >= 1`` with ``n a mod m`` in the arc ``[start, start + length)`` mod m."""
-    lo = (start - a) % m  # where (n - 1) a must land
-    if lo + length > m:  # that arc holds 0: n = 1
-        return 1
-    x = least_multiple_in_range(a, m, lo, lo + length - 1)
-    return None if x is None else x + 1
-
-
-def return_gaps(a: int, m: int, length: int) -> tuple[int, int | None]:
-    """``(t1, t2)``: the least ``n >= 1`` with ``n a mod m`` in ``[0, length)`` and in ``(m - length, m)``.
-
-    ``1 <= length <= m``.  By the three-gap theorem (Sos 1958, Slater 1967)
-    a point of an arc of that length returns to it after ``t1``, ``t2`` or
-    ``t1 + t2`` steps, so no return gap is below ``min(t1, t2)``.  ``t2``
-    is None where no step lands in ``(m - length, m)``; then ``t1`` is
-    the period of ``n a mod m`` and every return takes it.
-    """
-    return _first_entry(a, m, 0, length), _first_entry(a, m, m - length + 1, length - 1)
-
-
-def arc_returns(a: int, m: int, start: int, length: int, count: int) -> list[int]:
-    """The ascending times ``1 <= n <= count`` with ``n a mod m`` in ``[start, start + length)`` mod m.
-
-    ``1 <= length <= m``.  Three-gap walk: with ``(t1, t2)`` of
-    :func:`return_gaps`, ``d1 = t1 a mod m`` and ``d2 = -t2 a mod m``, a
-    point ``y`` past the arc's start returns after ``t1`` steps if
-    ``y + d1 < length``, else after ``t2`` if ``y >= d2``, else after
-    ``t1 + t2``.  Exact integers throughout, one iteration per time.
-    """
-    t1, t2 = return_gaps(a, m, length)
-    d1, d2 = t1 * a % m, m if t2 is None else -t2 * a % m
-    n = _first_entry(a, m, start, length) or count + 1  # None: no step lands in the arc
-    y = (n * a - start) % m
-    times = []
-    while n <= count:
-        times.append(n)
-        if y + d1 < length:
-            n, y = n + t1, y + d1
-        elif y >= d2:
-            n, y = n + t2, y - d2
-        else:
-            n, y = n + t1 + t2, y + d1 - d2
-    return times
-
-
 def _rational_residue_distances(alpha: Fraction) -> list[Fraction]:
     """Circle distance ``||n alpha||`` as a function of ``n mod q`` (exact)."""
     q = alpha.denominator
@@ -509,7 +443,7 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
         total = 0
         chunks = []
         for offset, cells in certified_cells(base, f.walls, x, count):
-            sums = np.cumsum(values[cells[0]]) + total
+            sums = np.cumsum(values[cells]) + total
             chunks.append(np.flatnonzero(sums == 0) + (offset + 1))
             total = int(sums[-1])
         return Returns(_concat_times(chunks))
@@ -538,10 +472,11 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
 
     Sparse scans take :func:`_near_walk` instead, which visits only the
     returns to that arc: its iterations are at most ``count / min(t1, t2)``
-    (:func:`return_gaps`), so it runs where that gap is at least
-    ``_WALK_MIN_GAP`` and every radius is one :meth:`Walls.locate` accepts.
-    Both engines give the same times, refusal step and message; a horizon
-    past the kernel's error margin always takes the kernel, which refuses it.
+    (:func:`~ergolab.cocycles.return_gaps`, computed once per scan), so it
+    runs where that gap is at least ``_WALK_MIN_GAP`` and every radius is
+    one :meth:`Walls.locate` accepts.  Both engines give the same times,
+    refusal step and message; a horizon past the kernel's error margin
+    always takes the kernel, which refuses it.
     """
     if base.is_rational:
         dist = _rational_residue_distances(base.alpha.as_fraction())
@@ -553,40 +488,35 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     alpha = base.alpha.resolved
     walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
     if (count + 1) * alpha.err_ulps <= MAX_ERR_ULPS:  # far inside the kernel's margin
-        t1, t2 = return_gaps(alpha.mantissa, ONE, _near_arc(alpha, lo, count)[1])
+        # the near arc widened past every radius, count err(alpha) + 2 ulps each way
+        widen = count * alpha.err_ulps + 2
+        start, length = (1 - lo - widen) % ONE, min(2 * (lo + widen) - 1, ONE)
+        t1, t2 = gaps = return_gaps(alpha.mantissa, ONE, length)
         if min(t1, t2 or t1) >= _WALK_MIN_GAP:  # t2 None: every gap is t1
-            return _near_walk(alpha, walls, lo, count)
+            candidates = arc_returns(alpha.mantissa, ONE, start, length, count, gaps)
+            return _near_walk(alpha, walls, lo, candidates)
     chunks = [
-        np.flatnonzero(cells[0] == 0) + offset
+        np.flatnonzero(cells == 0) + offset
         for offset, cells in certified_cells(base, walls, FixedReal(lo - 1), count + 1)
     ]
     return _concat_times(chunks)[1:]  # step 0 is the start itself
 
 
-def _near_arc(alpha: FixedReal, lo: int, count: int) -> tuple[int, int]:
-    """``(start, length)`` of the near arc ``[1 - lo, lo)`` widened by ``count err(alpha) + 2`` ulps each way."""
-    widen = count * alpha.err_ulps + 2
-    return (1 - lo - widen) % ONE, min(2 * (lo + widen) - 1, ONE)
+def _near_walk(alpha: FixedReal, walls: Walls, lo: int, candidates: list[int]) -> np.ndarray:
+    """The near times of :func:`_rotation_near_times` among the returns to the widened arc.
 
-
-def _near_walk(alpha: FixedReal, walls: Walls, lo: int, count: int) -> np.ndarray:
-    """The near times of :func:`_rotation_near_times` from the returns of ``n alpha`` to the widened arc.
-
-    :func:`arc_returns` lists, exactly, every step whose displacement lies
-    in :func:`_near_arc`; a step outside it is at least ``count err(alpha)
-    + 2`` ulps, more than its radius, past both eps walls, so it is far.
-    Each candidate is placed by the kernel's own 192-bit test against
-    ``walls``, ``{0, 2 lo - 1}``, from the point ``lo - 1``, in step order,
-    so a refusal carries the step and message of :func:`certified_cells`.
-    The radius must stay within :data:`MAX_ERR_ULPS`: past it that test
-    refuses every step, where the kernel still places a step far from the
-    walls by its 64-bit word.
+    ``candidates`` are the times that :func:`~ergolab.cocycles.arc_returns`
+    lists, exactly, as those whose displacement lies in the eps arc widened
+    by ``count err(alpha) + 2`` ulps each way; a step outside it is farther
+    than its radius from both eps walls, so it is far.  Each candidate is
+    placed by the kernel's own 192-bit test against ``walls``, ``{0, 2 lo -
+    1}``, from the point ``lo - 1``, in step order, so a refusal carries the
+    step and message of :func:`certified_cells`.  The radius must stay
+    within :data:`MAX_ERR_ULPS`: past it that test refuses every step, where
+    the kernel still places a step far from the walls by its 64-bit word.
     """
     a_m, a_e = alpha.mantissa, alpha.err_ulps
-    times = [
-        n for n in arc_returns(a_m, ONE, *_near_arc(alpha, lo, count), count)
-        if _exact_cell(walls, (lo - 1 + n * a_m) % ONE, n * a_e, n) == 0
-    ]
+    times = [n for n in candidates if _exact_cell(walls, (lo - 1 + n * a_m) % ONE, n * a_e, n) == 0]
     return np.array(times, dtype=np.int64)
 
 
@@ -901,14 +831,16 @@ def _excess_rotation(
     and :meth:`Walls.locate` refuses it exactly when a wall lies in
     ``(m - e, m + e]``.  The two sorted neighbours of each bisection show
     whether any jump point lies within the block's largest radius of the
-    turned start less the wall; only then are those steps tested one by
-    one (:func:`_suspect_steps`).  The suspects go to the kernel's
-    ``_exact_cell`` in step order, then start order, so a refusal carries
-    the message and ``step`` of the first refusal of
-    :func:`~ergolab.cocycles.certified_cells` over the same starts, whose
-    error margin is kept as well.  The rational grid has radius 0, and the
-    neighbours ``u <= a < u'`` of a bisection are never within 0 of ``a``:
-    it has no suspects.  Every comparison is on exact integers.
+    turned start less the wall; only then does
+    :func:`~ergolab.cocycles.steps_within` list the block's steps whose
+    point lies within that radius of the wall.  The listed steps go to the
+    kernel's ``_exact_cell`` in step order, then start order, so a refusal
+    carries the message and ``step`` of the earliest refusal of
+    :func:`~ergolab.cocycles.certified_cells` among the starts, the first
+    such start on a tie; its error margin is kept as well.  The rational
+    grid has radius 0, and the neighbours ``u <= a < u'`` of a bisection
+    are never within 0 of ``a``: it lists no step.  Every comparison is on
+    exact integers.
     """
     if base.is_rational:
         alpha = base.alpha.as_fraction()
@@ -934,10 +866,8 @@ def _excess_rotation(
             k1 = min(k0 + _SWEEP_BLOCK, hi)
             if k1 - k0 != size:
                 size = k1 - k0
-                points = [-j * a_m % circle for j in range(size)]
-                order = sorted(range(size), key=points.__getitem__)
                 # from 0, the point of j = 0, to the next one round the circle
-                ranked = [*(points[j] for j in order), circle]
+                ranked = [*sorted(-j * a_m % circle for j in range(size)), circle]
             turn, radius = k0 * a_m % circle, (k1 - 1) * a_e
             suspects = []
             for r, x in enumerate(starts):
@@ -947,9 +877,8 @@ def _excess_rotation(
                     a = y - w if y >= w else y - w + circle
                     i = bisect_right(ranked, a)  # at least 1: ranked[0] is 0
                     if a - ranked[i - 1] < radius or ranked[i] - a <= radius:
-                        suspects += [
-                            (k, r) for k in _suspect_steps(order, ranked, a, radius, k0, a_e)
-                        ]
+                        near = steps_within(a_m, circle, y, w, radius, size)
+                        suspects += [(k0 + j, r) for j in near]
                     if not w:
                         at_y = i
                     # points at or past w: the jump points outside (y - w, y]
@@ -966,32 +895,6 @@ def _excess_rotation(
             sums = [m * s + t for s, t in zip(sums_at[lap], sums_at[r])]
         counts[n] = sum(_exceeds(total, n, eps) for total in sums)
     return counts
-
-
-def _suspect_steps(
-    order: list[int], ranked: list[int], a: int, radius: int, k0: int, a_e: int
-) -> list[int]:
-    """Steps ``k = k0 + j`` whose jump point ``u_j`` lies in ``(a - e, a + e]``, ``e = k a_e``.
-
-    ``a`` is a start turned by ``k0 alpha``, less a wall, so the point of
-    step ``k`` lies ``a - u_j`` past the wall: the wall is in its error
-    interval exactly then.  The search covers ``radius``, the largest ``e``
-    of the block, on the circle.
-    """
-    lo, hi = a - radius, a + radius
-    if lo < 0 or hi >= ONE:  # the arc crosses the seam
-        spans = (range(bisect_right(ranked, lo % ONE), len(order)),
-                 range(bisect_right(ranked, hi % ONE)))
-    else:
-        spans = (range(bisect_right(ranked, lo), bisect_right(ranked, hi)),)
-    steps = []
-    for span in spans:
-        for p in span:
-            k = k0 + order[p]
-            d = (a - ranked[p]) % ONE
-            if d < k * a_e or d >= ONE - k * a_e:
-                steps.append(k)
-    return steps
 
 
 def _excess_loop(

@@ -353,23 +353,27 @@ def reference_excess(base, f, n_list, eps: Fraction, samples: int, seed: int):
 def kernel_excess(base, f, n_list, eps: Fraction, xs) -> dict[int, int]:
     """Exceedance counts per n from ``certified_cells`` over every orbit point.
 
-    ``xs`` are raw 64-bit starts ``x = raw / 2**64``, all scanned at once, so a
-    refusal names the earliest refused step of any start, then the first
-    such start.  ``f`` must keep ``max |v| * max(n_list)`` below ``2**62``.
+    ``xs`` are raw 64-bit starts ``x = raw / 2**64``, each scanned on its
+    own; a refusal names the earliest refused step of any start, then the
+    first such start (a refusal without a step comes first).  ``f`` must
+    keep ``max |v| * max(n_list)`` below ``2**62``.
     """
-    starts = [FixedReal(raw << (SCALE - 64)) for raw in xs]
     values = np.asarray(f.values, dtype=np.int64)
-    totals = np.zeros(len(starts), dtype=np.int64)
-    counts = {}
-    for offset, cells in cocycles.certified_cells(base, f.walls, starts, max(n_list)):
-        terms = values[cells]
-        for n in n_list:
-            if offset < n <= offset + terms.shape[1]:
-                sums = totals + terms[:, : n - offset].sum(axis=1)
-                # |S_n| * den > num * n  iff  |S_n| > floor(num * n / den); |S_n| < 2**62
-                bound = min(eps.numerator * n // eps.denominator, 1 << 62)
-                counts[n] = int(np.count_nonzero(np.abs(sums) > bound))
-        totals += terms.sum(axis=1)
+    counts = dict.fromkeys(n_list, 0)
+    refusals = []
+    for r, raw in enumerate(xs):
+        start = FixedReal(raw << (SCALE - 64))
+        try:
+            scan = cocycles.certified_cells(base, f.walls, start, max(n_list))
+            sums = np.cumsum(values[np.concatenate([cells for _, cells in scan])])
+        except PrecisionExhaustedError as exc:
+            refusals.append((-1 if exc.step is None else exc.step, r, exc))
+            continue
+        for n in counts:
+            # |S_n| * den > num * n  iff  |S_n| > floor(num * n / den); |S_n| < 2**62
+            counts[n] += int(abs(sums[n - 1]) > min(eps.numerator * n // eps.denominator, 1 << 62))
+    if refusals:
+        raise min(refusals, key=lambda refusal: refusal[:2])[2]
     return counts
 
 

@@ -128,8 +128,8 @@ def test_kernel_sums_match_pure_loop_on_golden():
     got: list[int] = []
     total = 0
     for offset, cells in certified_cells(rot, f.walls, x, 3000):
-        assert cells.shape == (1, 3000)
-        part = np.cumsum(values[cells[0]]) + total
+        assert cells.shape == (3000,)
+        part = np.cumsum(values[cells]) + total
         got.extend(int(v) for v in part)
         total = int(part[-1])
     assert got == want
@@ -159,11 +159,11 @@ def zero_mean_cocycle(mantissas: list[int], weights: list[int]) -> StepCocycle:
 
 @st.composite
 def cell_scans(draw):
-    """A rotation, a 2-4 cell cocycle, 1-5 starts, a count and the near-wall steps.
+    """A rotation, a 2-4 cell cocycle, one start, a count and the near-wall step.
 
-    Walls may lie a few 64-bit words apart or near either end of the circle,
-    where the guard bands overlap or are clipped.
-    Some starts are placed so that the orbit point at a chosen step lies
+    Walls may lie a few 64-bit words apart or near either end of the
+    circle, where the listed arcs of two walls overlap or wrap.  The start
+    may be placed so that the orbit point at a chosen step lies
     ``NEAR_WALL`` ulps above or below a wall (the wall at 0 too, across the
     seam); with ``count`` just past the first block, that step may sit on
     either side of the block seam.
@@ -173,49 +173,41 @@ def cell_scans(draw):
     center = draw(st.integers(1 << 137, ONE - (1 << 137)))
     wall = (
         st.integers(1, ONE - 1)
-        | st.integers(center - (1 << 136), center + (1 << 136))  # overlapping bands
-        | st.integers(1, 1 << 136)  # band cut off below 0
-        | st.integers(ONE - (1 << 136), ONE - 1)  # band past the wrapped band at 0
+        | st.integers(center - (1 << 136), center + (1 << 136))  # overlapping arcs
+        | st.integers(1, 1 << 136)  # an arc across the wall at 0
+        | st.integers(ONE - (1 << 136), ONE - 1)
     )
     inner = draw(st.sets(wall, min_size=n_cells - 1, max_size=n_cells - 1))
     mantissas = [0, *sorted(inner)]
     weight = st.integers(1, 9) | st.integers(-9, -1)
     weights = draw(st.lists(weight, min_size=n_cells - 1, max_size=n_cells - 1))
     f = zero_mean_cocycle(mantissas, weights)
-    n_starts = draw(st.integers(1, 5))
-    block = (1 << 16) // n_starts
+    block = 1 << 16
     count = draw(st.integers(1, 300) | st.just(block + 3))
-    a_m = rot.alpha.resolved.mantissa
-    starts, near = [], []
-    for _ in range(n_starts):
-        if draw(st.booleans()):
-            starts.append(FixedReal(draw(st.integers(0, ONE - 1)), draw(st.integers(0, 3))))
-            continue
-        step = draw(st.integers(0, count - 1) | st.sampled_from([block - 1, block]))
-        step = min(step, count - 1)
-        offset = draw(st.sampled_from([NEAR_WALL, -NEAR_WALL]))
-        point = (draw(st.sampled_from(mantissas)) + offset) % ONE
-        starts.append(FixedReal((point - step * a_m) % ONE))
-        near.append((point, step))
-    return rot, f, starts, count, near
+    if draw(st.booleans()):
+        start = FixedReal(draw(st.integers(0, ONE - 1)), draw(st.integers(0, 3)))
+        return rot, f, start, count, None
+    step = draw(st.integers(0, count - 1) | st.sampled_from([block - 1, block]))
+    step = min(step, count - 1)
+    offset = draw(st.sampled_from([NEAR_WALL, -NEAR_WALL]))
+    point = (draw(st.sampled_from(mantissas)) + offset) % ONE
+    start = FixedReal((point - step * rot.alpha.resolved.mantissa) % ONE)
+    return rot, f, start, count, (point, step)
 
 
 @settings(max_examples=40, deadline=None)
 @given(scan=cell_scans())
 def test_certified_cells_match_birkhoff_sums(scan):
-    """Cells of a batch of starts give every start's exact Birkhoff sums.
+    """The cells of a start give its exact Birkhoff sums, or its refusal step.
 
-    Near-wall steps must be decided by the 192-bit fallback; blocks hold
-    about 2**16 elements and tile the scan without gaps.  Where the
-    reference refuses a start, the batch refuses at the earliest such step.
+    A near-wall step must be decided by the 192-bit fallback; blocks hold
+    ``2**16`` steps and tile the scan without gaps.
     """
-    rot, f, starts, count, near = scan
-    want, refusals = [], []
-    for x in starts:
-        try:
-            want.append(list(birkhoff_sums(rot, f, x, count)))
-        except PrecisionExhaustedError as exc:
-            refusals.append(exc.step)
+    rot, f, start, count, near = scan
+    try:
+        want = list(birkhoff_sums(rot, f, start, count))
+    except PrecisionExhaustedError as exc:
+        want = exc.step
     values = np.array(f.values, dtype=object)
     decided = []
     exact_cell = cocycles._exact_cell
@@ -224,56 +216,56 @@ def test_certified_cells_match_birkhoff_sums(scan):
         decided.append((mantissa, step))
         return exact_cell(walls, mantissa, err, step)
 
-    block = (1 << 16) // len(starts)
     blocks = []
-    batch = starts[0] if len(starts) == 1 else starts
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cocycles, "_exact_cell", spy)
-        if refusals:
+        if isinstance(want, int):
             with pytest.raises(PrecisionExhaustedError) as info:
-                for _ in certified_cells(rot, f.walls, batch, count):
+                for _ in certified_cells(rot, f.walls, start, count):
                     pass
-            assert info.value.step == min(refusals)
+            assert info.value.step == want
             return
-        for offset, cells in certified_cells(rot, f.walls, batch, count):
+        for offset, cells in certified_cells(rot, f.walls, start, count):
             assert cells.dtype == np.int64
-            assert cells.shape == (len(starts), min(block, count - offset))
+            assert cells.shape == (min(1 << 16, count - offset),)
             blocks.append((offset, values[cells]))
-    assert [offset for offset, _ in blocks] == list(range(0, count, block))
-    got = np.cumsum(np.concatenate([terms for _, terms in blocks], axis=1), axis=1)
-    assert got.tolist() == want
-    for point, step in near:
-        assert (point, step) in decided
+    assert [offset for offset, _ in blocks] == list(range(0, count, 1 << 16))
+    assert np.cumsum(np.concatenate([terms for _, terms in blocks])).tolist() == want
+    if near is not None:
+        assert near in decided
 
 
-@pytest.mark.parametrize("batch", [1, 4])
+GOLDEN_A = CircleRotation(AngleSpec.preset("golden")).alpha.resolved.mantissa
+
+
 @pytest.mark.parametrize(
-    "wall, step",
-    [(ONE // 2, (1 << 16) + 11), ((ONE // 2 | ((1 << 128) - 1)) - 2, 0)],
-    ids=["wall-at-half-second-block", "wall-atop-its-word-step-0"],
+    "inner, step",
+    [
+        ([ONE // 2], (1 << 16) + 11),
+        ([(ONE // 2 | ((1 << 128) - 1)) - 2], 0),
+        ([(7 * ONE // 8 + 2 * GOLDEN_A) % ONE, 7 * ONE // 8], 7),
+    ],
+    ids=["wall-at-half-second-block", "wall-atop-its-word-step-0", "later-wall-first"],
 )
-def test_certified_cells_refuse_a_straddling_start_at_its_step(batch, wall, step):
-    """An orbit interval across a wall raises with that step, also in a batch.
+def test_certified_cells_refuse_a_straddling_start_at_its_step(inner, step):
+    """An orbit interval across a wall raises with that step, the earliest one.
 
-    In a batch, the first start straddles two steps later in the same block,
-    so the earliest step must win over the first row.  The second wall sits
-    3 ulps below a 64-bit word boundary, so at step 0 the straddling point's
-    own word is the one above the wall's word.
+    The point at ``step`` lies 5 ulps above the last wall, with a radius of
+    about ``2**20`` ulps.  The second wall sits 3 ulps below a 64-bit word
+    boundary, so at step 0 the straddling point's own word is the one above
+    the wall's word.  In the third case the point two steps on lies 5 ulps
+    above the first wall (``2 alpha mod 1`` is about 0.236, so it wraps
+    round below 7/8): that wall is listed first, and the earlier step must
+    still win.
     """
     rot = CircleRotation(AngleSpec.preset("golden"))
-    walls = Walls([FixedReal(0), FixedReal(wall)])
+    walls = Walls([FixedReal(0), *(FixedReal(w) for w in inner)])
     a_m = rot.alpha.resolved.mantissa
-
-    def straddling(at: int) -> FixedReal:
-        return FixedReal((wall + 5 - at * a_m) % ONE, 1 << 20)
-
-    if batch == 1:
-        starts = straddling(step)
-    else:
-        others = [FixedReal.of(Fraction(k, 9)) for k in range(2, batch)]
-        starts = [straddling(step + 2), *others, straddling(step)]
+    start = FixedReal((inner[-1] + 5 - step * a_m) % ONE, 1 << 20)
+    if len(inner) == 2:
+        assert (start.mantissa + (step + 2) * a_m) % ONE == inner[0] + 5
     with pytest.raises(PrecisionExhaustedError) as info:
-        for _ in certified_cells(rot, walls, starts, step + 9):
+        for _ in certified_cells(rot, walls, start, step + 9):
             pass
     assert info.value.step == step
 
@@ -282,7 +274,27 @@ def test_certified_cells_refuse_past_the_error_margin():
     rot, f = CircleRotation(AngleSpec.preset("golden")), pm_one()
     wide = FixedReal(ONE // 3, 1 << 128)
     with pytest.raises(PrecisionExhaustedError, match="margin"):
-        next(certified_cells(rot, f.walls, [FixedReal(0), wide], 10))
+        next(certified_cells(rot, f.walls, wide, 10))
+
+
+@pytest.mark.parametrize("step, words", [(299, 20), (3000, 100), (50000, 1000)])
+def test_certified_cells_reach_past_the_word_lag(step, words):
+    """A point ``words`` 64-bit words above the wall 1/2 at ``step`` keeps its cell.
+
+    The top word of step ``i``, stepped in uint64, lags the point's own word
+    by up to ``i`` words (the dropped low bits of ``i alpha`` carry into
+    it), so here it can fall below the wall's word.  A reach of
+    ``(count + 2) 2**128`` ulps lists the step and decides it at 192 bits;
+    a reach of ``2**128`` would leave it to the lagging word.
+    """
+    rot, f = CircleRotation(AngleSpec.preset("golden")), pm_one()
+    point = ONE // 2 + (words << 128) + (1 << 127)
+    start = FixedReal((point - step * rot.alpha.resolved.mantissa) % ONE)
+    count = step + 5
+    cells = np.concatenate([c for _, c in certified_cells(rot, f.walls, start, count)])
+    values = np.asarray(f.values, dtype=np.int64)
+    assert cells[step] == 1
+    assert np.cumsum(values[cells]).tolist() == list(birkhoff_sums(rot, f, start, count))
 
 
 @settings(max_examples=150, deadline=None)
@@ -583,10 +595,3 @@ def test_winding_zero_bracketing_matches_half_grid():
     for got, want in zip(zeros, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]):
         assert abs(got - want) < 1e-9
 
-
-def test_profile_csv_rows_are_decimal():
-    roof, f = halves_flow(1, 2)
-    profile = integral_profile(roof, f, SpecialFlowState(0), 2)
-    rows = profile.to_csv_rows(digits=6)
-    assert rows[0] == ("0", "0")
-    assert rows[1] == ("1", "1")

@@ -342,6 +342,35 @@ def test_a_rounded_exchange_is_refused_at_its_own_walls(tmp_path, kind, start):
     assert stored["status"] == "error" and stored["error_step"] is None
 
 
+@pytest.mark.parametrize("kind", ["zero_sums", "near_returns"])
+def test_a_horizon_past_the_64_bit_words_exits_two(tmp_path, kind):
+    """A count of ``2**64`` on an irrational rotation is a precision refusal, not a crash.
+
+    The run records the kernel's margin message with no step, and the
+    command line exits with code 2.
+    """
+    config = {
+        "system": {"kind": "rotation", "angle": "preset:golden"},
+        "detector": {"kind": kind, "start": "1/10", "count": 2**64},
+        "output": {"directory": "far", "formats": ["csv"]},
+    }
+    if kind == "zero_sums":
+        config["cocycle"] = {"kind": "step", "breakpoints": ["0", "1/2"], "values": [1, -1]}
+    else:
+        config["detector"]["eps"] = "3/7"
+    with pytest.raises(PrecisionExhaustedError) as refusal:
+        run_experiment(config, out_root=tmp_path / "api")
+    assert refusal.value.step is None
+    stored = json.loads((tmp_path / "api" / "far" / "manifest.json").read_text())
+    assert stored["status"] == "error" and stored["error_step"] is None
+    assert stored["error"] == (
+        "PrecisionExhaustedError: accumulated orbit error exceeds the coarse kernel's margin"
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 2
+
+
 # --------------------------------------------------------------------------- #
 # command line
 # --------------------------------------------------------------------------- #

@@ -448,7 +448,7 @@ def test_least_multiple_in_range_matches_brute_force(case):
     """
     a, m, lo, hi = case
     want = next((x for x in range(m) if lo <= a * x % m <= hi), None)
-    assert recurrence.least_multiple_in_range(a, m, lo, hi) == want
+    assert cocycles.least_multiple_in_range(a, m, lo, hi) == want
     event("none" if want is None else "found")
 
 
@@ -463,10 +463,26 @@ def test_arc_returns_match_brute_force(data):
     length = data.draw(st.integers(1, m))
     count = data.draw(st.integers(0, 3 * m))
     want = [n for n in range(1, count + 1) if (n * a - start) % m < length]
-    assert recurrence.arc_returns(a, m, start, length, count) == want
-    t1, t2 = recurrence.return_gaps(a, m, length)
+    assert cocycles.arc_returns(a, m, start, length, count) == want
+    gaps = t1, t2 = cocycles.return_gaps(a, m, length)
     assert t1 == next(n for n in range(1, m + 1) if n * a % m < length)
     assert t2 == next((n for n in range(1, m + 1) if n * a % m > m - length), None)
+    assert cocycles.arc_returns(a, m, start, length, count, gaps) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_steps_within_match_brute_force(data):
+    """Every step ``0 <= n < count`` whose point lies within the radius, step 0 included."""
+    m = data.draw(st.integers(1, 256))
+    a = data.draw(st.integers(0, 2 * m))
+    x, point = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    radius = data.draw(st.integers(0, (m - 1) // 2))
+    count = data.draw(st.integers(0, 3 * m))
+    want = [
+        n for n in range(count) if min((x + n * a - point) % m, (point - x - n * a) % m) <= radius
+    ]
+    assert cocycles.steps_within(a, m, x, point, radius, count) == want
 
 
 def refuse_kernel(*args, **kwargs):
@@ -578,6 +594,36 @@ def test_a_radius_past_the_safety_margin_keeps_the_kernel(monkeypatch):
     monkeypatch.setattr(recurrence, "certified_cells", refuse_kernel)
     with pytest.raises(AssertionError, match="cell kernel"):
         near_returns(rotation, 0, MAX_ERR_ULPS // a_e, eps)  # (count + 1) err > MAX_ERR_ULPS
+
+
+@pytest.mark.parametrize("count", [2**62, 2**64], ids=["2**62", "2**64"])
+def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count):
+    """From ``2**62`` steps the kernel's words certify nothing: refused with no step.
+
+    The kernel steps uint64 words, and lists the steps within ``(count + 2)
+    2**128`` ulps of a wall, an arc that must fit on the circle.  A sparse
+    near scan takes the three-gap walk instead, which uses no words, and
+    answers: golden at eps ``10**-18`` returns about every ``10**17``
+    steps, at Fibonacci numbers among others (up to ``2**62`` here, so that
+    every time fits the int64 column).
+    """
+    margin = "accumulated orbit error exceeds the coarse kernel's margin"
+    scans = [
+        lambda: find_zero_sums(golden(), pm_one(), Fraction(1, 10), count),
+        lambda: near_returns(golden(), 0, count, Fraction(3, 7)),
+    ]
+    for scan in scans:
+        with pytest.raises(PrecisionExhaustedError) as refused:
+            scan()
+        assert str(refused.value) == margin and refused.value.step is None
+    eps = Fraction(1, 10**18)
+    times = near_list(golden(), 0, 2**62, eps)
+    a_m = golden().alpha.resolved.mantissa
+    assert all(min(n * a_m % ONE, -n * a_m % ONE) + n < _eps_bound(eps) for n in times)
+    fibonacci = [1, 2]
+    while fibonacci[-1] < 2**62:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    assert {n for n in fibonacci[:-1] if n > 10**18} <= set(times)
 
 
 def test_sparse_rotation_near_scans_skip_the_cell_kernel(monkeypatch):

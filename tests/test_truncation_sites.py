@@ -1,8 +1,10 @@
 """Only the certified kernel may cut a 192-bit mantissa down to a 64-bit word.
 
-A 64-bit word decides a cell only inside a guard band with an exact
-fallback; anywhere else it would certify a perturbed system.  These tests
-read the package source and fail on any other truncation site.
+A 64-bit word decides a cell only for a step far enough from every wall
+that the word's lag cannot cross one; the kernel lists the other steps and
+decides them exactly.  Anywhere else a word would certify a perturbed
+system.  These tests read the package source and fail on any other
+truncation site.
 """
 import ast
 from pathlib import Path
