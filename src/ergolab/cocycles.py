@@ -20,12 +20,15 @@ listing rests on one exact integer primitive, the three-gap walk
 lists the candidate near times of sparse near scans and the suspect steps
 of the excess sweep.  Zero-sum scans and dense near-return times (cells of
 the displacement ``n alpha`` against walls at the eps boundaries) run on
-the kernel, and its cells equal those of :func:`guarded_walk`, the only
-guarded per-step orbit loop, on which Birkhoff sums, interval-exchange
-zero, near, joint and excess scans, induced excursions and skew orbits run
-(a near scan walks without a cocycle).  The interval-exchange scans stop
-the walk where it returns exactly to its start, so a periodic orbit costs
-one lap; :func:`birkhoff_sums`, the reference, walks every step.
+the kernel, and its cells equal those of :func:`guarded_walk`.
+
+Every other orbit runs on one of two per-step walks.  :func:`guarded_walk`
+places each point on the 192-bit grid or refuses with its step (Birkhoff
+sums, interval-exchange scans, induced excursions, skew orbits; a near
+scan walks without a cocycle).  Its exact integer twin
+:func:`rational_walk` steps a rational angle from a rational start and
+never refuses (rational zero-sum laps, near residues and distances,
+induced excursions, Birkhoff sums).
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ class StepCocycle:
     ``sum(width * value)`` must vanish identically.
     """
 
-    __slots__ = ("walls", "values", "is_integer", "_wall_fractions")
+    __slots__ = ("walls", "values", "is_integer")
 
     def __init__(self, breakpoints: Sequence[Real], values: Sequence[Real]):
         self.walls = Walls([FixedReal.of(b) for b in breakpoints])
@@ -78,7 +81,6 @@ class StepCocycle:
         )
         if mean != 0:
             raise ValueError(f"cocycle mean must be exactly zero, got {mean}")
-        self._wall_fractions = [Fraction(m, ONE) for m in self.walls.mantissas]
 
     @classmethod
     def step_at_half(cls) -> "StepCocycle":
@@ -88,12 +90,6 @@ class StepCocycle:
     def value_at(self, p: FixedReal):
         """Value at a circle point (guarded classification, half-open cells)."""
         return self.values[self.walls.locate(p)]
-
-    def value_at_fraction(self, x: Fraction):
-        """Exact evaluation at an exact rational point (oracle-grade path)."""
-        x %= 1
-        idx = bisect_right(self._wall_fractions, x) - 1
-        return self.values[idx]
 
     def __repr__(self) -> str:
         cells = ", ".join(str(v) for v in self.values)
@@ -275,29 +271,56 @@ def guarded_walk(base: BaseMap, f: StepCocycle | None, x: FixedReal, count: int)
         yield total, p
 
 
+def grid_edges(walls: Walls, scale: int) -> list[int]:
+    """Per wall ``m / 2**192``, the least ``pos = ceil(m scale / 2**192)`` at or past it."""
+    return [-((-m * scale) >> SCALE) for m in walls.mantissas]
+
+
+def rational_walk(
+    alpha: Fraction, f: StepCocycle | None, x: Fraction, count: int
+) -> Iterator[tuple]:
+    """Yield ``(S_n f(x), pos_n)`` for ``n = 1, ..., count``: the exact integer twin of :func:`guarded_walk`.
+
+    The rotation by ``alpha = p/q`` from the rational ``x`` moves on the
+    integers mod ``scale = lcm(q, den x)``: ``S^n x = pos_n / scale``, and a
+    step adds ``p scale / q``.  A point lies at or past a wall exactly when
+    ``pos`` is at or past the wall's :func:`grid_edges`, so every cell is
+    decided exactly and nothing is refused.  ``f=None`` steps the orbit
+    alone, every sum 0; a rational-valued ``f`` sums ``Fraction``s.  O(1)
+    memory.
+    """
+    x %= 1
+    scale = math.lcm(alpha.denominator, x.denominator)
+    step = alpha.numerator * (scale // alpha.denominator) % scale
+    pos = x.numerator * (scale // x.denominator)
+    # the edge of wall 0 is 0: a cell is the number of the other edges at or below pos
+    edges, values = ([], (0,)) if f is None else (grid_edges(f.walls, scale)[1:], f.values)
+    turn, back = scale - step, step - scale  # pos + step wraps exactly from pos >= turn on
+    total = 0
+    for _ in range(count):
+        total += values[bisect_right(edges, pos)]
+        pos = pos + step if pos < turn else pos + back
+        yield total, pos
+
+
 def birkhoff_sums(base: BaseMap, f: StepCocycle, x: FixedReal, count: int) -> Iterator[int]:
     """Stream the exact partial sums ``S_1, ..., S_count`` of ``f`` along the orbit.
 
     Pure big-integer loop, O(1) memory: this is the slow, independent
     reference path that the fast detectors are validated against.  Integer
     cocycles only (cascade mode).  A rational angle with an exact start
-    steps in exact ``Fraction`` arithmetic; every other orbit runs on
-    :func:`guarded_walk`, the only guarded per-step orbit loop.
+    runs on :func:`rational_walk`, every other orbit on
+    :func:`guarded_walk`.
     """
     if not f.is_integer:
         raise ValueError("cascade scans need an integer-valued cocycle")
     if count < 0:
         raise ValueError("count must be non-negative")
     if isinstance(base, CircleRotation) and base.is_rational and x.is_exact:
-        alpha = base.alpha.as_fraction()
-        pos = x.to_fraction() % 1
-        total = 0
-        for _ in range(count):
-            total += f.value_at_fraction(pos)
-            pos = (pos + alpha) % 1
-            yield total
-        return
-    for total, _ in guarded_walk(base, f, FixedReal(x.mantissa % ONE, x.err_ulps), count):
+        walk = rational_walk(base.alpha.as_fraction(), f, x.to_fraction(), count)
+    else:
+        walk = guarded_walk(base, f, FixedReal(x.mantissa % ONE, x.err_ulps), count)
+    for total, _ in walk:
         yield total
 
 

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .cocycles import StepCocycle, guarded_walk
+from .cocycles import StepCocycle, guarded_walk, rational_walk
 from .errors import RationalAngleWarning, ReturnBudgetError
 from .fixedpoint import FixedReal, Real, exact_fraction
 from .recurrence import TargetSet
@@ -74,50 +74,34 @@ def induce_point(
     point that cannot be placed against the cocycle's walls raises
     :class:`PrecisionExhaustedError` with its ``step``.  Membership at every
     step is a guarded comparison (an ambiguous point is a precision error,
-    never silently accepted).  No return within
-    ``budget`` steps raises :class:`ReturnBudgetError` — with a
-    positive-measure target that signals a budget too small, not
-    non-recurrence.
+    never silently accepted).  A rational angle from an exact start runs on
+    :func:`~ergolab.cocycles.rational_walk` instead, where every cell and
+    membership test is exact.  No return within ``budget`` steps raises
+    :class:`ReturnBudgetError` — with a positive-measure target that
+    signals a budget too small, not non-recurrence.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    outside = "the starting point must lie in the target set"
     x_exact = exact_fraction(x)
-    if (
-        isinstance(base, CircleRotation)
-        and base.is_rational
-        and x_exact is not None
-    ):
-        return _induce_rational(base.alpha.as_fraction(), f, target, x_exact % 1, budget)
-    x = FixedReal.of(x).frac()
-    if not target.contains(x):
-        raise ValueError("the starting point must lie in the target set")
-    for n, (total, p) in enumerate(guarded_walk(base, f, x, budget), start=1):
-        if target.contains(p):
-            return InducedSample(x=x, n=n, return_point=p, f_tilde=total)
-    raise ReturnBudgetError(
-        f"no return to the target within {budget} steps "
-        f"(target measure {float(target.measure()):.6g})"
-    )
-
-
-def _induce_rational(
-    alpha: Fraction, f: StepCocycle, target: TargetSet, x: Fraction, budget: int
-) -> InducedSample:
-    """Pure-Fraction excursion for rational angles: wall hits stay decidable."""
-    if not target.contains_fraction(x):
-        raise ValueError("the starting point must lie in the target set")
-    total: Union[int, Fraction] = 0
-    p = x
-    for n in range(1, budget + 1):
-        total += f.value_at_fraction(p)
-        p = (p + alpha) % 1
-        if target.contains_fraction(p):
-            return InducedSample(
-                x=FixedReal.from_fraction(x),
-                n=n,
-                return_point=FixedReal.from_fraction(p),
-                f_tilde=total,
-            )
+    if isinstance(base, CircleRotation) and base.is_rational and x_exact is not None:
+        alpha, x = base.alpha.as_fraction(), x_exact % 1
+        if not target.contains_fraction(x):
+            raise ValueError(outside)
+        # pos / scale lies in [lo, hi) exactly when pos lies in [ceil(lo scale), ceil(hi scale))
+        scale = math.lcm(alpha.denominator, x.denominator)
+        ends = [math.ceil(end * scale) for pair in target.intervals for end in pair]
+        for n, (total, pos) in enumerate(rational_walk(alpha, f, x, budget), start=1):
+            if bisect.bisect_right(ends, pos) % 2:  # an odd number of ends at or below pos
+                point = FixedReal.from_fraction(Fraction(pos, scale))
+                return InducedSample(FixedReal.from_fraction(x), n, point, total)
+    else:
+        x = FixedReal.of(x).frac()
+        if not target.contains(x):
+            raise ValueError(outside)
+        for n, (total, p) in enumerate(guarded_walk(base, f, x, budget), start=1):
+            if target.contains(p):
+                return InducedSample(x=x, n=n, return_point=p, f_tilde=total)
     raise ReturnBudgetError(
         f"no return to the target within {budget} steps "
         f"(target measure {float(target.measure()):.6g})"

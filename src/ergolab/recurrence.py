@@ -22,13 +22,14 @@ Everything that can be exact is exact: integer sums, rational zero times,
 rational angles on exact integer grids.  Guarded fixed-point comparisons
 back the rest; an undecidable comparison raises ``PrecisionExhaustedError``
 rather than silently guessing.  Zero sums on a rotation run the certified
-cell kernel (or, from an exact start, a rational lap), and excess estimates
-sweep jump points, ``p/q`` on ``q 2**64`` points.  Irrational near times
-run the kernel where they are dense and a three-gap walk of the returns
-of ``n alpha`` where they are sparse; the two give the same times and
-refusals.
+cell kernel (or, from an exact start, one lap of the exact rational walk),
+and excess estimates sweep jump points, ``p/q`` on ``q 2**64`` points.
+Irrational near times run the kernel where they are dense and a three-gap
+walk of the returns of ``n alpha`` where they are sparse; the two give
+the same times and refusals.
 
-Periodic orbits cost one lap.  A rational angle's lap is stepped in
+Periodic orbits cost one lap.  A rational angle's lap, near residues and
+joint distances come from :func:`~ergolab.cocycles.rational_walk`, in
 integers.  Interval-exchange zero, near, joint and excess scans walk one
 lap of the guarded walk, once (a near scan has no cocycle).  It stops
 where it is back at its start exactly, radius included, since the state
@@ -57,8 +58,10 @@ from .cocycles import (
     _exact_cell,
     arc_returns,
     certified_cells,
+    grid_edges,
     guarded_walk,
     iter_flow_zeros,
+    rational_walk,
     return_gaps,
     steps_within,
     winding_integral,
@@ -213,7 +216,8 @@ class TargetSet:
     ulp apart must still raise.  An arc across the 0/1 seam takes the label
     of the first and last cells unless the seam is a boundary (the labels
     differ, or an endpoint below 1 rounds up to ``2**192``).
-    :meth:`contains_fraction` stays the exact path for rational-angle orbits.
+    :meth:`contains_fraction` tests a rational point exactly; an excursion of
+    a rational angle tests the integer positions of its walk instead.
     """
 
     __slots__ = ("intervals", "band", "_walls", "_labels", "_seam_label")
@@ -333,31 +337,6 @@ def _warn_rational(what: str) -> None:
     )
 
 
-def _grid_edges(walls: Walls, scale: int) -> list[int]:
-    """Per wall ``m / 2**192``, the least ``pos = ceil(m scale / 2**192)`` at or past it."""
-    return [-((-m * scale) >> SCALE) for m in walls.mantissas]
-
-
-def _rational_orbit_sums(alpha: Fraction, f: StepCocycle, x0: Fraction) -> list[int]:
-    """Prefix sums ``P_0..P_q`` of f over one period of the rational rotation.
-
-    Positions are integers over ``L = lcm(q, den x0)``, and cells come from
-    bisection over the integer edges of :func:`_grid_edges`.
-    """
-    q = alpha.denominator
-    x0 %= 1
-    scale = math.lcm(q, x0.denominator)
-    step = alpha.numerator * (scale // q)
-    edges = _grid_edges(f.walls, scale)
-    values = f.values
-    pos = x0.numerator * (scale // x0.denominator)
-    prefix = [0]
-    for _ in range(q):
-        prefix.append(prefix[-1] + values[bisect_right(edges, pos) - 1])
-        pos = (pos + step) % scale
-    return prefix
-
-
 def _lap_times(residues: list[int], q: int, count: int) -> np.ndarray:
     """The times ``r + m q <= count`` for residues ``1 <= r <= q`` in ascending order.
 
@@ -394,15 +373,18 @@ def _lap_zero_times(prefix: Sequence[int], count: int, residues=None) -> np.ndar
     return np.array(sorted(times), dtype=np.int64)
 
 
-def _rational_residue_distances(alpha: Fraction) -> list[Fraction]:
-    """Circle distance ``||n alpha||`` as a function of ``n mod q`` (exact)."""
+def _near_residues(alpha: Fraction, count: int, eps: Fraction) -> dict[int, int]:
+    """``{r: k}`` per residue ``1 <= r <= min(q, count)`` with ``||r alpha|| = k/q < eps``.
+
+    One :func:`~ergolab.cocycles.rational_walk` from 0 puts ``r alpha`` at
+    ``pos_r / q``, so ``k = min(pos_r, q - pos_r)``, and an integer ``k`` is
+    below ``eps q`` exactly when it is below ``ceil(eps q)``.
+    """
     q = alpha.denominator
-    p = alpha.numerator % q if q > 1 else 0
-    out = []
-    for r in range(q):
-        k = (r * p) % q
-        out.append(Fraction(min(k, q - k), q))
-    return out
+    bound = math.ceil(eps * q)
+    walk = rational_walk(alpha, None, 0, min(q, count))
+    distances = ((r, min(pos, q - pos)) for r, (_, pos) in enumerate(walk, start=1))
+    return {r: k for r, k in distances if k < bound}
 
 
 # --------------------------------------------------------------------------- #
@@ -419,10 +401,11 @@ def _concat_times(chunks: list[np.ndarray]) -> np.ndarray:
 def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Returns:
     """All times ``1 <= n <= count`` with exact Birkhoff sum ``S_n(x) = 0``.
 
-    A rational angle and an exact start enumerate the q-periodic orbit in
-    closed form (with a :class:`RationalAngleWarning`, since the recurrence
-    theorems assume ergodicity); every other rotation runs the certified
-    cell kernel, summing in int64 while ``max |v| * count < 2**62`` and in
+    A rational angle and an exact start walk one period of the exact
+    :func:`~ergolab.cocycles.rational_walk`, which later periods repeat
+    (with a :class:`RationalAngleWarning`, since the recurrence theorems
+    assume ergodicity); every other rotation runs the certified cell
+    kernel, summing in int64 while ``max |v| * count < 2**62`` and in
     Python integers past it.  Interval exchanges run :func:`_exchange_scan`.
     The result has an int64 ``times`` column.
     """
@@ -434,9 +417,10 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
     x = FixedReal.of(x).frac()
     if isinstance(base, CircleRotation) and base.is_rational:
         _warn_rational("the zero-sum scan")
-        if x_exact is not None:
-            prefix = _rational_orbit_sums(base.alpha.as_fraction(), f, x_exact)
-            return Returns(_lap_zero_times(prefix, count))
+        if x_exact is not None:  # one period, or the whole scan if shorter, is one lap
+            alpha = base.alpha.as_fraction()
+            lap = rational_walk(alpha, f, x_exact, min(alpha.denominator, count))
+            return Returns(_lap_zero_times([0, *[total for total, _ in lap]], count))
     if isinstance(base, CircleRotation):
         wide = max(abs(v) for v in f.values) * count >= 1 << 62
         values = np.asarray(f.values, dtype=object if wide else np.int64)
@@ -475,19 +459,19 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     (:func:`~ergolab.cocycles.return_gaps`, computed once per scan), so it
     runs where that gap is at least ``_WALK_MIN_GAP`` and every radius is
     one :meth:`Walls.locate` accepts.  Both engines give the same times,
-    refusal step and message; a horizon past the kernel's error margin
-    always takes the kernel, which refuses it.
+    refusal step and message; a horizon past the kernel's error margin, or
+    of ``2**63`` steps or more, always takes the kernel, which refuses it.
     """
     if base.is_rational:
-        dist = _rational_residue_distances(base.alpha.as_fraction())
-        q = len(dist)
-        return _lap_times([r for r in range(1, q + 1) if dist[r % q] < eps], q, count)
+        alpha = base.alpha.as_fraction()
+        return _lap_times(list(_near_residues(alpha, count, eps)), alpha.denominator, count)
     lo = _eps_bound(eps)
     if lo > ONE >> 1:
         return np.arange(1, count + 1, dtype=np.int64)
     alpha = base.alpha.resolved
     walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
-    if (count + 1) * alpha.err_ulps <= MAX_ERR_ULPS:  # far inside the kernel's margin
+    # far inside the kernel's margin, and every time fits the int64 column
+    if count < 1 << 63 and (count + 1) * alpha.err_ulps <= MAX_ERR_ULPS:
         # the near arc widened past every radius, count err(alpha) + 2 ulps each way
         widen = count * alpha.err_ulps + 2
         start, length = (1 - lo - widen) % ONE, min(2 * (lo + widen) - 1, ONE)
@@ -524,14 +508,15 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> Returns:
     """All times ``1 <= n <= count`` with circle distance ``d(S^n x, x) < eps``.
 
     For rotations the distance is ``||n alpha||`` independently of the
-    start, so the scan is a pure displacement test: an exact residue table
-    when alpha is rational; otherwise the certified cell kernel, or, when
-    near times are at least ``_WALK_MIN_GAP`` steps apart, a walk over the
-    returns of ``n alpha`` to the eps arc that costs one step per near time
-    (:func:`_rotation_near_times`).  Interval
-    exchanges run :func:`_exchange_scan` without a cocycle.  No circle
-    distance exceeds 1/2, so an eps above 1/2 takes every step on any base.
-    The result has an int64 ``times`` column and no distances.
+    start, so the scan is a pure displacement test: one period of the
+    exact rational walk from 0 when alpha is rational; otherwise the
+    certified cell kernel, or, when near times are at least
+    ``_WALK_MIN_GAP`` steps apart, a walk over the returns of ``n alpha`` to
+    the eps arc that costs one step per near time
+    (:func:`_rotation_near_times`).  Interval exchanges run
+    :func:`_exchange_scan` without a cocycle.  No circle distance exceeds
+    1/2, so an eps above 1/2 takes every step on any base.  The result has
+    an int64 ``times`` column and no distances.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -551,18 +536,22 @@ def joint_zero_returns(
     The intersection of :func:`find_zero_sums` and :func:`near_returns`,
     with a distance column (exact rationals for rational angles, float
     rendering of the guarded value otherwise), computed for the surviving
-    times only.  Rational angles take the near times from the exact residue
-    table for any start; interval exchanges run :func:`_exchange_scan`.
+    times only.  Rational angles take the near residues and their distances
+    from one period of the exact rational walk, for any start; interval
+    exchanges run :func:`_exchange_scan`.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if isinstance(base, CircleRotation):
         zeros = find_zero_sums(base, f, x, count).times
-        times = np.intersect1d(zeros, _rotation_near_times(base, count, eps), assume_unique=True)
         if base.is_rational:
-            dist = _rational_residue_distances(base.alpha.as_fraction())
-            return Returns(times, distance=[dist[n % len(dist)] for n in times.tolist()])
+            alpha = base.alpha.as_fraction()
+            q, near = alpha.denominator, _near_residues(alpha, count, eps)
+            kept = [n for n in zeros.tolist() if (n - 1) % q + 1 in near]
+            distance = [Fraction(near[(n - 1) % q + 1], q) for n in kept]
+            return Returns(np.array(kept, dtype=np.int64), distance=distance)
+        times = np.intersect1d(zeros, _rotation_near_times(base, count, eps), assume_unique=True)
         a_m = base.alpha.resolved.mantissa
         a_e = base.alpha.resolved.err_ulps
         distances = []
@@ -814,7 +803,8 @@ def _excess_rotation(
 
     The circle has ``2**192`` points for an irrational angle.  A rational
     ``p/q`` takes the ``q 2**64`` points that refine the 2^-64 sample grid,
-    the exact step ``(p mod q) 2**64`` and the walls of :func:`_grid_edges`;
+    the exact step ``(p mod q) 2**64`` and the walls of
+    :func:`~ergolab.cocycles.grid_edges`;
     its orbits close after ``q`` steps, so the sweep stops there and
     ``S_{mq+r} = m S_q + S_r``.
 
@@ -855,7 +845,7 @@ def _excess_rotation(
     values = f.values
     # wall 0 first with jump 0: it only guards, and its bisection places y
     jumps = (v - u for u, v in zip(values, values[1:]))
-    cuts = [(0, 0), *zip(_grid_edges(f.walls, circle)[1:], jumps)]
+    cuts = [(0, 0), *zip(grid_edges(f.walls, circle)[1:], jumps)]
     starts = [raw * (circle >> 64) for raw in xs]
     totals = [0] * len(starts)
     sums_at = {0: totals[:]}  # the totals at each edge

@@ -14,7 +14,10 @@ eps on ``Fraction`` bounds, to pin the detectors that close periodic laps.
 So is :func:`kernel_excess`, the former excess scan over every orbit point
 with ``certified_cells``, kept to pin the jump-point sweep that replaced it,
 refusals included, and :func:`rational_excess`, the former rational-angle
-estimator, kept to pin the sweep on the exact rational grid.
+estimator, kept to pin the sweep on the exact rational grid; it takes each
+start's period from ``rational_walk``, which the ``Fraction`` oracles here
+pin in turn (:func:`rational_excursion`, the former rational induction, is
+one of them).
 """
 from __future__ import annotations
 
@@ -26,9 +29,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from ergolab import cocycles, recurrence
+from ergolab import cocycles
 from ergolab.cocycles import IntegralProfile
-from ergolab.errors import PrecisionExhaustedError
+from ergolab.errors import PrecisionExhaustedError, ReturnBudgetError
 from ergolab.fixedpoint import ONE, SCALE, FixedReal
 from ergolab.stats import decimal_string
 from ergolab.systems import special_flow_step
@@ -104,6 +107,26 @@ def first_return(p, q, x0: Fraction, a_lo: Fraction, a_hi: Fraction, walls, valu
         if a_lo <= x < a_hi:
             return n, x, total
     raise AssertionError("oracle budget exhausted")
+
+
+def rational_excursion(alpha: Fraction, walls, values, target, x: Fraction, budget: int):
+    """``(n, return point, f~)`` of the first return of ``x`` to ``target`` under the rotation by ``alpha``.
+
+    Steps the orbit in ``Fraction``s, one :func:`step_value` and one
+    ``target.contains_fraction`` per step: the former rational path of
+    ``induce_point``.  A start outside the target raises :class:`ValueError`,
+    no return within ``budget`` steps :class:`ReturnBudgetError`.
+    """
+    x %= 1
+    if not target.contains_fraction(x):
+        raise ValueError("the starting point must lie in the target set")
+    total, p = 0, x
+    for n in range(1, budget + 1):
+        total += step_value(p, walls, values)
+        p = (p + alpha) % 1
+        if target.contains_fraction(p):
+            return n, p, total
+    raise ReturnBudgetError(f"no return within {budget} steps")
 
 
 def piecewise_classes(p: int, q: int, walls: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
@@ -381,12 +404,14 @@ def rational_excess(alpha: Fraction, f, n_list, eps: Fraction, xs) -> dict[int, 
     """Exceedance counts per n from each raw start's closed-form orbit-class sums.
 
     Every start ``x = raw / 2**64`` steps one period of the rational angle
-    ``alpha`` in integers, and ``S_n`` follows from that lap's prefix sums.
+    ``alpha`` on ``cocycles.rational_walk``, and ``S_n`` follows from that
+    lap's prefix sums.
     """
     counts = dict.fromkeys(n_list, 0)
+    q = alpha.denominator
     for raw in xs:
-        prefix = recurrence._rational_orbit_sums(alpha, f, Fraction(raw, 1 << 64))
-        q = len(prefix) - 1
+        lap = cocycles.rational_walk(alpha, f, Fraction(raw, 1 << 64), q)
+        prefix = [0, *[total for total, _ in lap]]
         for n in counts:
             total = n // q * prefix[q] + prefix[n % q]
             counts[n] += abs(total) * eps.denominator > eps.numerator * n

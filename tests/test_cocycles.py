@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -44,6 +44,7 @@ from ergolab.systems import (
 )
 
 from _oracles import birkhoff_sums as oracle_sums
+from _oracles import rotation_orbit
 
 
 HALF = Fraction(1, 2)
@@ -116,6 +117,44 @@ def test_sums_match_oracle_on_rational_orbit():
     got = list(birkhoff_sums(rotation(3, 7), f, FixedReal.of(x0), 500))
     want = oracle_sums(3, 7, x0, walls, [3, -1], 500)
     assert got == want
+
+
+@st.composite
+def rational_sum_cases(draw):
+    """A rational angle, walls ``{0, w, 1/2, 1/2 + w}`` and an exact dyadic start.
+
+    ``w`` is a few ulps or dyadic.  The start is dyadic, a wall, or, when
+    ``q`` is a power of two, a wall turned back by ``k alpha``, so that the
+    orbit lands on that wall at step ``k``.
+    """
+    q = draw(st.one_of(st.integers(1, 60), st.sampled_from([2, 4, 8, 64, 1024])))
+    p = draw(st.integers(-3 * q, 3 * q))
+    w = draw(st.one_of(st.integers(1, 4), st.integers(1, (1 << 20) - 1).map(lambda k: k << 171)))
+    walls = [Fraction(m, ONE) for m in (0, w, ONE // 2, ONE // 2 + w)]
+    where = draw(st.sampled_from(["dyadic", "wall", "wall-later"]))
+    if where == "dyadic":
+        x = Fraction(draw(st.integers(0, (1 << 64) - 1)), 1 << 64)
+    else:
+        k = draw(st.integers(0, 3 * q)) if where == "wall-later" and q & (q - 1) == 0 else 0
+        x = (draw(st.sampled_from(walls)) - k * Fraction(p, q)) % 1
+    return p, q, walls, x, draw(st.integers(0, 3 * q + 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=rational_sum_cases())
+@example(case=(3, 8, [0, Fraction(1, ONE), HALF, HALF + Fraction(1, ONE)], Fraction(1, 8), 30))
+def test_rational_sums_from_exact_starts_match_the_fraction_oracle(case):
+    """An exact start on a rational angle takes the integer walk, walls included, and gives the oracle's sums."""
+    p, q, walls, x, count = case
+    f = StepCocycle(walls, [1, -1, -1, 1])
+    start = FixedReal.of(x)
+    assert start.is_exact
+    assert list(birkhoff_sums(rotation(p, q), f, start, count)) == oracle_sums(
+        p, q, x, walls, f.values, count
+    )
+    event("hits a wall" if any(
+        point in walls for point in rotation_orbit(p, q, x, count)
+    ) else "misses every wall")
 
 
 def test_kernel_sums_match_pure_loop_on_golden():

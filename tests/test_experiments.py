@@ -342,12 +342,16 @@ def test_a_rounded_exchange_is_refused_at_its_own_walls(tmp_path, kind, start):
     assert stored["status"] == "error" and stored["error_step"] is None
 
 
-@pytest.mark.parametrize("kind", ["zero_sums", "near_returns"])
-def test_a_horizon_past_the_64_bit_words_exits_two(tmp_path, kind):
+@pytest.mark.parametrize(
+    "kind, eps", [("zero_sums", None), ("near_returns", "3/7"), ("near_returns", f"1/{10**18}")],
+    ids=["zero_sums", "near_returns", "sparse-near_returns"],
+)
+def test_a_horizon_past_the_64_bit_words_exits_two(tmp_path, kind, eps):
     """A count of ``2**64`` on an irrational rotation is a precision refusal, not a crash.
 
     The run records the kernel's margin message with no step, and the
-    command line exits with code 2.
+    command line exits with code 2.  A sparse near scan, which would walk
+    the three-gap returns, is refused the same way.
     """
     config = {
         "system": {"kind": "rotation", "angle": "preset:golden"},
@@ -357,7 +361,7 @@ def test_a_horizon_past_the_64_bit_words_exits_two(tmp_path, kind):
     if kind == "zero_sums":
         config["cocycle"] = {"kind": "step", "breakpoints": ["0", "1/2"], "values": [1, -1]}
     else:
-        config["detector"]["eps"] = "3/7"
+        config["detector"]["eps"] = eps
     with pytest.raises(PrecisionExhaustedError) as refusal:
         run_experiment(config, out_root=tmp_path / "api")
     assert refusal.value.step is None

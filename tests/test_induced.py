@@ -1,15 +1,20 @@
 """First-return maps, induced cocycles, and the return-time/measure product."""
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from ergolab.angles import AngleSpec
 from ergolab.cocycles import StepCocycle, birkhoff_sums
 from ergolab.errors import RationalAngleWarning, ReturnBudgetError
-from ergolab.fixedpoint import FixedReal
+from ergolab.fixedpoint import ONE, FixedReal
 from ergolab.induced import induce_point, induced_statistics
 from ergolab.recurrence import TargetSet
 from ergolab.systems import CircleRotation
+
+from _oracles import rational_excursion, step_value
 
 HALF = Fraction(1, 2)
 LEFT_HALF = TargetSet([(0, HALF)])
@@ -93,7 +98,7 @@ def test_induction_matches_orbit_filtering_for_periodic_base():
 
     orbit, x, total = [], x0, 0
     for _ in range(200):
-        total += f.value_at_fraction(x)
+        total += step_value(x, [0, HALF], [2, -2])
         x = (x + Fraction(3, 7)) % 1
         orbit.append((x, total))
     wanted = [(x, s) for x, s in orbit if x < Fraction(3, 7)]
@@ -106,6 +111,86 @@ def test_induction_matches_orbit_filtering_for_periodic_base():
         assert running == want_s
         assert abs(sample.return_point.to_fraction() - want_x) < tiny
         x = sample.return_point
+
+
+@st.composite
+def rational_excursions(draw):
+    """A rational angle, a cocycle, a target set, a start and a budget.
+
+    The cocycle is integer-valued on ``{0, w, 1/2, 1/2 + w}`` (``w`` a few
+    ulps, or dyadic) or rational-valued on two cells.  The target has one to
+    three intervals, whose ends may lie ``10**-30`` apart, far closer than
+    the walk's grid step.  The start lies on one of an interval's ends, or
+    on a grid of at most 200 points at or past its start, whose ends then
+    mostly fall between grid points, or anywhere.
+    """
+    q = draw(st.integers(1, 60))
+    angle = AngleSpec.rational(draw(st.integers(-2 * q, 2 * q)), q)
+    w = draw(st.one_of(st.integers(1, 4), st.integers(1, (1 << 20) - 1).map(lambda k: k << 171)))
+    if draw(st.booleans()):
+        walls, values = [0, w, ONE // 2, ONE // 2 + w], [1, -1, -1, 1]
+    else:
+        v = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        walls, values = [0, w], [v, -v * w / (ONE - w)]
+    walls = [Fraction(m, ONE) for m in walls]
+    tiny = Fraction(1, 10**30)
+    cuts = set()
+    for _ in range(draw(st.integers(1, 3))):
+        c = Fraction(draw(st.integers(0, 96)), 97)
+        cuts |= {c + tiny * k for k in draw(st.sets(st.integers(0, 3), min_size=1))}
+    cuts = sorted(c for c in cuts | {Fraction(1)} if c <= 1)
+    pairs = [(lo, hi) for lo, hi in zip(cuts, cuts[1:])][:: draw(st.sampled_from([1, 2]))]
+    target = TargetSet(pairs)
+    lo, hi = pairs[draw(st.integers(0, len(pairs) - 1))]
+    where = draw(st.sampled_from(["inside", "on-end", "anywhere"]))
+    if where == "inside":
+        grid = draw(st.integers(1, 200))
+        x = Fraction(math.ceil(lo * grid) + draw(st.integers(0, 3)), grid) % 1
+    elif where == "on-end":
+        x = draw(st.sampled_from([lo, hi % 1]))
+    else:
+        x = Fraction(draw(st.integers(0, 10**6)), 10**6 + 3)
+    budget = draw(st.one_of(st.integers(1, 3), st.integers(1, 3 * q)))
+    return angle, walls, values, target, x, budget
+
+
+def excursion_outcome(run):
+    try:
+        return run()
+    except (ValueError, ReturnBudgetError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=rational_excursions())
+@example(case=(  # the second interval starts 10**-30 past the first's end
+    AngleSpec.rational(1, 3), [0, HALF], [1, -1],
+    TargetSet([(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)),
+               (Fraction(1, 3) + Fraction(2, 10**30), Fraction(2, 3))]),
+    Fraction(1, 3), 5,
+))
+@example(case=(  # on the quarter grid, 1/2 lies just below 5/8 and 1/4 just below 1/4 + 10**-30
+    AngleSpec.rational(1, 4), [0, HALF], [1, -1],
+    TargetSet([(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 10**30)),
+               (Fraction(5, 8), Fraction(3, 4))]),
+    Fraction(1, 4), 5,
+))
+def test_rational_excursions_match_fraction_stepping(case):
+    """``induce_point`` on a rational angle gives the ``Fraction`` excursion, errors included."""
+    angle, walls, values, target, x, budget = case
+    f = StepCocycle(walls, values)
+
+    def run():
+        sample = induce_point(CircleRotation(angle), f, target, x, budget)
+        return sample.n, sample.return_point, sample.f_tilde, type(sample.f_tilde)
+
+    def oracle():
+        n, p, total = rational_excursion(angle.as_fraction(), walls, f.values, target, x, budget)
+        return n, FixedReal.from_fraction(p), total, type(total)
+
+    got = excursion_outcome(run)
+    assert got == excursion_outcome(oracle)
+    event(got.__name__ if isinstance(got, type) else "returned")
 
 
 # --------------------------------------------------------------------------- #

@@ -8,7 +8,9 @@ and the special-flow walks (roof crossings).  Interval-exchange near scans,
 which have no cocycle, walk on it too, with ``f=None``.  In ``recurrence.py``
 one function, ``_exchange_lap``, calls the walk: every interval-exchange
 scan and excess estimate takes its lap from there, so the lap closure at an
-exact return has one home.
+exact return has one home.  A rational angle from a rational start steps
+on the exact integer twin, :func:`ergolab.cocycles.rational_walk`, from a
+few named functions only, so a second rational orbit loop cannot creep back.
 """
 import ast
 from pathlib import Path
@@ -138,3 +140,15 @@ def test_finder_sees_every_call_form():
 def test_one_recurrence_function_walks_the_orbit():
     source = (PACKAGE / "recurrence.py").read_text()
     assert callers(source, "guarded_walk") == {"_exchange_lap"}
+
+
+def test_named_functions_walk_rational_orbits():
+    owners = {
+        name: callers((PACKAGE / name).read_text(), "rational_walk")
+        for name in ("recurrence.py", "induced.py", "cocycles.py")
+    }
+    assert owners == {
+        "recurrence.py": {"find_zero_sums", "_near_residues"},
+        "induced.py": {"induce_point"},
+        "cocycles.py": {"birkhoff_sums"},
+    }

@@ -31,7 +31,6 @@ from ergolab.recurrence import (
     _eps_bound,
     _excess_rotation,
     _near_side,
-    _rational_orbit_sums,
     cascade_apply,
     find_zero_sums,
     flow_zero_near_returns,
@@ -49,6 +48,8 @@ from ergolab.systems import (
     TorusWinding,
 )
 
+from _oracles import birkhoff_sums as oracle_sums
+from _oracles import circle_distance as oracle_distance
 from _oracles import (
     excess_fraction_exact,
     kernel_excess,
@@ -301,7 +302,7 @@ def test_near_returns_rational_matches_oracle():
     eps_den=st.integers(min_value=1, max_value=60),
 )
 def test_near_returns_rational_laps_match_oracle(q, p, count, eps_den):
-    """The lap table gives the same times as a step-by-step Fraction orbit."""
+    """One period of the rational walk gives the same times as a step-by-step Fraction orbit."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RationalAngleWarning)
         rot = CircleRotation(AngleSpec.rational(p, q))
@@ -604,14 +605,17 @@ def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count):
     2**128`` ulps of a wall, an arc that must fit on the circle.  A sparse
     near scan takes the three-gap walk instead, which uses no words, and
     answers: golden at eps ``10**-18`` returns about every ``10**17``
-    steps, at Fibonacci numbers among others (up to ``2**62`` here, so that
-    every time fits the int64 column).
+    steps, at Fibonacci numbers among others.  From ``2**63`` steps a time
+    could pass the int64 column, so that sparse scan is refused like the
+    dense one.
     """
     margin = "accumulated orbit error exceeds the coarse kernel's margin"
     scans = [
         lambda: find_zero_sums(golden(), pm_one(), Fraction(1, 10), count),
         lambda: near_returns(golden(), 0, count, Fraction(3, 7)),
     ]
+    if count >= 2**63:
+        scans.append(lambda: near_returns(golden(), 0, count, Fraction(1, 10**18)))
     for scan in scans:
         with pytest.raises(PrecisionExhaustedError) as refused:
             scan()
@@ -749,7 +753,7 @@ def test_joint_golden_is_exact_intersection():
 
 
 def test_joint_rational_angle_from_an_inexact_start_is_exact():
-    """Near times of a rational angle come from the residue table for any start.
+    """Near times of a rational angle come from the exact rational walk for any start.
 
     ``||n/3|| = 1/3 = eps`` exactly for n = 1, 2 mod 3, which no guarded
     comparison on the rounded angle can decide.  From 1/5 the cocycle
@@ -767,6 +771,34 @@ def test_joint_rational_angle_from_an_inexact_start_is_exact():
     near = set(near_returns(rot, x, count, eps).times.tolist())
     assert joint.times.tolist() == sorted(zeros & near) == list(range(3, count + 1, 3))
     assert joint.distance == [0] * (count // 3)
+
+
+@pytest.mark.parametrize("p, q", [(5, 12), (5, 13)])
+@pytest.mark.parametrize("above", [0, Fraction(1, 10**30)], ids=["at-a-distance", "just-above"])
+def test_rational_near_and_joint_scans_at_a_residue_distance(p, q, above):
+    """An eps equal to a residue distance ``k/q`` leaves that residue out; just above it, in.
+
+    Each scan must give the times, and the joint scan the exact distances,
+    of a ``Fraction`` orbit from 1/7.
+    """
+    rotation, f, x0, count = CircleRotation(AngleSpec.rational(p, q)), pm_one(), Fraction(1, 7), 60
+    orbit = rotation_orbit(p, q, x0, count + 1)
+    distances = [oracle_distance(point, x0) for point in orbit[1:]]
+    sums = oracle_sums(p, q, x0, PM_WALLS, PM_VALUES, count)
+    on_eps = []  # joint rows whose distance is k/q itself
+    for k in range(q // 2 + 1):
+        eps = Fraction(k, q) + above
+        if eps <= 0:
+            continue
+        near = [n for n, d in enumerate(distances, start=1) if d < eps]
+        assert near_returns(rotation, x0, count, eps).times.tolist() == near
+        with pytest.warns(RationalAngleWarning):
+            joint = joint_zero_returns(rotation, f, x0, count, eps)
+        want = [(n, distances[n - 1]) for n in near if sums[n - 1] == 0]
+        assert [(r.time, r.distance) for r in joint] == want
+        assert all(type(r.distance) is Fraction for r in joint)
+        on_eps += [n for n, d in want if d == Fraction(k, q)]
+    assert bool(on_eps) == bool(above)
 
 
 DYADIC_IET = ([Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 4)], (4, 3, 2, 1))
@@ -1132,7 +1164,8 @@ def test_integer_rational_laps_match_fraction_stepping(q, p, wall, on_wall, star
     for point in rotation_orbit(alpha.numerator, alpha.denominator, x0, alpha.denominator):
         total += step_value(point, walls, f.values)
         want.append(total)
-    assert _rational_orbit_sums(alpha, f, x0) == want
+    lap = cocycles.rational_walk(alpha, f, x0, alpha.denominator)
+    assert [0, *[total for total, _ in lap]] == want
 
 
 EPS_CASES = {
@@ -1868,7 +1901,7 @@ def test_every_rotation_takes_the_excess_sweep(monkeypatch):
         raise AssertionError("a rotation took a per-sample estimator")
 
     monkeypatch.setattr(recurrence, "_excess_loop", refuse)
-    monkeypatch.setattr(recurrence, "_rational_orbit_sums", refuse)
+    monkeypatch.setattr(recurrence, "rational_walk", refuse)
     assert sublinearity_estimate(*wide, samples=100, seed=3) == want["wide"]
     with pytest.warns(RationalAngleWarning):
         assert sublinearity_estimate(*rational, samples=100, seed=3) == want["rational"]
