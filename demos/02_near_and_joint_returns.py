@@ -4,7 +4,8 @@ A rotation orbit comes back within eps of its start along the
 continued-fraction denominators; independently, the +-1 step cocycle
 sums to zero on its own schedule.  The joint detector intersects the
 two and reports how close each surviving time gets.  A long sparse scan
-shows the three gaps between near times.
+shows the three gaps between near times, and a rational angle with a
+large denominator lists its near residues the same way.
 """
 from fractions import Fraction
 
@@ -46,3 +47,13 @@ root2 = CircleRotation(AngleSpec.preset("sqrt2"))
 far = near_returns(root2, 0, 10**10, Fraction(1, 10**6)).times.tolist()
 print(f"\nsqrt2 near-returns up to 10^10 (eps=1e-6): {len(far)}, first {far[:3]}")
 print("gaps between them:", sorted({b - a for a, b in zip(far, far[1:])}))
+
+# 4. a rational angle p/q: ||n p/q|| = k/q repeats every q steps, and the
+# same three-gap listing, on the integers mod q, gives the near residues of
+# one period, one iteration each, however large q is
+q = 1_000_003
+ratio = CircleRotation(AngleSpec.rational(123457, q))
+laps = near_returns(ratio, 0, 10**7, Fraction(1, 1000)).times
+first = laps[laps <= q]
+print(f"\n123457/{q} near-returns up to 10^7 (eps=1/1000): {len(laps)}, "
+      f"{len(first)} per period, first {first[:3].tolist()}")

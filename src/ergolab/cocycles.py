@@ -17,18 +17,19 @@ points by their top 64 mantissa bits and decides at full 192-bit guarded
 precision the steps that :func:`steps_within` lists near a wall.  That
 listing rests on one exact integer primitive, the three-gap walk
 :func:`arc_returns` over the returns of ``n alpha`` to an arc, which also
-lists the candidate near times of sparse near scans and the suspect steps
-of the excess sweep.  Zero-sum scans and dense near-return times (cells of
-the displacement ``n alpha`` against walls at the eps boundaries) run on
-the kernel, and its cells equal those of :func:`guarded_walk`.
+lists the near times of sparse and rational near scans and the suspect
+steps of the excess sweep.  Zero-sum scans and dense near-return times
+(cells of the displacement ``n alpha`` against walls at the eps
+boundaries) run on the kernel, and its cells equal those of
+:func:`guarded_walk`.
 
 Every other orbit runs on one of two per-step walks.  :func:`guarded_walk`
 places each point on the 192-bit grid or refuses with its step (Birkhoff
 sums, interval-exchange scans, induced excursions, skew orbits; a near
 scan walks without a cocycle).  Its exact integer twin
 :func:`rational_walk` steps a rational angle from a rational start and
-never refuses (rational zero-sum laps, near residues and distances,
-induced excursions, Birkhoff sums).
+never refuses (rational zero-sum laps, induced excursions and Birkhoff
+sums).
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ from .systems import (
 )
 
 _LOW_BITS = SCALE - 64  # coarse kernel keeps the top 64 of 192 bits
+PAST_MARGIN = "accumulated orbit error exceeds the coarse kernel's margin"
 
 
 class StepCocycle:
@@ -156,7 +158,7 @@ def arc_returns(
     returns after ``t1`` steps if ``y + d1 < length``, else after ``t2`` if
     ``y >= d2``, else after ``t1 + t2``.  Exact integers throughout, one
     iteration per time; an arc first entered past ``count`` costs one
-    :func:`_first_entry`.
+    :func:`_first_entry`.  ``m`` is ``2**192``, or ``q`` for a rational ``p/q``.
     """
     n = _first_entry(a, m, start, length)
     if n is None or n > count:
@@ -221,9 +223,7 @@ def certified_cells(
     a_m, a_e = rotation.alpha.resolved.mantissa, rotation.alpha.resolved.err_ulps
     x_m, x_e = start.mantissa % ONE, start.err_ulps
     if count >= 1 << 62 or x_e + count * a_e >= 1 << _LOW_BITS:
-        raise PrecisionExhaustedError(
-            "accumulated orbit error exceeds the coarse kernel's margin"
-        )
+        raise PrecisionExhaustedError(PAST_MARGIN)
     reach = (count + 2) << _LOW_BITS
     listed = sorted({
         n for w in walls.mantissas for n in steps_within(a_m, ONE, x_m, w, reach, count)
@@ -276,25 +276,22 @@ def grid_edges(walls: Walls, scale: int) -> list[int]:
     return [-((-m * scale) >> SCALE) for m in walls.mantissas]
 
 
-def rational_walk(
-    alpha: Fraction, f: StepCocycle | None, x: Fraction, count: int
-) -> Iterator[tuple]:
+def rational_walk(alpha: Fraction, f: StepCocycle, x: Fraction, count: int) -> Iterator[tuple]:
     """Yield ``(S_n f(x), pos_n)`` for ``n = 1, ..., count``: the exact integer twin of :func:`guarded_walk`.
 
     The rotation by ``alpha = p/q`` from the rational ``x`` moves on the
     integers mod ``scale = lcm(q, den x)``: ``S^n x = pos_n / scale``, and a
     step adds ``p scale / q``.  A point lies at or past a wall exactly when
     ``pos`` is at or past the wall's :func:`grid_edges`, so every cell is
-    decided exactly and nothing is refused.  ``f=None`` steps the orbit
-    alone, every sum 0; a rational-valued ``f`` sums ``Fraction``s.  O(1)
-    memory.
+    decided exactly and nothing is refused.  A rational-valued ``f`` sums
+    ``Fraction``s.  O(1) memory.  Near residues need no walk (:func:`arc_returns`).
     """
     x %= 1
     scale = math.lcm(alpha.denominator, x.denominator)
     step = alpha.numerator * (scale // alpha.denominator) % scale
     pos = x.numerator * (scale // x.denominator)
     # the edge of wall 0 is 0: a cell is the number of the other edges at or below pos
-    edges, values = ([], (0,)) if f is None else (grid_edges(f.walls, scale)[1:], f.values)
+    edges, values = grid_edges(f.walls, scale)[1:], f.values
     turn, back = scale - step, step - scale  # pos + step wraps exactly from pos >= turn on
     total = 0
     for _ in range(count):

@@ -28,16 +28,17 @@ Irrational near times run the kernel where they are dense and a three-gap
 walk of the returns of ``n alpha`` where they are sparse; the two give
 the same times and refusals.
 
-Periodic orbits cost one lap.  A rational angle's lap, near residues and
-joint distances come from :func:`~ergolab.cocycles.rational_walk`, in
-integers.  Interval-exchange zero, near, joint and excess scans walk one
-lap of the guarded walk, once (a near scan has no cocycle).  It stops
-where it is back at its start exactly, radius included, since the state
-fixes every later step; a walk that never returns is one lap of the whole
-scan.  Later laps follow from the lap's prefix sums,
-``S_{mL+r} = m S_L + S_r``, and a first lap without a refusal has none
-later.  Every guarded eps test compares integers with one bound per scan,
-``ceil(eps 2**192)``.
+Periodic orbits cost one lap.  A rational angle's zero-sum lap comes
+from :func:`~ergolab.cocycles.rational_walk`, in integers, and its near
+residues from the same three-gap walk, mod ``q``.  Interval-exchange
+zero, near, joint and excess scans walk one lap of the guarded walk,
+once (a near scan has no cocycle).  It stops where it is back at its
+start exactly, radius included, since the state fixes every later step;
+a walk that never returns is one lap of the whole scan.  Later laps
+follow from the lap's prefix sums, ``S_{mL+r} = m S_L + S_r``, and a
+first lap without a refusal has none later; a lap scan of ``2**63``
+steps or more is refused.  Every guarded eps test compares integers with
+one bound per scan, ``ceil(eps 2**192)``.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .cocycles import (
+    PAST_MARGIN,
     PhaseFunction,
     StepCocycle,
     TrigPolynomial,
@@ -341,11 +343,14 @@ def _lap_times(residues: list[int], q: int, count: int) -> np.ndarray:
     """The times ``r + m q <= count`` for residues ``1 <= r <= q`` in ascending order.
 
     Every lap of a q-periodic event pattern repeats the first lap's events;
-    the result is a sorted int64 array.
+    the result is a sorted int64 array.  From ``2**63`` steps a time may
+    pass the int64 column: refused, with no step.
     """
-    laps = np.arange(count // q + 1, dtype=np.int64) * q
+    if count >= 1 << 63:
+        raise PrecisionExhaustedError(PAST_MARGIN)
+    laps = np.arange(0, count, q, dtype=np.int64)  # the laps that start before count
     times = (laps[:, None] + np.array(residues, dtype=np.int64)).ravel()
-    return times[times <= count]
+    return times[: np.searchsorted(times, count, side="right")]
 
 
 def _lap_zero_times(prefix: Sequence[int], count: int, residues=None) -> np.ndarray:
@@ -354,8 +359,11 @@ def _lap_zero_times(prefix: Sequence[int], count: int, residues=None) -> np.ndar
     ``prefix`` holds one lap's sums ``P_0..P_L`` of an orbit that repeats
     every ``L`` steps; only the ascending ``residues`` (default ``1..L``)
     are expanded.  A zero lap sum repeats the lap's zeros; otherwise each
-    residue ``r`` has at most one zero, in lap ``m = -P_r / P_L``.
+    residue ``r`` has at most one zero, in lap ``m = -P_r / P_L``.  From
+    ``2**63`` steps a time may pass the int64 column: refused, with no step.
     """
+    if count >= 1 << 63:
+        raise PrecisionExhaustedError(PAST_MARGIN)
     lap = len(prefix) - 1
     if not lap:  # an empty walk is no lap
         return np.empty(0, dtype=np.int64)
@@ -371,20 +379,6 @@ def _lap_zero_times(prefix: Sequence[int], count: int, residues=None) -> np.ndar
             if m >= 0 and n <= count:
                 times.append(n)
     return np.array(sorted(times), dtype=np.int64)
-
-
-def _near_residues(alpha: Fraction, count: int, eps: Fraction) -> dict[int, int]:
-    """``{r: k}`` per residue ``1 <= r <= min(q, count)`` with ``||r alpha|| = k/q < eps``.
-
-    One :func:`~ergolab.cocycles.rational_walk` from 0 puts ``r alpha`` at
-    ``pos_r / q``, so ``k = min(pos_r, q - pos_r)``, and an integer ``k`` is
-    below ``eps q`` exactly when it is below ``ceil(eps q)``.
-    """
-    q = alpha.denominator
-    bound = math.ceil(eps * q)
-    walk = rational_walk(alpha, None, 0, min(q, count))
-    distances = ((r, min(pos, q - pos)) for r, (_, pos) in enumerate(walk, start=1))
-    return {r: k for r, k in distances if k < bound}
 
 
 # --------------------------------------------------------------------------- #
@@ -447,12 +441,16 @@ _WALK_MIN_GAP = 250
 def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.ndarray:
     """Sorted int64 times ``1 <= n <= count`` with ``||n alpha|| < eps``, for any start.
 
+    No circle distance exceeds 1/2, so a larger eps takes every time.  A
+    rational ``p/q`` is near at ``n`` when ``n p mod q`` lies in the arc
+    ``[q - b + 1, q + b)``, ``b = ceil(eps q)``: one period of residues is
+    listed by :func:`~ergolab.cocycles.arc_returns`, and later laps repeat it.
+
     An irrational displacement ``n alpha`` is near exactly when it lies in
     ``[1 - lo, lo)`` with ``lo = ceil(eps * 2**192)``.  Started from the exact
     point ``lo - 1``, the orbit of :func:`certified_cells` puts that arc in
     cell 0 of the walls ``{0, 2 lo - 1}``, so both walls are eps boundaries
-    and a refusal names the step whose interval straddles eps.  No circle
-    distance exceeds 1/2, so a larger eps takes every time.
+    and a refusal names the step whose interval straddles eps.
 
     Sparse scans take :func:`_near_walk` instead, which visits only the
     returns to that arc: its iterations are at most ``count / min(t1, t2)``
@@ -462,12 +460,13 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     refusal step and message; a horizon past the kernel's error margin, or
     of ``2**63`` steps or more, always takes the kernel, which refuses it.
     """
+    if eps > Fraction(1, 2):
+        return _lap_times([1], 1, count)
     if base.is_rational:
-        alpha = base.alpha.as_fraction()
-        return _lap_times(list(_near_residues(alpha, count, eps)), alpha.denominator, count)
+        p, q = base.alpha.as_fraction().as_integer_ratio()
+        b = math.ceil(eps * q)
+        return _lap_times(arc_returns(p, q, q - b + 1, 2 * b - 1, min(q, count)), q, count)
     lo = _eps_bound(eps)
-    if lo > ONE >> 1:
-        return np.arange(1, count + 1, dtype=np.int64)
     alpha = base.alpha.resolved
     walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
     # far inside the kernel's margin, and every time fits the int64 column
@@ -508,9 +507,9 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> Returns:
     """All times ``1 <= n <= count`` with circle distance ``d(S^n x, x) < eps``.
 
     For rotations the distance is ``||n alpha||`` independently of the
-    start, so the scan is a pure displacement test: one period of the
-    exact rational walk from 0 when alpha is rational; otherwise the
-    certified cell kernel, or, when near times are at least
+    start, so the scan is a pure displacement test: one period of residues
+    mod ``q``, listed by the three-gap walk, when alpha is rational ``p/q``;
+    otherwise the certified cell kernel, or, when near times are at least
     ``_WALK_MIN_GAP`` steps apart, a walk over the returns of ``n alpha`` to
     the eps arc that costs one step per near time
     (:func:`_rotation_near_times`).  Interval exchanges run
@@ -536,9 +535,9 @@ def joint_zero_returns(
     The intersection of :func:`find_zero_sums` and :func:`near_returns`,
     with a distance column (exact rationals for rational angles, float
     rendering of the guarded value otherwise), computed for the surviving
-    times only.  Rational angles take the near residues and their distances
-    from one period of the exact rational walk, for any start; interval
-    exchanges run :func:`_exchange_scan`.
+    times only.  A rational ``p/q`` keeps, for any start, a zero time ``n``
+    whose ``k = min(n p mod q, -n p mod q)`` is below ``ceil(eps q)``, at the
+    distance ``k/q``; interval exchanges run :func:`_exchange_scan`.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -546,11 +545,11 @@ def joint_zero_returns(
     if isinstance(base, CircleRotation):
         zeros = find_zero_sums(base, f, x, count).times
         if base.is_rational:
-            alpha = base.alpha.as_fraction()
-            q, near = alpha.denominator, _near_residues(alpha, count, eps)
-            kept = [n for n in zeros.tolist() if (n - 1) % q + 1 in near]
-            distance = [Fraction(near[(n - 1) % q + 1], q) for n in kept]
-            return Returns(np.array(kept, dtype=np.int64), distance=distance)
+            p, q = base.alpha.as_fraction().as_integer_ratio()
+            b = math.ceil(eps * q)
+            near = [(n, k) for n in zeros.tolist() if (k := min(n * p % q, -n * p % q)) < b]
+            kept = np.array([n for n, _ in near], dtype=np.int64)
+            return Returns(kept, distance=[Fraction(k, q) for _, k in near])
         times = np.intersect1d(zeros, _rotation_near_times(base, count, eps), assume_unique=True)
         a_m = base.alpha.resolved.mantissa
         a_e = base.alpha.resolved.err_ulps
@@ -839,9 +838,7 @@ def _excess_rotation(
         circle, a_m, a_e = ONE, base.alpha.resolved.mantissa, base.alpha.resolved.err_ulps
     lap = min(max(n_list), circle >> 64)  # a rational period q; 2**128 fails the margin
     if lap * a_e >= 1 << 128:  # past the margin of certified_cells
-        raise PrecisionExhaustedError(
-            "accumulated orbit error exceeds the coarse kernel's margin"
-        )
+        raise PrecisionExhaustedError(PAST_MARGIN)
     values = f.values
     # wall 0 first with jump 0: it only guards, and its bisection places y
     jumps = (v - u for u, v in zip(values, values[1:]))

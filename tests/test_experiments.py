@@ -342,25 +342,44 @@ def test_a_rounded_exchange_is_refused_at_its_own_walls(tmp_path, kind, start):
     assert stored["status"] == "error" and stored["error_step"] is None
 
 
+GOLDEN = {"kind": "rotation", "angle": "preset:golden"}
+DYADIC_IET = {"kind": "interval_exchange", "lengths": ["1/8", "1/4", "3/8", "1/4"],
+              "permutation": [4, 3, 2, 1]}
+
+
 @pytest.mark.parametrize(
-    "kind, eps", [("zero_sums", None), ("near_returns", "3/7"), ("near_returns", f"1/{10**18}")],
-    ids=["zero_sums", "near_returns", "sparse-near_returns"],
+    "system, kind, eps, start",
+    [
+        (GOLDEN, "zero_sums", None, "1/10"),
+        (GOLDEN, "near_returns", "3/7", "1/10"),
+        (GOLDEN, "near_returns", f"1/{10**18}", "1/10"),
+        ({"kind": "rotation", "angle": "rational:1/2"}, "zero_sums", None, "1/7"),
+        ({"kind": "rotation", "angle": "rational:1/2"}, "joint_returns", "1/3", "1/7"),
+        ({"kind": "rotation", "angle": "rational:1/3"}, "near_returns", "1/7", "1/7"),
+        (DYADIC_IET, "zero_sums", None, "5/9"),
+        (DYADIC_IET, "near_returns", "1/7", "5/9"),
+    ],
+    ids=["zero_sums", "near_returns", "sparse-near_returns", "rational-zero_sums",
+         "rational-joint_returns", "rational-near_returns", "exchange-zero_sums",
+         "exchange-near_returns"],
 )
-def test_a_horizon_past_the_64_bit_words_exits_two(tmp_path, kind, eps):
-    """A count of ``2**64`` on an irrational rotation is a precision refusal, not a crash.
+def test_a_horizon_past_the_64_bit_words_exits_two(tmp_path, system, kind, eps, start):
+    """A count of ``2**64`` is a precision refusal, not a crash nor an empty answer.
 
     The run records the kernel's margin message with no step, and the
-    command line exits with code 2.  A sparse near scan, which would walk
-    the three-gap returns, is refused the same way.
+    command line exits with code 2.  On the golden rotation the kernel
+    refuses it; a sparse near scan, which would walk the three-gap returns,
+    is refused the same way.  A lap scan, on a rational angle or a dyadic
+    interval exchange, would expand times past the int64 column.
     """
     config = {
-        "system": {"kind": "rotation", "angle": "preset:golden"},
-        "detector": {"kind": kind, "start": "1/10", "count": 2**64},
+        "system": system,
+        "detector": {"kind": kind, "start": start, "count": 2**64},
         "output": {"directory": "far", "formats": ["csv"]},
     }
-    if kind == "zero_sums":
+    if kind != "near_returns":
         config["cocycle"] = {"kind": "step", "breakpoints": ["0", "1/2"], "values": [1, -1]}
-    else:
+    if eps is not None:
         config["detector"]["eps"] = eps
     with pytest.raises(PrecisionExhaustedError) as refusal:
         run_experiment(config, out_root=tmp_path / "api")

@@ -11,6 +11,9 @@ scan and excess estimate takes its lap from there, so the lap closure at an
 exact return has one home.  A rational angle from a rational start steps
 on the exact integer twin, :func:`ergolab.cocycles.rational_walk`, from a
 few named functions only, so a second rational orbit loop cannot creep back.
+Near times, rational or irrational, and the kernel's near-wall steps are
+listed by one three-gap walk, :func:`ergolab.cocycles.arc_returns`, from
+one function in each module, so the near listing keeps one home.
 """
 import ast
 from pathlib import Path
@@ -148,7 +151,15 @@ def test_named_functions_walk_rational_orbits():
         for name in ("recurrence.py", "induced.py", "cocycles.py")
     }
     assert owners == {
-        "recurrence.py": {"find_zero_sums", "_near_residues"},
+        "recurrence.py": {"find_zero_sums"},
         "induced.py": {"induce_point"},
         "cocycles.py": {"birkhoff_sums"},
     }
+
+
+def test_one_function_per_module_lists_arc_returns():
+    owners = {
+        name: callers((PACKAGE / name).read_text(), "arc_returns")
+        for name in ("recurrence.py", "cocycles.py")
+    }
+    assert owners == {"recurrence.py": {"_rotation_near_times"}, "cocycles.py": {"steps_within"}}

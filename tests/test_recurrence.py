@@ -296,13 +296,13 @@ def test_near_returns_rational_matches_oracle():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    q=st.integers(min_value=1, max_value=40),
-    p=st.integers(min_value=0, max_value=200),
-    count=st.integers(min_value=0, max_value=300),
+    q=st.integers(min_value=1, max_value=500),
+    p=st.integers(min_value=0, max_value=2000),
+    count=st.integers(min_value=0, max_value=1000),
     eps_den=st.integers(min_value=1, max_value=60),
 )
 def test_near_returns_rational_laps_match_oracle(q, p, count, eps_den):
-    """One period of the rational walk gives the same times as a step-by-step Fraction orbit."""
+    """One period of three-gap residues gives the same times as a step-by-step Fraction orbit."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RationalAngleWarning)
         rot = CircleRotation(AngleSpec.rational(p, q))
@@ -607,7 +607,10 @@ def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count):
     answers: golden at eps ``10**-18`` returns about every ``10**17``
     steps, at Fibonacci numbers among others.  From ``2**63`` steps a time
     could pass the int64 column, so that sparse scan is refused like the
-    dense one.
+    dense one, and so is every lap scan (a rational angle, a dyadic interval
+    exchange, or an eps above 1/2), which would expand times past that
+    column: before, they answered no time, failed to allocate the laps or
+    overflowed the column.
     """
     margin = "accumulated orbit error exceeds the coarse kernel's margin"
     scans = [
@@ -615,9 +618,24 @@ def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count):
         lambda: near_returns(golden(), 0, count, Fraction(3, 7)),
     ]
     if count >= 2**63:
-        scans.append(lambda: near_returns(golden(), 0, count, Fraction(1, 10**18)))
+        half, third = (CircleRotation(AngleSpec.rational(1, q)) for q in (2, 3))
+        iet, x = IntervalExchange(*DYADIC_IET), Fraction(5, 9)
+        far_zero = StepCocycle([0, Fraction(1, 4), HALF], [-(2**62), 2**62 + 2, -1])
+        scans += [
+            lambda: near_returns(golden(), 0, count, Fraction(1, 10**18)),
+            lambda: near_returns(golden(), 0, count, Fraction(3, 5)),
+            lambda: find_zero_sums(half, pm_one(), Fraction(1, 7), count),
+            # lap sum 1 after -2**62: the one zero, 3 * 2**62 + 1, passes the column
+            lambda: find_zero_sums(third, far_zero, Fraction(1, 8), count),
+            lambda: joint_zero_returns(half, pm_one(), Fraction(1, 7), count, Fraction(1, 3)),
+            lambda: near_returns(third, 0, count, Fraction(1, 7)),
+            lambda: find_zero_sums(iet, pm_one(), x, count),
+            lambda: near_returns(iet, x, count, Fraction(1, 7)),
+            lambda: joint_zero_returns(iet, pm_one(), x, count, Fraction(1, 7)),
+        ]
     for scan in scans:
-        with pytest.raises(PrecisionExhaustedError) as refused:
+        with pytest.raises(PrecisionExhaustedError) as refused, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RationalAngleWarning)
             scan()
         assert str(refused.value) == margin and refused.value.step is None
     eps = Fraction(1, 10**18)
@@ -773,13 +791,15 @@ def test_joint_rational_angle_from_an_inexact_start_is_exact():
     assert joint.distance == [0] * (count // 3)
 
 
-@pytest.mark.parametrize("p, q", [(5, 12), (5, 13)])
+@pytest.mark.parametrize("p, q", [(5, 12), (5, 13), (97, 1009), (-5, 12), (1, 2)])
 @pytest.mark.parametrize("above", [0, Fraction(1, 10**30)], ids=["at-a-distance", "just-above"])
 def test_rational_near_and_joint_scans_at_a_residue_distance(p, q, above):
     """An eps equal to a residue distance ``k/q`` leaves that residue out; just above it, in.
 
     Each scan must give the times, and the joint scan the exact distances,
-    of a ``Fraction`` orbit from 1/7.
+    of a ``Fraction`` orbit from 1/7.  The 60 steps on 97/1009 end inside
+    the first period, -5/12 has a negative numerator, and the residue of
+    1/2 sits exactly at eps 1/2.
     """
     rotation, f, x0, count = CircleRotation(AngleSpec.rational(p, q)), pm_one(), Fraction(1, 7), 60
     orbit = rotation_orbit(p, q, x0, count + 1)
