@@ -215,8 +215,7 @@ def certified_cells(
     wall.  :func:`steps_within` lists the other steps, wall by wall; they
     are decided at 192 bits in step order, and the first that cannot be
     raises :class:`PrecisionExhaustedError` with its step.  Every other word
-    is placed among the wall words, by one table per top-12-bit bucket of
-    words and, in a bucket that a wall word splits, one search per word.
+    is placed among the wall words by one search.
     """
     if count <= 0:
         return
@@ -229,18 +228,10 @@ def certified_cells(
         n for w in walls.mantissas for n in steps_within(a_m, ONE, x_m, w, reach, count)
     })
     wall_words = np.array([w >> _LOW_BITS for w in walls.mantissas], dtype=np.uint64)
-    # the cell is monotone in the word: a top-12-bit bucket whose end words
-    # share it has that cell throughout, and -1 marks a bucket a wall word splits
-    first = np.arange(1 << 12, dtype=np.uint64) << 52
-    last = first + ((1 << 52) - 1)
-    lo, hi = (np.searchsorted(wall_words, e, side="right") - 1 for e in (first, last))
-    bucket_cell = np.where(lo == hi, lo, -1)
     a64, x64 = np.uint64(a_m >> _LOW_BITS), np.uint64(x_m >> _LOW_BITS)
     for offset in range(0, count, _BLOCK):
         words = np.arange(offset, min(offset + _BLOCK, count), dtype=np.uint64) * a64 + x64
-        cells = bucket_cell.take((words >> 52).view(np.int64))
-        split = np.flatnonzero(cells < 0)
-        cells[split] = np.searchsorted(wall_words, words[split], side="right") - 1
+        cells = np.searchsorted(wall_words, words, side="right") - 1
         for i in listed[bisect_left(listed, offset):bisect_left(listed, offset + len(cells))]:
             cells[i - offset] = _exact_cell(walls, (x_m + i * a_m) % ONE, x_e + i * a_e, i)
         yield offset, cells

@@ -36,9 +36,10 @@ once (a near scan has no cocycle).  It stops where it is back at its
 start exactly, radius included, since the state fixes every later step;
 a walk that never returns is one lap of the whole scan.  Later laps
 follow from the lap's prefix sums, ``S_{mL+r} = m S_L + S_r``, and a
-first lap without a refusal has none later; a lap scan of ``2**63``
-steps or more is refused.  Every guarded eps test compares integers with
-one bound per scan, ``ceil(eps 2**192)``.
+first lap without a refusal has none later.  A zero, near or joint scan
+of ``2**63`` steps or more is refused before its first step, since a time
+could pass the int64 column.  Every guarded eps test compares integers
+with one bound per scan, ``ceil(eps 2**192)``.
 """
 from __future__ import annotations
 
@@ -75,7 +76,6 @@ from .errors import (
     ZeroValueStartError,
 )
 from .fixedpoint import (
-    MAX_ERR_ULPS,
     ONE,
     SCALE,
     FixedReal,
@@ -343,11 +343,9 @@ def _lap_times(residues: list[int], q: int, count: int) -> np.ndarray:
     """The times ``r + m q <= count`` for residues ``1 <= r <= q`` in ascending order.
 
     Every lap of a q-periodic event pattern repeats the first lap's events;
-    the result is a sorted int64 array.  From ``2**63`` steps a time may
-    pass the int64 column: refused, with no step.
+    the result is a sorted int64 array, which holds every time since the
+    detectors refuse ``count >= 2**63``.
     """
-    if count >= 1 << 63:
-        raise PrecisionExhaustedError(PAST_MARGIN)
     laps = np.arange(0, count, q, dtype=np.int64)  # the laps that start before count
     times = (laps[:, None] + np.array(residues, dtype=np.int64)).ravel()
     return times[: np.searchsorted(times, count, side="right")]
@@ -359,11 +357,9 @@ def _lap_zero_times(prefix: Sequence[int], count: int, residues=None) -> np.ndar
     ``prefix`` holds one lap's sums ``P_0..P_L`` of an orbit that repeats
     every ``L`` steps; only the ascending ``residues`` (default ``1..L``)
     are expanded.  A zero lap sum repeats the lap's zeros; otherwise each
-    residue ``r`` has at most one zero, in lap ``m = -P_r / P_L``.  From
-    ``2**63`` steps a time may pass the int64 column: refused, with no step.
+    residue ``r`` has at most one zero, in lap ``m = -P_r / P_L``.  The
+    detectors refuse ``count >= 2**63``, so every time fits the column.
     """
-    if count >= 1 << 63:
-        raise PrecisionExhaustedError(PAST_MARGIN)
     lap = len(prefix) - 1
     if not lap:  # an empty walk is no lap
         return np.empty(0, dtype=np.int64)
@@ -401,12 +397,15 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
     assume ergodicity); every other rotation runs the certified cell
     kernel, summing in int64 while ``max |v| * count < 2**62`` and in
     Python integers past it.  Interval exchanges run :func:`_exchange_scan`.
-    The result has an int64 ``times`` column.
+    The result has an int64 ``times`` column, so a scan of ``2**63`` steps
+    or more is refused before its first step, with no step named.
     """
     if not f.is_integer:
         raise ValueError("zero-sum detection needs an integer-valued cocycle")
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count >= 1 << 63:
+        raise PrecisionExhaustedError(PAST_MARGIN)
     x_exact = exact_fraction(x)
     x = FixedReal.of(x).frac()
     if isinstance(base, CircleRotation) and base.is_rational:
@@ -428,13 +427,13 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
     return _exchange_scan(base, f, x, count, None)
 
 
-# The walk costs 1-2 us per listed step, its 192-bit test included, and the
-# kernel 4-6 ns per step at 10**5 to 10**7 steps (Python 3.11, 2 shared
+# The walk costs 1.2-3 us per listed step, its 192-bit test included, and
+# the kernel 5-14 ns per step at 10**5 to 10**7 steps (Python 3.11, 2 shared
 # CPUs), so with every gap at least 250 steps the walk is at worst about
 # as fast.  Measured on golden, sqrt2 and (1 + sqrt 3)/4 at eps 1/30 to
-# 1/2000: the walk took 0.25-0.81 of the kernel's time where min(t1, t2)
-# was 233 to 610, 0.5-1.5 times it at 144 and 169, and 1.1-20 times it at
-# 3 to 89.
+# 1/2000, best of 3: the walk took 0.26-0.93 of the kernel's time where
+# min(t1, t2) was 233 to 610, 0.75-1.4 times it at 144 and 169, and
+# 0.9-24 times it at 3 to 89.
 _WALK_MIN_GAP = 250
 
 
@@ -455,10 +454,10 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     Sparse scans take :func:`_near_walk` instead, which visits only the
     returns to that arc: its iterations are at most ``count / min(t1, t2)``
     (:func:`~ergolab.cocycles.return_gaps`, computed once per scan), so it
-    runs where that gap is at least ``_WALK_MIN_GAP`` and every radius is
-    one :meth:`Walls.locate` accepts.  Both engines give the same times,
-    refusal step and message; a horizon past the kernel's error margin, or
-    of ``2**63`` steps or more, always takes the kernel, which refuses it.
+    runs where that gap is at least ``_WALK_MIN_GAP``.  Both engines give the
+    same times, refusal step and message.  The kernel refuses ``2**62``
+    steps or more, with no step; the walk answers up to the detectors'
+    ``2**63``.
     """
     if eps > Fraction(1, 2):
         return _lap_times([1], 1, count)
@@ -469,15 +468,13 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     lo = _eps_bound(eps)
     alpha = base.alpha.resolved
     walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
-    # far inside the kernel's margin, and every time fits the int64 column
-    if count < 1 << 63 and (count + 1) * alpha.err_ulps <= MAX_ERR_ULPS:
-        # the near arc widened past every radius, count err(alpha) + 2 ulps each way
-        widen = count * alpha.err_ulps + 2
-        start, length = (1 - lo - widen) % ONE, min(2 * (lo + widen) - 1, ONE)
-        t1, t2 = gaps = return_gaps(alpha.mantissa, ONE, length)
-        if min(t1, t2 or t1) >= _WALK_MIN_GAP:  # t2 None: every gap is t1
-            candidates = arc_returns(alpha.mantissa, ONE, start, length, count, gaps)
-            return _near_walk(alpha, walls, lo, candidates)
+    # the near arc widened past every radius, count err(alpha) + 2 ulps each way
+    widen = count * alpha.err_ulps + 2
+    start, length = (1 - lo - widen) % ONE, min(2 * (lo + widen) - 1, ONE)
+    t1, t2 = gaps = return_gaps(alpha.mantissa, ONE, length)
+    if min(t1, t2 or t1) >= _WALK_MIN_GAP:  # t2 None: every gap is t1
+        candidates = arc_returns(alpha.mantissa, ONE, start, length, count, gaps)
+        return _near_walk(alpha, walls, lo, candidates)
     chunks = [
         np.flatnonzero(cells == 0) + offset
         for offset, cells in certified_cells(base, walls, FixedReal(lo - 1), count + 1)
@@ -494,9 +491,7 @@ def _near_walk(alpha: FixedReal, walls: Walls, lo: int, candidates: list[int]) -
     than its radius from both eps walls, so it is far.  Each candidate is
     placed by the kernel's own 192-bit test against ``walls``, ``{0, 2 lo -
     1}``, from the point ``lo - 1``, in step order, so a refusal carries the
-    step and message of :func:`certified_cells`.  The radius must stay
-    within :data:`MAX_ERR_ULPS`: past it that test refuses every step, where
-    the kernel still places a step far from the walls by its 64-bit word.
+    step and message of :func:`certified_cells`.
     """
     a_m, a_e = alpha.mantissa, alpha.err_ulps
     times = [n for n in candidates if _exact_cell(walls, (lo - 1 + n * a_m) % ONE, n * a_e, n) == 0]
@@ -515,13 +510,16 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> Returns:
     (:func:`_rotation_near_times`).  Interval exchanges run
     :func:`_exchange_scan` without a cocycle.  No circle distance exceeds
     1/2, so an eps above 1/2 takes every step on any base.  The result has
-    an int64 ``times`` column and no distances.
+    an int64 ``times`` column and no distances, so a scan of ``2**63`` steps
+    or more is refused before its first step, with no step named.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if count < 0:
         raise ValueError("count must be non-negative")
+    if count >= 1 << 63:
+        raise PrecisionExhaustedError(PAST_MARGIN)
     if isinstance(base, CircleRotation):
         return Returns(_rotation_near_times(base, count, eps))
     return _exchange_scan(base, None, FixedReal.of(x).frac(), count, eps)
@@ -537,7 +535,9 @@ def joint_zero_returns(
     rendering of the guarded value otherwise), computed for the surviving
     times only.  A rational ``p/q`` keeps, for any start, a zero time ``n``
     whose ``k = min(n p mod q, -n p mod q)`` is below ``ceil(eps q)``, at the
-    distance ``k/q``; interval exchanges run :func:`_exchange_scan`.
+    distance ``k/q``; interval exchanges run :func:`_exchange_scan`.  A scan
+    of ``2**63`` steps or more is refused before its first step, as
+    :func:`find_zero_sums` refuses it.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -552,16 +552,15 @@ def joint_zero_returns(
             return Returns(kept, distance=[Fraction(k, q) for _, k in near])
         times = np.intersect1d(zeros, _rotation_near_times(base, count, eps), assume_unique=True)
         a_m = base.alpha.resolved.mantissa
-        a_e = base.alpha.resolved.err_ulps
-        distances = []
-        for n in times.tolist():
-            disp = (n * a_m) % ONE
-            distances.append(float(FixedReal(min(disp, ONE - disp), n * a_e)))
+        displacements = [n * a_m % ONE for n in times.tolist()]
+        distances = [min(d, ONE - d) / ONE for d in displacements]
         return Returns(times, distance=np.array(distances, dtype=np.float64))
     if not f.is_integer:
         raise ValueError("zero-sum detection needs an integer-valued cocycle")
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count >= 1 << 63:
+        raise PrecisionExhaustedError(PAST_MARGIN)
     return _exchange_scan(base, f, FixedReal.of(x).frac(), count, eps)
 
 

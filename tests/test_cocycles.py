@@ -234,8 +234,21 @@ def cell_scans(draw):
     return rot, f, start, count, (point, step)
 
 
+# walls at 1/2 and 1/2 + NEAR_WALL ulps share one 64-bit word; step 7 lands between them
+_BETWEEN = ONE // 2 + NEAR_WALL // 2
+_GOLDEN = CircleRotation(KERNEL_ANGLES[0])
+TWO_WALLS_IN_A_WORD = (
+    _GOLDEN,
+    zero_mean_cocycle([0, ONE // 2, ONE // 2 + NEAR_WALL], [3, -2]),
+    FixedReal((_BETWEEN - 7 * _GOLDEN.alpha.resolved.mantissa) % ONE),
+    (1 << 16) + 3,
+    (_BETWEEN, 7),
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scan=cell_scans())
+@example(scan=TWO_WALLS_IN_A_WORD)
 def test_certified_cells_match_birkhoff_sums(scan):
     """The cells of a start give its exact Birkhoff sums, or its refusal step.
 

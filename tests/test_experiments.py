@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import ergolab
 from _oracles import reference_csv_bytes
+from ergolab import recurrence
 from ergolab.cli import main
 from ergolab.errors import (
     ConfigError,
@@ -345,6 +346,12 @@ def test_a_rounded_exchange_is_refused_at_its_own_walls(tmp_path, kind, start):
 GOLDEN = {"kind": "rotation", "angle": "preset:golden"}
 DYADIC_IET = {"kind": "interval_exchange", "lengths": ["1/8", "1/4", "3/8", "1/4"],
               "permutation": [4, 3, 2, 1]}
+ROUNDED_IET = {"kind": "interval_exchange", "lengths": ["3/10", "1/5", "1/2"],
+               "permutation": [3, 2, 1]}
+
+
+def refuse_guarded_walk(*args, **kwargs):
+    raise AssertionError("the scan walked before it was refused")
 
 
 @pytest.mark.parametrize(
@@ -358,20 +365,29 @@ DYADIC_IET = {"kind": "interval_exchange", "lengths": ["1/8", "1/4", "3/8", "1/4
         ({"kind": "rotation", "angle": "rational:1/3"}, "near_returns", "1/7", "1/7"),
         (DYADIC_IET, "zero_sums", None, "5/9"),
         (DYADIC_IET, "near_returns", "1/7", "5/9"),
+        (ROUNDED_IET, "zero_sums", None, "1/7"),
+        (ROUNDED_IET, "joint_returns", "1/7", "1/7"),
     ],
     ids=["zero_sums", "near_returns", "sparse-near_returns", "rational-zero_sums",
          "rational-joint_returns", "rational-near_returns", "exchange-zero_sums",
-         "exchange-near_returns"],
+         "exchange-near_returns", "refusal-exchange-zero_sums",
+         "refusal-exchange-joint_returns"],
 )
-def test_a_horizon_past_the_64_bit_words_exits_two(tmp_path, system, kind, eps, start):
+def test_a_horizon_past_the_64_bit_words_exits_two(
+    tmp_path, monkeypatch, system, kind, eps, start
+):
     """A count of ``2**64`` is a precision refusal, not a crash nor an empty answer.
 
     The run records the kernel's margin message with no step, and the
     command line exits with code 2.  On the golden rotation the kernel
     refuses it; a sparse near scan, which would walk the three-gap returns,
     is refused the same way.  A lap scan, on a rational angle or a dyadic
-    interval exchange, would expand times past the int64 column.
+    interval exchange, would expand times past the int64 column, and an
+    exchange whose walk never returns (lengths 3/10 and 1/5 round to the
+    grid) would walk without end: each is refused before its first step, so
+    the guarded walk is patched to fail if a scan reaches it.
     """
+    monkeypatch.setattr(recurrence, "guarded_walk", refuse_guarded_walk)
     config = {
         "system": system,
         "detector": {"kind": kind, "start": start, "count": 2**64},

@@ -23,7 +23,7 @@ from ergolab.errors import (
     RationalAngleWarning,
     ZeroValueStartError,
 )
-from ergolab.fixedpoint import MAX_ERR_ULPS, ONE, SCALE, FixedReal
+from ergolab.fixedpoint import ONE, SCALE, FixedReal
 from ergolab.recurrence import (
     CascadeState,
     Returns,
@@ -577,28 +577,45 @@ def test_the_walk_refuses_where_the_kernel_does_past_a_long_horizon(angle, ulps)
 
 
 def test_a_radius_past_the_safety_margin_keeps_the_kernel(monkeypatch):
-    """The walk needs every radius within ``MAX_ERR_ULPS``; past it the kernel runs.
+    """A horizon whose radius reaches ``2**128`` ulps is refused up front, with no step.
 
-    So a horizon whose radius reaches ``2**128`` ulps is refused up front
-    with the kernel's message, with no step, as before.
+    The refusal carries the kernel's margin message, as before.  From
+    ``2**63`` steps ``near_returns`` refuses before either engine runs (the
+    walk's listing is patched too, since it would list about ``2 eps count``
+    times); a sparse scan just below takes the walk, since the engine is
+    chosen by the return gap alone.
     """
+    margin = "accumulated orbit error exceeds the coarse kernel's margin"
     rotation = golden()
     a_e = rotation.alpha.resolved.err_ulps
     eps = Fraction(1, 1_000_003)
     monkeypatch.setattr(recurrence, "_WALK_MIN_GAP", 1)
     monkeypatch.setattr(recurrence, "_near_walk", refuse_walk)
+    monkeypatch.setattr(recurrence, "arc_returns", refuse_walk)
     count = -(-(1 << 128) // a_e) - 1  # the least with (count + 1) err >= 2**128
     with pytest.raises(PrecisionExhaustedError) as refused:
         near_returns(rotation, 0, count, eps)
-    assert str(refused.value) == "accumulated orbit error exceeds the coarse kernel's margin"
+    assert str(refused.value) == margin
     assert refused.value.step is None
     monkeypatch.setattr(recurrence, "certified_cells", refuse_kernel)
-    with pytest.raises(AssertionError, match="cell kernel"):
-        near_returns(rotation, 0, MAX_ERR_ULPS // a_e, eps)  # (count + 1) err > MAX_ERR_ULPS
+    with pytest.raises(PrecisionExhaustedError) as refused:
+        near_returns(rotation, 0, 2**63, eps)
+    assert str(refused.value) == margin and refused.value.step is None
+    monkeypatch.undo()
+    monkeypatch.setattr(recurrence, "certified_cells", refuse_kernel)
+    sparse = Fraction(1, 10**18)
+    times = near_list(rotation, 0, 2**63 - 1, sparse)
+    a_m = rotation.alpha.resolved.mantissa
+    assert times[-1] > 2**62
+    assert all(min(n * a_m % ONE, -n * a_m % ONE) + n * a_e < _eps_bound(sparse) for n in times)
 
 
-@pytest.mark.parametrize("count", [2**62, 2**64], ids=["2**62", "2**64"])
-def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count):
+def refuse_guarded_walk(*args, **kwargs):
+    raise AssertionError("the scan walked before it was refused")
+
+
+@pytest.mark.parametrize("count", [2**62, 2**63, 2**64], ids=["2**62", "2**63", "2**64"])
+def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count, monkeypatch):
     """From ``2**62`` steps the kernel's words certify nothing: refused with no step.
 
     The kernel steps uint64 words, and lists the steps within ``(count + 2)
@@ -610,9 +627,13 @@ def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count):
     dense one, and so is every lap scan (a rational angle, a dyadic interval
     exchange, or an eps above 1/2), which would expand times past that
     column: before, they answered no time, failed to allocate the laps or
-    overflowed the column.
+    overflowed the column.  Each detector refuses such a horizon before its
+    first step, so an interval exchange whose walk never returns (lengths
+    3/10 and 1/5 round to the grid) is refused at once instead of walking
+    without end; the guarded walk is patched to fail if any scan reaches it.
     """
     margin = "accumulated orbit error exceeds the coarse kernel's margin"
+    monkeypatch.setattr(recurrence, "guarded_walk", refuse_guarded_walk)
     scans = [
         lambda: find_zero_sums(golden(), pm_one(), Fraction(1, 10), count),
         lambda: near_returns(golden(), 0, count, Fraction(3, 7)),
@@ -620,6 +641,7 @@ def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count):
     if count >= 2**63:
         half, third = (CircleRotation(AngleSpec.rational(1, q)) for q in (2, 3))
         iet, x = IntervalExchange(*DYADIC_IET), Fraction(5, 9)
+        rounded, y = IntervalExchange(*NON_DYADIC_IET), Fraction(1, 7)
         far_zero = StepCocycle([0, Fraction(1, 4), HALF], [-(2**62), 2**62 + 2, -1])
         scans += [
             lambda: near_returns(golden(), 0, count, Fraction(1, 10**18)),
@@ -632,6 +654,9 @@ def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count):
             lambda: find_zero_sums(iet, pm_one(), x, count),
             lambda: near_returns(iet, x, count, Fraction(1, 7)),
             lambda: joint_zero_returns(iet, pm_one(), x, count, Fraction(1, 7)),
+            lambda: find_zero_sums(rounded, pm_one(), y, count),
+            lambda: near_returns(rounded, y, count, Fraction(1, 7)),
+            lambda: joint_zero_returns(rounded, pm_one(), y, count, Fraction(1, 7)),
         ]
     for scan in scans:
         with pytest.raises(PrecisionExhaustedError) as refused, warnings.catch_warnings():
