@@ -28,6 +28,7 @@ from .errors import (
     RationalAngleWarning,
     ResonantFrequencyError,
     ReturnBudgetError,
+    RowLimitError,
     ZeroValueStartError,
 )
 from .experiments import (
@@ -105,6 +106,7 @@ __all__ = [
     "ReturnRecord",
     "Returns",
     "Roof",
+    "RowLimitError",
     "RunManifest",
     "SCALE",
     "SkewOrbitStats",

@@ -8,7 +8,8 @@ Three subcommands::
 
 Exit codes: 0 success, 1 configuration error (nothing written), 2
 fixed-point precision exhausted, 3 iteration budget exceeded, 4 any other
-``ErgolabError``, 5 an unexpected exception (traceback printed).  Codes 2-5
+``ErgolabError`` (a scan past the row limit among them), 5 an unexpected
+exception (traceback printed).  Codes 2-5
 leave ``config.json`` and an error ``manifest.json`` behind.  The output
 root defaults to the current directory and can be redirected with ``--out``
 or the ``ERGOLAB_OUTPUT_ROOT`` environment variable; the config's own

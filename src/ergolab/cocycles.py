@@ -18,12 +18,15 @@ precision the steps that :func:`steps_within` lists near a wall.  That
 listing rests on one exact integer primitive, the three-gap walk
 :func:`arc_returns` over the returns of ``n alpha`` to an arc, which also
 lists the near times of sparse and rational near scans and the suspect
-steps of the excess sweep.  Zero-sum scans and dense near-return times
+steps of the excess sweep.  Zero-sum scans, dense near-return times
 (cells of the displacement ``n alpha`` against walls at the eps
-boundaries) run on the kernel, and its cells equal those of
+boundaries) and the roof crossings of special flows over rotations
+(:func:`_rotation_walk`) run on the kernel, and its cells equal those of
 :func:`guarded_walk`.
 
-Every other orbit runs on one of two per-step walks.  :func:`guarded_walk`
+A special flow over an interval exchange walks every roof crossing
+(:func:`_flow_walk`), as :func:`integral_profile` does on any base.  Every
+other orbit runs on one of two per-step walks.  :func:`guarded_walk`
 places each point on the 192-bit grid or refuses with its step (Birkhoff
 sums, interval-exchange scans, induced excursions, skew orbits; a near
 scan walks without a cocycle).  Its exact integer twin
@@ -36,12 +39,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import PrecisionExhaustedError, ResonantFrequencyError
-from .fixedpoint import ONE, SCALE, FixedReal, Real, Walls, as_fraction
+from .fixedpoint import MAX_ERR_ULPS, ONE, SCALE, FixedReal, Real, Walls, as_fraction
 from .systems import (
     BaseMap,
     CircleRotation,
@@ -439,33 +443,28 @@ class IntegralProfile:
         return f"IntegralProfile({len(self.nodes)} nodes, horizon={self.horizon})"
 
 
-def _flow_walk(
+def _flow_units(
     roof: Roof, f: PhaseFunction, state: SpecialFlowState, t_max: Real
-) -> tuple[int, int, Iterator[tuple]]:
-    """Walk the special flow from ``state`` to ``t_max`` once, in scaled integers.
+) -> tuple[int, int, int, list, list, int, int]:
+    """Check a special-flow walk and scale it to integers: ``(den, vden, end, tops, vals, b, cell)``.
 
-    Returns ``(den, vden, segments)``.  Times and heights are integers in
-    units of ``1/den``, the lcm of the denominators of ``t_max``, the start
-    height and every band top (roof heights are the last band tops), so
-    every node time is one.  Band values are integers in units of
-    ``1/vden``, the lcm of their denominators, and the integral ``sigma`` is
-    an integer in units of ``1/(den * vden)``.  ``segments`` yields one
-    ``(t, sigma, a, b, dt, v, on_roof)`` per linear piece of the profile: it
-    starts at time ``t`` in the state ``(a, b)``, after any gluing, with
-    integral ``sigma``, lasts ``dt`` at slope ``v`` and ends on the roof when
-    ``on_roof``.  The last piece ends at the horizon.  Each roof crossing
-    applies the base map once and locates the new point's cell once.  The
-    horizon bounds the walk: the first crossing uses up the start's room
-    and each later one a whole roof height, so it makes at most
-    ``ceil(t_max / min height)``.  A start on or above the roof raises
-    :class:`ValueError`.
+    Times and heights are integers in units of ``1/den``, the lcm of the
+    denominators of ``t_max``, the start height and every band top (roof
+    heights are the last band tops), so every node time is one.  Band
+    values are integers in units of ``1/vden``, the lcm of their
+    denominators, and an integral is an integer in units of
+    ``1/(den * vden)``.  ``end`` is the horizon, ``tops`` and ``vals`` hold
+    the band tops and values per roof cell, ``b`` is the start height and
+    ``cell`` the start's roof cell, whose refusal names crossing 0.  A
+    start on or above the roof raises :class:`ValueError`.
     """
     if f.roof is not roof:
         raise ValueError("phase function was built over a different roof")
     horizon = as_fraction(t_max)
     if horizon <= 0:
         raise ValueError("t_max must be positive")
-    if state.b >= roof.height_at(state.a):
+    cell = _exact_cell(roof.walls, state.a.mantissa, state.a.err_ulps, 0)
+    if state.b >= roof.height_of_cell(cell):
         raise ValueError("state lies on or above the roof")
     den = math.lcm(
         horizon.denominator,
@@ -473,32 +472,155 @@ def _flow_walk(
         *(top.denominator for tops in f.band_tops for top in tops),
     )
     vden = math.lcm(*(v.denominator for vals in f.band_values for v in vals))
-    tops = [[top.numerator * (den // top.denominator) for top in cell] for cell in f.band_tops]
-    vals = [[v.numerator * (vden // v.denominator) for v in cell] for cell in f.band_values]
+    tops = [[top.numerator * (den // top.denominator) for top in ts] for ts in f.band_tops]
+    vals = [[v.numerator * (vden // v.denominator) for v in vs] for vs in f.band_values]
     end = horizon.numerator * (den // horizon.denominator)
+    return den, vden, end, tops, vals, state.b.numerator * (den // state.b.denominator), cell
+
+
+def _crossing(
+    tops: list[int], vals: list[int], end: int, k: int, a: FixedReal, t: int, sigma: int, b: int
+) -> Iterator[tuple]:
+    """Yield the pieces of roof crossing ``k`` over ``a``, from height ``b`` at time ``t`` and integral ``sigma``.
+
+    One piece of :func:`_flow_walk` per band of the cell (``tops``,
+    ``vals``) from ``b`` up, to the roof or to the horizon ``end``.  Returns
+    ``(t, sigma)`` at the roof, or None where the horizon ends the walk.
+    """
+    last = len(tops) - 1
+    for band in range(bisect_right(tops, b), last + 1):
+        top, v = tops[band], vals[band]
+        dt = top - b
+        if t + dt >= end:
+            yield t, sigma, k, a, b, end - t, v, band == last and t + dt == end
+            return None
+        yield t, sigma, k, a, b, dt, v, band == last
+        t, sigma, b = t + dt, sigma + v * dt, top
+    return t, sigma
+
+
+def _flow_walk(
+    roof: Roof, f: PhaseFunction, state: SpecialFlowState, t_max: Real
+) -> tuple[int, int, Iterator[tuple]]:
+    """Walk the special flow from ``state`` to ``t_max`` once, in scaled integers.
+
+    Returns ``(den, vden, segments)`` in the units of :func:`_flow_units`.
+    ``segments`` yields one ``(t, sigma, k, a, b, dt, v, on_roof)`` per
+    linear piece of the profile: it starts at time ``t`` in the state
+    ``(a, b)`` of roof crossing ``k`` (the start is crossing 0), after any
+    gluing, with integral ``sigma``, lasts ``dt`` at slope ``v`` and ends on
+    the roof when ``on_roof``.  The last piece ends at the horizon.  Each
+    roof crossing applies the base map once and locates the new point's
+    cell once; a refusal in either names the crossing.  The horizon bounds
+    the walk: the first crossing uses up the start's room and each later
+    one a whole roof height, so it makes at most ``ceil(t_max / min
+    height)``.  Interval-exchange roofs find their zeros on this walk, and
+    :func:`integral_profile` takes every node from it on any base.
+    """
+    den, vden, end, tops, vals, b, cell = _flow_units(roof, f, state, t_max)
     locate, apply = roof.walls.locate, roof.base.apply
 
-    def segments() -> Iterator[tuple]:
-        a, b = state.a, state.b.numerator * (den // state.b.denominator)
+    def segments(k: int, a: FixedReal, cell: int, b: int) -> Iterator[tuple]:
         t = sigma = 0
-        while True:
-            cell = locate(a)
-            cell_tops, cell_vals = tops[cell], vals[cell]
-            last = len(cell_tops) - 1
-            band = bisect_right(cell_tops, b)
-            while band <= last:
-                top, v = cell_tops[band], cell_vals[band]
-                dt = top - b
-                if t + dt >= end:
-                    yield t, sigma, a, b, end - t, v, band == last and t + dt == end
-                    return
-                yield t, sigma, a, b, dt, v, band == last
-                t += dt
-                sigma += v * dt
-                b = top
-                band += 1
-            a = apply(a)
-            b = 0
+        while ends := (yield from _crossing(tops[cell], vals[cell], end, k, a, t, sigma, b)):
+            (t, sigma), b, k = ends, 0, k + 1
+            try:
+                a = apply(a)
+                cell = locate(a)
+            except PrecisionExhaustedError as exc:
+                raise PrecisionExhaustedError(str(exc), step=k) from None
+
+    return den, vden, segments(0, state.a, cell, b)
+
+
+def _rotation_walk(
+    roof: Roof, f: PhaseFunction, state: SpecialFlowState, t_max: Real
+) -> tuple[int, int, Iterator[tuple]]:
+    """The pieces of :func:`_flow_walk` over a rotation, at the crossings that can hold a zero.
+
+    Roof crossing ``k`` sits at ``S^k a``, the point that ``k`` calls of
+    ``apply`` give, so one :func:`certified_cells` pass places every
+    crossing up to the horizon: the start's room takes the first, each
+    later one at least the least roof height, so ``ceil((t_max - room) /
+    min height) + 1`` crossings hold it.  A crossing adds its cell's roof
+    height to the time and its full integral to the integral; block by
+    block, prefix sums of both give each crossing's start time and
+    integral, up to the block that holds the horizon.  A crossing holds a
+    zero exactly where its integral takes both signs, or is 0 at the start
+    of a piece: its start integral plus the cell's least partial integral
+    (at 0, a band top or the roof) is below 0 and plus the greatest above
+    0, or plus the least or greatest at a piece start (0 or a band top) is
+    0.  Only those crossings, the horizon's too, are walked with the band
+    logic of :func:`_flow_walk`, so the zeros are those of the full walk.
+    Sums are int64 while ``max |value| * (crossings + 1) < 2**62`` and
+    Python integers past that.
+
+    The scan refuses at its first crossing whose cell it cannot decide,
+    with that step.  A refusal past the horizon must not surface, so the
+    scan is then rerun up to that crossing, and the refusal raised only
+    if the horizon lies at or past it.  The first crossing whose radius
+    passes ``MAX_ERR_ULPS``, where :meth:`Walls.locate` refuses, ends the
+    scan the same way.
+    """
+    den, vden, end, tops, vals, b, cell = _flow_units(roof, f, state, t_max)
+    partials = [  # per cell, the integral at 0, at each band top and at the roof
+        list(accumulate((v * (top - lo) for lo, top, v in zip([0, *ts], ts, vs)), initial=0))
+        for ts, vs in zip(tops, vals)
+    ]
+    heights = [ts[-1] for ts in tops]
+    band = bisect_right(tops[cell], b)
+    bottom = tops[cell][band - 1] if band else 0
+    room = heights[cell] - b
+    rest = partials[cell][-1] - partials[cell][band] - vals[cell][band] * (b - bottom)
+    count = max(0, -(-(end - room) // min(heights))) + 1
+    bound = max(room, abs(rest), *heights, *(abs(p) for ps in partials for p in ps))
+    dtype = object if bound * (count + 1) >= 1 << 62 else np.int64
+    height = np.array(heights, dtype=dtype)
+    full, least, most, least_start, most_start = (
+        np.array(col, dtype=dtype)
+        for col in zip(*((ps[-1], min(ps), max(ps), min(ps[:-1]), max(ps[:-1])) for ps in partials))
+    )
+
+    def starts(count: int) -> list[tuple] | None:
+        """``(k, cell, t, sigma)`` per crossing to walk, or None if the horizon lies past ``count``."""
+        out, t, sigma = [], 0, 0
+        for offset, cells in certified_cells(roof.base, roof.walls, state.a, count):
+            dt, ds = height[cells], full[cells]
+            if offset == 0:
+                dt[0], ds[0] = room, rest
+            t_end, s_end = np.cumsum(dt) + t, np.cumsum(ds) + sigma
+            t_at, s_at = t_end - dt, s_end - ds
+            # crossing 0 is a hit: its integral starts at 0, at a piece start
+            hit = ((s_at + least[cells] < 0) & (s_at + most[cells] > 0)
+                   | (s_at + least_start[cells] == 0) | (s_at + most_start[cells] == 0))
+            stop = int(np.searchsorted(t_end, end))  # the crossing that reaches the horizon
+            if stop < len(cells):
+                hit[stop], hit[stop + 1:] = True, False
+            i = np.flatnonzero(hit)
+            out += zip((i + offset).tolist(), cells[i].tolist(), t_at[i].tolist(), s_at[i].tolist())
+            if stop < len(cells):
+                return out
+            t, sigma = t_end[-1], s_end[-1]
+        return None
+
+    x_m, x_e = state.a.mantissa, state.a.err_ulps
+    a_m, a_e = roof.base.alpha.resolved.mantissa, roof.base.alpha.resolved.err_ulps
+    # Walls.locate refuses a radius past MAX_ERR_ULPS, well inside the kernel's margin
+    limit = min(count, (MAX_ERR_ULPS - x_e) // a_e + 1) if a_e else count
+    try:
+        crossings = starts(limit)
+    except PrecisionExhaustedError as exc:
+        if exc.step is None or (crossings := starts(exc.step)) is None:
+            raise
+    if crossings is None:
+        raise PrecisionExhaustedError(
+            f"error bound {x_e + limit * a_e} ulps exceeds the safety margin", step=limit
+        )
+
+    def segments() -> Iterator[tuple]:
+        for k, c, t, sigma in crossings:
+            a = FixedReal((x_m + k * a_m) % ONE, x_e + k * a_e)
+            yield from _crossing(tops[c], vals[c], end, k, a, t, sigma, 0 if k else b)
 
     return den, vden, segments()
 
@@ -513,9 +635,48 @@ def integral_profile(
     """
     den, vden, segments = _flow_walk(roof, f, state, t_max)
     nodes = [(Fraction(0), Fraction(0))]
-    for t, sigma, _, _, dt, v, _ in segments:
+    for t, sigma, _, _, _, dt, v, _ in segments:
         nodes.append((Fraction(t + dt, den), Fraction(sigma + v * dt, den * vden)))
     return IntegralProfile(nodes)
+
+
+def _flow_zeros(
+    roof: Roof, f: PhaseFunction, state: SpecialFlowState, t_max: Real
+) -> list[tuple]:
+    """``(tn, bn, d, k, a)`` per zero ``0 < t <= t_max`` of the orbit integral, in time order.
+
+    The zero lies at time ``tn / d`` and height ``bn / d`` (``d > 0``) over
+    the base point ``a`` of roof crossing ``k``: the rows of
+    :func:`iter_flow_zeros`, before any ``Fraction`` is built.  A rotation
+    base walks :func:`_rotation_walk`, any other base :func:`_flow_walk`.
+    The list is whole when it is returned, so a refusal of the walk comes
+    before any test of its zeros.
+    """
+    walk = _rotation_walk if isinstance(roof.base, CircleRotation) else _flow_walk
+    den, _, segments = walk(roof, f, state, t_max)
+    zeros = []
+    for t, sigma, k, a, b, dt, v, on_roof in segments:
+        if sigma == 0:
+            if t:
+                zeros.append((t, b, den, k, a))
+            continue
+        after = sigma + v * dt
+        if (sigma < 0 < after) or (after < 0 < sigma):
+            # sigma + v * s = 0 at s = num / dv, strictly inside the piece
+            num, dv = (-sigma, v) if v > 0 else (sigma, -v)
+            zeros.append((t * dv + num, b * dv + num, dv * den, k, a))
+    if sigma + v * dt == 0:
+        if on_roof:  # the glued state (S a, 0) opens the next crossing
+            k, b = k + 1, 0
+            try:
+                a = roof.base.apply(a)
+                roof.walls.locate(a)
+            except PrecisionExhaustedError as exc:
+                raise PrecisionExhaustedError(str(exc), step=k) from None
+        else:
+            b += dt
+        zeros.append((t + dt, b, den, k, a))
+    return zeros
 
 
 def iter_flow_zeros(
@@ -528,28 +689,14 @@ def iter_flow_zeros(
     crossing time.  The states are those of :func:`special_flow_step` from
     ``state``: a zero on the roof, at the horizon too, reports the glued
     state ``(P a, 0)``, whose cell is located like every other base point of
-    the walk.  Walks the orbit once and builds ``Fraction``s for zeros only.
+    the walk.  Over a rotation the roof cells come from one certified
+    kernel pass and only the crossings that can hold a zero are walked
+    (:func:`_rotation_walk`); over an interval exchange every crossing is
+    (:func:`_flow_walk`).  Both give the same zeros, and a refusal names its
+    roof crossing.  The whole walk ends before the first zero is yielded.
     """
-    den, _, segments = _flow_walk(roof, f, state, t_max)
-    for t, sigma, a, b, dt, v, on_roof in segments:
-        if sigma == 0:
-            if t:
-                yield Fraction(t, den), SpecialFlowState(a, Fraction(b, den))
-            continue
-        after = sigma + v * dt
-        if (sigma < 0 < after) or (after < 0 < sigma):
-            # sigma + v * s = 0 at s = -sigma / v, strictly inside the piece
-            yield (
-                Fraction(t * v - sigma, v * den),
-                SpecialFlowState(a, Fraction(b * v - sigma, v * den)),
-            )
-    if sigma + v * dt == 0:
-        if on_roof:
-            a, b = roof.base.apply(a), 0
-            roof.walls.locate(a)
-        else:
-            b += dt
-        yield Fraction(t + dt, den), SpecialFlowState(a, Fraction(b, den))
+    for tn, bn, d, _, a in _flow_zeros(roof, f, state, t_max):
+        yield Fraction(tn, d), SpecialFlowState(a, Fraction(bn, d))
 
 
 def orbit_integral(

@@ -14,13 +14,18 @@ class ErgolabError(Exception):
 class PrecisionExhaustedError(ErgolabError):
     """A guarded comparison was ambiguous, or error bounds grew past the safety margin.
 
-    Carries the orbit step (or flow time) at which the ambiguity occurred in
-    ``step`` when the enclosing scan knows it.
+    Carries in ``step`` the orbit step, or for a special flow the roof
+    crossing (0 is the start), at which the ambiguity occurred, when the
+    enclosing scan knows it.
     """
 
     def __init__(self, message: str = "precision exhausted", step=None):
         super().__init__(message)
         self.step = step
+
+
+class RowLimitError(ErgolabError):
+    """A scan could list more rows than ``recurrence.MAX_ROWS``; it is refused before it lists any."""
 
 
 class BudgetExceededError(ErgolabError):

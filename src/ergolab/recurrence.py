@@ -38,7 +38,9 @@ a walk that never returns is one lap of the whole scan.  Later laps
 follow from the lap's prefix sums, ``S_{mL+r} = m S_L + S_r``, and a
 first lap without a refusal has none later.  A zero, near or joint scan
 of ``2**63`` steps or more is refused before its first step, since a time
-could pass the int64 column.  Every guarded eps test compares integers
+could pass the int64 column, and one that could list more than
+:data:`MAX_ROWS` times raises :class:`~ergolab.errors.RowLimitError`
+before it lists any.  Every guarded eps test compares integers
 with one bound per scan, ``ceil(eps 2**192)``.
 """
 from __future__ import annotations
@@ -59,11 +61,11 @@ from .cocycles import (
     StepCocycle,
     TrigPolynomial,
     _exact_cell,
+    _flow_zeros,
     arc_returns,
     certified_cells,
     grid_edges,
     guarded_walk,
-    iter_flow_zeros,
     rational_walk,
     return_gaps,
     steps_within,
@@ -73,6 +75,7 @@ from .cocycles import (
 from .errors import (
     PrecisionExhaustedError,
     RationalAngleWarning,
+    RowLimitError,
     ZeroValueStartError,
 )
 from .fixedpoint import (
@@ -339,13 +342,29 @@ def _warn_rational(what: str) -> None:
     )
 
 
+#: The most rows a scan may list: ``2**28`` int64 times take 2 GiB.  A scan
+#: whose bound on its rows passes it raises :class:`RowLimitError` before it
+#: lists anything (exit code 4).
+MAX_ROWS = 1 << 28
+
+
+def _check_rows(bound: int) -> None:
+    """Refuse a scan that could list more than :data:`MAX_ROWS` rows."""
+    if bound > MAX_ROWS:
+        raise RowLimitError(
+            f"the scan could list up to {bound} rows, past the limit of MAX_ROWS = {MAX_ROWS}"
+        )
+
+
 def _lap_times(residues: list[int], q: int, count: int) -> np.ndarray:
     """The times ``r + m q <= count`` for residues ``1 <= r <= q`` in ascending order.
 
     Every lap of a q-periodic event pattern repeats the first lap's events;
     the result is a sorted int64 array, which holds every time since the
-    detectors refuse ``count >= 2**63``.
+    detectors refuse ``count >= 2**63``.  Its rows, at most the residues
+    times the laps, are checked against :data:`MAX_ROWS` first.
     """
+    _check_rows(len(residues) * -(-count // q))
     laps = np.arange(0, count, q, dtype=np.int64)  # the laps that start before count
     times = (laps[:, None] + np.array(residues, dtype=np.int64)).ravel()
     return times[: np.searchsorted(times, count, side="right")]
@@ -444,6 +463,9 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     rational ``p/q`` is near at ``n`` when ``n p mod q`` lies in the arc
     ``[q - b + 1, q + b)``, ``b = ceil(eps q)``: one period of residues is
     listed by :func:`~ergolab.cocycles.arc_returns`, and later laps repeat it.
+    Every listing is bounded first: the residues by the three-gap count
+    ``min(q, count) // min(t1, t2) + 1``, and the times by the residues
+    times the laps (:func:`_lap_times`).
 
     An irrational displacement ``n alpha`` is near exactly when it lies in
     ``[1 - lo, lo)`` with ``lo = ceil(eps * 2**192)``.  Started from the exact
@@ -454,7 +476,8 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     Sparse scans take :func:`_near_walk` instead, which visits only the
     returns to that arc: its iterations are at most ``count / min(t1, t2)``
     (:func:`~ergolab.cocycles.return_gaps`, computed once per scan), so it
-    runs where that gap is at least ``_WALK_MIN_GAP``.  Both engines give the
+    runs where that gap is at least ``_WALK_MIN_GAP``, and checks that count
+    against :data:`MAX_ROWS` before it lists.  Both engines give the
     same times, refusal step and message.  The kernel refuses ``2**62``
     steps or more, with no step; the walk answers up to the detectors'
     ``2**63``.
@@ -464,7 +487,10 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     if base.is_rational:
         p, q = base.alpha.as_fraction().as_integer_ratio()
         b = math.ceil(eps * q)
-        return _lap_times(arc_returns(p, q, q - b + 1, 2 * b - 1, min(q, count)), q, count)
+        t1, t2 = gaps = return_gaps(p, q, 2 * b - 1)
+        _check_rows(min(q, count) // min(t1, t2 or t1) + 1)
+        residues = arc_returns(p, q, q - b + 1, 2 * b - 1, min(q, count), gaps)
+        return _lap_times(residues, q, count)
     lo = _eps_bound(eps)
     alpha = base.alpha.resolved
     walls = Walls([FixedReal(0), FixedReal(2 * lo - 1)])
@@ -473,6 +499,7 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     start, length = (1 - lo - widen) % ONE, min(2 * (lo + widen) - 1, ONE)
     t1, t2 = gaps = return_gaps(alpha.mantissa, ONE, length)
     if min(t1, t2 or t1) >= _WALK_MIN_GAP:  # t2 None: every gap is t1
+        _check_rows(count // min(t1, t2 or t1) + 1)
         candidates = arc_returns(alpha.mantissa, ONE, start, length, count, gaps)
         return _near_walk(alpha, walls, lo, candidates)
     chunks = [
@@ -638,11 +665,22 @@ def _flow_preamble(
 ) -> None:
     if isinstance(roof.base, CircleRotation) and roof.base.is_rational:
         _warn_rational(what)
-    if not allow_zero_value and f.value_at(start) == 0:
+    if allow_zero_value:
+        return
+    try:
+        value = f.value_at(start)
+    except PrecisionExhaustedError as exc:
+        raise PrecisionExhaustedError(str(exc), step=0) from None
+    if value == 0:
         raise ZeroValueStartError(
             "the phase function vanishes at the starting point; the recurrence "
             "statements assume f(x) != 0 (pass allow_zero_value=True to override)"
         )
+
+
+def _below(num: int, den: int, r: Fraction) -> bool:
+    """Whether ``num / den < r``, for ``den > 0``, in integers."""
+    return num * r.denominator < r.numerator * den
 
 
 def flow_zero_set_returns(
@@ -655,18 +693,28 @@ def flow_zero_set_returns(
 ) -> Returns:
     """Times ``0 < t <= t_max`` with orbit integral exactly 0 and ``T_t x`` in the target.
 
-    Zero times and the states there come from one exact walk of the orbit
+    Zero times and the states there come from one exact scan of the orbit
     (:func:`~ergolab.cocycles.iter_flow_zeros`; a stretch where the integral
     sits at 0 is reported by its node grid), and each state is tested for
-    membership.  Only in-set events are emitted, so ``in_set`` is the
-    constant True; times are exact ``Fraction``s and the value is the
-    constant ``Fraction(0)``.  The starting point itself need not lie in the
-    target.
+    membership: its base point by :meth:`TargetSet.contains`, its height
+    against the band in integers, and a ``Fraction`` time is built for the
+    zeros kept.  A refusal names the zero's roof crossing.  Only in-set
+    events are emitted, so ``in_set`` is the constant True; times are exact
+    ``Fraction``s and the value is the constant ``Fraction(0)``.  The
+    starting point itself need not lie in the target.
     """
     _flow_preamble(roof, f, start, allow_zero_value, "the flow zero/set scan")
     # the walk ends before any membership test, so a walk error comes first
-    zeros = list(iter_flow_zeros(roof, f, start, t_max))
-    times = [t for t, state in zeros if target.contains_state(state)]
+    zeros = _flow_zeros(roof, f, start, t_max)
+    lo, hi = target.band or (None, None)
+    times = []
+    for tn, bn, d, k, a in zeros:
+        try:
+            inside = target.contains(a)
+        except PrecisionExhaustedError as exc:
+            raise PrecisionExhaustedError(str(exc), step=k) from None
+        if inside and (lo is None or not _below(bn, d, lo) and _below(bn, d, hi)):
+            times.append(Fraction(tn, d))
     return Returns(times, value=Fraction(0), in_set=True)
 
 
@@ -683,13 +731,17 @@ def flow_zero_near_returns(
     Two engines share the signature:
 
     * special flow (``system`` is a :class:`Roof`): exact rational zero
-      times from one walk of the orbit, distances in the product chart
-      ``max(base circle distance, height difference)``, as exact
-      ``Fraction`` columns with the constant value ``Fraction(0)``.  The
-      test against ``eps`` uses the base distance's error interval and
-      raises :class:`PrecisionExhaustedError` when that interval straddles
-      ``eps`` (no circle distance exceeds 1/2, so an eps above 1/2 tests
-      the height alone); the reported distance is the nominal value;
+      times from one scan of the orbit
+      (:func:`~ergolab.cocycles.iter_flow_zeros`), distances in the
+      product chart ``max(base circle distance, height difference)``, as
+      exact ``Fraction`` columns with the constant value ``Fraction(0)``.
+      The height difference is tested against ``eps`` in integers first;
+      the base distance's test uses its error interval and raises
+      :class:`PrecisionExhaustedError`, naming the zero's roof crossing,
+      when that interval straddles ``eps`` (no circle distance exceeds
+      1/2, so an eps above 1/2 tests the height alone).  The reported
+      distance is the nominal value, and it and the ``Fraction`` time are
+      built for the zeros kept;
     * torus winding: zeros of the closed-form trigonometric integral by
       sign-change bracketing (tolerance 1e-12 in t; tangential zeros
       between grid points are missed by design), distances as the max of
@@ -719,16 +771,19 @@ def flow_zero_near_returns(
         raise ValueError("eps must be positive")
     _flow_preamble(system, f, start, allow_zero_value, "the flow zero/near scan")
     # the walk ends before any eps test, so a walk error comes first
-    zeros = list(iter_flow_zeros(system, f, start, t_max))
+    zeros = _flow_zeros(system, f, start, t_max)
     bound = _eps_bound(eps)
+    above, below = eps - start.b, start.b + eps  # |b - start.b| < eps: -b < above, b < below
     times, distances = [], []
-    for t, state in zeros:
-        near = abs(state.b - start.b) < eps and _near_side(circle_distance(start.a, state.a), bound)
+    for tn, bn, d, k, a in zeros:
+        if not (_below(-bn, d, above) and _below(bn, d, below)):
+            continue
+        near = _near_side(circle_distance(start.a, a), bound)
         if near is None:
-            raise PrecisionExhaustedError(_AMBIGUOUS_EPS)
+            raise PrecisionExhaustedError(_AMBIGUOUS_EPS, step=k)
         if near:
-            times.append(t)
-            distances.append(flow_distance(system, start, state))
+            times.append(Fraction(tn, d))
+            distances.append(flow_distance(system, start, SpecialFlowState(a, Fraction(bn, d))))
     return Returns(times, value=Fraction(0), distance=distances)
 
 

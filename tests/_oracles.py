@@ -4,7 +4,9 @@ Everything in here deliberately avoids the package's own orbit machinery:
 rational-rotation orbits are enumerated with ``fractions.Fraction``, surds
 are evaluated with mpmath at 60 significant digits, and measures are summed
 over explicit cell decompositions.  Tests compare the fast production paths
-against these dumb-but-obviously-correct routes.  The special-flow
+against these dumb-but-obviously-correct routes.  The orbit of a true
+quadratic surd ``(a + b sqrt c)/d`` is decided exactly in ``Q(sqrt c)``,
+with integer square roots and sign tests only.  The special-flow
 reference is the exception: it is the package's former two-walk path (a
 ``Fraction`` profile walk, then :func:`special_flow_step` from zero to
 zero), kept here to pin the single scaled-integer walk that replaced it.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -44,6 +47,44 @@ mpmath.mp.dps = 60
 def surd_decimal(a: int, b: int, c: int, d: int) -> mpmath.mpf:
     """(a + b*sqrt(c))/d at 60 significant digits."""
     return (a + b * mpmath.sqrt(c)) / d
+
+
+def surd_sign(p: int, r: int, c: int) -> int:
+    """The sign of ``p + r sqrt(c)`` for integers ``p``, ``r`` and a non-square ``c > 0``."""
+    if p >= 0 and r >= 0 or p <= 0 and r <= 0:
+        return (p > 0 or r > 0) - (p < 0 or r < 0)
+    # opposite signs; p**2 == r**2 c is impossible for a non-square c
+    return (1 if p > 0 else -1) if p * p > r * r * c else (1 if r > 0 else -1)
+
+
+def surd_orbit_cells(surd, x: Fraction, walls: list[Fraction], count: int) -> list[int]:
+    """The cells of ``{x + n alpha}``, ``0 <= n < count``, for the true ``alpha = (a + b sqrt c)/d``.
+
+    ``walls`` are rational, ascending, and start at 0.  The point is
+    ``(N + B sqrt c) / D`` with ``D > 0``: its integer part starts from
+    :func:`math.isqrt` and is corrected by :func:`surd_sign`, and it lies
+    at or past a wall ``g/h`` exactly when ``(N - k D) h - g D + B h sqrt c``
+    is not negative.
+    """
+    a, b, c, d = surd
+    if d < 0:
+        a, b, d = -a, -b, -d
+    cells = []
+    for n in range(count):
+        big_n = x.numerator * d + n * a * x.denominator
+        big_b, big_d = n * b * x.denominator, x.denominator * d
+        root = math.isqrt(big_b * big_b * c)  # |B| sqrt c lies in [root, root + 1)
+        k = (big_n + (root if big_b >= 0 else -root)) // big_d
+        while surd_sign(big_n - k * big_d, big_b, c) < 0:
+            k -= 1
+        while surd_sign(big_n - (k + 1) * big_d, big_b, c) >= 0:
+            k += 1
+        rest = big_n - k * big_d
+        cells.append(sum(
+            surd_sign(rest * w.denominator - w.numerator * big_d, big_b * w.denominator, c) >= 0
+            for w in walls[1:]
+        ))
+    return cells
 
 
 def step_value(x: Fraction, walls: list[Fraction], values: list[int]):

@@ -31,7 +31,7 @@ from ergolab.errors import (
 )
 from ergolab.fixedpoint import ONE, FixedReal, Walls
 from ergolab.induced import induce_point
-from ergolab.recurrence import TargetSet, joint_zero_returns
+from ergolab.recurrence import TargetSet, find_zero_sums, joint_zero_returns
 from ergolab.skew import ProductState, SkewSystem, orbit_statistics
 from ergolab.systems import (
     CircleRotation,
@@ -44,7 +44,7 @@ from ergolab.systems import (
 )
 
 from _oracles import birkhoff_sums as oracle_sums
-from _oracles import rotation_orbit
+from _oracles import rotation_orbit, surd_orbit_cells
 
 
 HALF = Fraction(1, 2)
@@ -285,6 +285,80 @@ def test_certified_cells_match_birkhoff_sums(scan):
     assert np.cumsum(np.concatenate([terms for _, terms in blocks])).tolist() == want
     if near is not None:
         assert near in decided
+
+
+NON_SQUARES = [c for c in range(2, 200) if math.isqrt(c) ** 2 != c]
+
+
+@st.composite
+def surd_scans(draw, dyadic: bool):
+    """A true quadratic-surd angle, a rational start and horizon, and walls with a zero-mean cocycle.
+
+    The walls are dyadic (``k/64``) when ``dyadic``, so that a
+    :class:`StepCocycle` can take them, and its last value makes the mean
+    vanish in integers; otherwise they are rational, without values.  The
+    start is sometimes a wall itself.
+    """
+    surd = (draw(st.integers(-20, 20)), draw(st.sampled_from([*range(-12, 0), *range(1, 13)])),
+            draw(st.sampled_from(NON_SQUARES)), draw(st.integers(1, 40)))
+    values = None
+    if dyadic:
+        inner = sorted(draw(st.sets(st.integers(1, 63), min_size=1, max_size=3)))
+        walls = [Fraction(0)] + [Fraction(k, 64) for k in inner]
+        widths = [hi - lo for lo, hi in zip([0, *inner], [*inner, 64])]
+        head = draw(st.lists(st.integers(-5, 5), min_size=len(inner), max_size=len(inner)))
+        values = [v * widths[-1] for v in head] + [-sum(w * v for w, v in zip(widths, head))]
+    else:
+        points = draw(st.sets(st.tuples(st.integers(1, 40), st.integers(2, 41)), max_size=4))
+        walls = [Fraction(0)] + sorted({Fraction(i % m, m) for i, m in points} - {0})
+    q = draw(st.integers(1, 60))
+    x = draw(st.sampled_from([Fraction(draw(st.integers(0, q - 1)), q), *walls]))
+    return surd, x, walls, values, draw(st.integers(1, 2000))
+
+
+def surd_scan_or_refusal(scan, count: int):
+    """``scan(count)``, or, if it refuses at step ``s``, ``(s, scan(s))``, the steps before it."""
+    try:
+        return count, scan(count)
+    except PrecisionExhaustedError as exc:
+        event("refused")
+        return exc.step, scan(exc.step) if exc.step else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=surd_scans(dyadic=False))
+def test_certified_cells_match_the_exact_surd_orbit(case):
+    """Wherever the kernel decides a cell, it is the cell of the true surd orbit.
+
+    The oracle decides ``{x + n alpha}`` in ``Q(sqrt c)`` with integers only,
+    against the rational walls themselves; before a refusal every step is
+    compared.  These are the cells that zero scans and special flows over
+    rotations take from the kernel.
+    """
+    surd, x, walls, _, count = case
+    rotation = CircleRotation(AngleSpec.quadratic(*surd))
+    fixed = Walls([FixedReal.of(w) for w in walls])
+
+    def scan(count):
+        blocks = certified_cells(rotation, fixed, FixedReal.of(x), count)
+        return [cell for _, cells in blocks for cell in cells.tolist()]
+
+    count, cells = surd_scan_or_refusal(scan, count)
+    assert (cells or []) == surd_orbit_cells(surd, x, walls, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=surd_scans(dyadic=True))
+def test_zero_sums_match_the_exact_surd_orbit(case):
+    """Wherever a zero scan answers, its times are those of the true surd orbit's Birkhoff sums."""
+    surd, x, walls, values, count = case
+    rotation = CircleRotation(AngleSpec.quadratic(*surd))
+    f = StepCocycle(walls, values)
+    count, times = surd_scan_or_refusal(
+        lambda count: find_zero_sums(rotation, f, x, count).times.tolist(), count
+    )
+    sums = np.cumsum([values[cell] for cell in surd_orbit_cells(surd, x, walls, count)])
+    assert (times or []) == (np.flatnonzero(sums == 0) + 1).tolist()
 
 
 GOLDEN_A = CircleRotation(AngleSpec.preset("golden")).alpha.resolved.mantissa

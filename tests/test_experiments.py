@@ -22,6 +22,7 @@ from ergolab.errors import (
     PrecisionExhaustedError,
     RationalAngleError,
     RationalAngleWarning,
+    RowLimitError,
 )
 from ergolab.experiments import (
     _write_csv,
@@ -405,6 +406,63 @@ def test_a_horizon_past_the_64_bit_words_exits_two(
     assert stored["error"] == (
         "PrecisionExhaustedError: accumulated orbit error exceeds the coarse kernel's margin"
     )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 2
+
+
+def test_a_listing_past_the_row_limit_exits_four(tmp_path, monkeypatch):
+    """The rotation by 1/3 near its start over ``2**62`` steps would list ``2**62 / 3`` times.
+
+    The scan is refused before it lists any (``np.arange`` is patched to
+    fail), the run leaves an error manifest, and the command line exits
+    with code 4.
+    """
+    monkeypatch.setattr(np, "arange", refuse_guarded_walk)
+    config = {
+        "system": {"kind": "rotation", "angle": "rational:1/3"},
+        "detector": {"kind": "near_returns", "start": "0", "count": 2**62, "eps": "1/7"},
+        "output": {"directory": "wide", "formats": ["csv"]},
+    }
+    with pytest.raises(RowLimitError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        run_experiment(config, out_root=tmp_path / "api")
+    stored = json.loads((tmp_path / "api" / "wide" / "manifest.json").read_text())
+    assert stored["status"] == "error" and stored["error"].startswith("RowLimitError: ")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 4
+
+
+def test_a_failed_flow_run_records_its_roof_crossing(tmp_path):
+    """An eps equal to a zero's base distance lies inside that distance's error interval.
+
+    The golden flow from ``(1/10, 0)`` under roof height 1 starts crossing
+    ``k`` at time ``k``, on the floor.  The scan refuses at the crossing of
+    the first zero whose distance straddles eps, the manifest records it
+    as ``error_step``, and the command line exits with code 2.
+    """
+    roof = ergolab.Roof([0, Fraction(1, 2)], [1, 1],
+                        ergolab.CircleRotation(ergolab.AngleSpec.preset("golden")))
+    f = ergolab.PhaseFunction.from_base_values(roof, [1, -1])
+    rows = ergolab.flow_zero_near_returns(
+        roof, f, ergolab.SpecialFlowState(Fraction(1, 10)), 200, Fraction(1, 20)
+    )
+    row = next(r for r in rows if r.time.denominator == 1)
+    config = {
+        "system": MATRIX_SYSTEMS["special_flow"],
+        "cocycle": {"kind": "phase", "values": [1, -1]},
+        "detector": {"kind": "flow_near_returns", "start": {"x": "1/10", "height": "0"},
+                     "t_max": "200", "eps": str(row.distance)},
+        "output": {"directory": "flow", "formats": ["csv"]},
+    }
+    with pytest.raises(PrecisionExhaustedError) as refusal:
+        run_experiment(config, out_root=tmp_path / "api")
+    assert refusal.value.step == row.time
+    stored = json.loads((tmp_path / "api" / "flow" / "manifest.json").read_text())
+    assert stored["status"] == "error" and stored["error_step"] == row.time
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 2

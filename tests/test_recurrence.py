@@ -21,9 +21,10 @@ from ergolab.cocycles import (
 from ergolab.errors import (
     PrecisionExhaustedError,
     RationalAngleWarning,
+    RowLimitError,
     ZeroValueStartError,
 )
-from ergolab.fixedpoint import ONE, SCALE, FixedReal
+from ergolab.fixedpoint import MAX_ERR_ULPS, ONE, SCALE, FixedReal
 from ergolab.recurrence import (
     CascadeState,
     Returns,
@@ -671,6 +672,47 @@ def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count, monkeypatch)
     while fibonacci[-1] < 2**62:
         fibonacci.append(fibonacci[-1] + fibonacci[-2])
     assert {n for n in fibonacci[:-1] if n > 10**18} <= set(times)
+
+
+def refuse_listing(*args, **kwargs):
+    raise AssertionError("the scan listed times before it was refused")
+
+
+def test_a_listing_past_the_row_limit_is_refused_before_it_lists(monkeypatch):
+    """A scan that could list more than ``MAX_ROWS`` times raises ``RowLimitError`` up front.
+
+    Each scan bounds its rows before it lists any: a lap scan by its
+    residues times its laps (a rational angle's near residues, the zero
+    lap of the rotation by 1/2, every step at an eps above 1/2), the
+    three-gap walk over the returns of ``n alpha`` to the eps arc by
+    ``count // min(t1, t2) + 1``.
+    ``np.arange``, and for the irrational scans ``arc_returns``, are
+    patched to fail, so a scan that lists before it checks fails here
+    instead of exhausting memory.  With the limit cut to 6, the rotation by
+    1/3 near 0 lists its 6 returns by step 18 and refuses step 19.
+    """
+    half, third = (CircleRotation(AngleSpec.rational(1, q)) for q in (2, 3))
+    far = 2**62
+    monkeypatch.setattr(np, "arange", refuse_listing)
+    lap_scans = [
+        lambda: near_returns(third, 0, far, Fraction(1, 7)),
+        lambda: near_returns(golden(), 0, far, Fraction(3, 4)),
+        lambda: find_zero_sums(half, pm_one(), Fraction(1, 7), far),
+        lambda: joint_zero_returns(half, pm_one(), Fraction(1, 7), far, Fraction(1, 3)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalAngleWarning)
+        for scan in lap_scans:
+            with pytest.raises(RowLimitError, match="MAX_ROWS"):
+                scan()
+        monkeypatch.setattr(recurrence, "arc_returns", refuse_listing)
+        with pytest.raises(RowLimitError, match="MAX_ROWS"):
+            near_returns(golden(), 0, far, Fraction(1, 10**6))
+        monkeypatch.undo()
+        monkeypatch.setattr(recurrence, "MAX_ROWS", 6)
+        assert near_list(third, 0, 18, Fraction(1, 7)) == [3, 6, 9, 12, 15, 18]
+        with pytest.raises(RowLimitError):
+            near_returns(third, 0, 19, Fraction(1, 7))
 
 
 def test_sparse_rotation_near_scans_skip_the_cell_kernel(monkeypatch):
@@ -1447,27 +1489,40 @@ def test_flow_near_returns_zero_function_reports_node_grid():
 
 
 def test_flow_detectors_apply_the_base_once_per_crossing(monkeypatch):
-    """One walk: each roof crossing applies the base map once, the gluing at the horizon too."""
-    apply = CircleRotation.apply
-    calls = []
+    """One pass, no re-stepping: an exchange roof applies its base once per crossing.
+
+    A rotation roof applies it at no crossing: one certified kernel pass
+    places them all, and only a zero on the roof at the horizon applies the
+    base once, for its glued state.  Roof height 1 from height 0 makes one
+    crossing per unit of time.
+    """
+    calls, scans = [], []
+    for base in (CircleRotation, IntervalExchange):
+        monkeypatch.setattr(
+            base, "apply", lambda self, p, apply=base.apply: calls.append(p) or apply(self, p)
+        )
+    certified = cocycles.certified_cells
     monkeypatch.setattr(
-        CircleRotation, "apply", lambda self, p: calls.append(p) or apply(self, p)
+        cocycles, "certified_cells", lambda *args: scans.append(args) or certified(*args)
     )
+    exchange_roof = Roof([0, HALF], [1, 1], IntervalExchange(*DYADIC_IET))
+    exchange_f = PhaseFunction.from_base_values(exchange_roof, [1, -1])
     golden_roof, golden_f = halves_flow(AngleSpec.preset("golden"))
     half_roof, half_f = halves_flow(AngleSpec.rational(1, 2))
-    cases = [  # roof height 1 from height 0: one crossing per unit of time
-        (golden_roof, golden_f, SpecialFlowState(Fraction(1, 10)), Fraction(801, 2), 400),
-        (half_roof, half_f, SpecialFlowState(0), 6, 6),  # zeros 2, 4, 6 on the roof
+    cases = [  # (applies, kernel passes) per scan
+        (exchange_roof, exchange_f, SpecialFlowState(Fraction(1, 10)), Fraction(801, 2), 400, 0),
+        (golden_roof, golden_f, SpecialFlowState(Fraction(1, 10)), Fraction(801, 2), 0, 1),
+        (half_roof, half_f, SpecialFlowState(0), 6, 1, 1),  # zeros 2, 4, 6 on the roof
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RationalAngleWarning)
-        for roof, f, start, t_max, crossings in cases:
-            calls.clear()
+        for roof, f, start, t_max, applies, passes in cases:
+            calls.clear(), scans.clear()
             found = flow_zero_set_returns(roof, f, start, t_max, TargetSet.whole())
-            assert len(calls) == crossings and len(found) > 2
-            calls.clear()
+            assert (len(calls), len(scans)) == (applies, passes) and len(found) > 2
+            calls.clear(), scans.clear()
             near = flow_zero_near_returns(roof, f, start, t_max, 1)
-            assert len(calls) == crossings and near.times == found.times
+            assert (len(calls), len(scans)) == (applies, passes) and near.times == found.times
 
 
 def test_flow_near_returns_refuse_an_eps_inside_the_error_interval():
@@ -1477,11 +1532,78 @@ def test_flow_near_returns_refuse_an_eps_inside_the_error_interval():
     rows = flow_zero_near_returns(roof, f, start, 2000, Fraction(1, 20))
     # at integer times the orbit sits on the floor, so the base distance is the distance
     row = next(r for r in rows if r.time.denominator == 1)
-    with pytest.raises(PrecisionExhaustedError):
+    with pytest.raises(PrecisionExhaustedError) as refused:
         flow_zero_near_returns(roof, f, start, 2000, row.distance)
+    assert refused.value.step == row.time  # roof crossing k starts at time k
     above = flow_zero_near_returns(roof, f, start, 2000, row.distance + Fraction(1, 2**150))
     below = flow_zero_near_returns(roof, f, start, 2000, row.distance - Fraction(1, 2**150))
     assert row.time in above.times and row.time not in below.times
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["on-a-wall", "past-the-margin"])
+def test_a_flow_refusal_names_its_roof_crossing(wide):
+    """Crossing 37 of a golden flow lands on the roof wall 1/2, inside its 37-ulp radius.
+
+    From height 0 under roof height 1, crossing ``k`` starts at time ``k``.
+    The kernel's scan (both detectors) and the walk (the profile) refuse at
+    crossing 37 once the horizon passes time 37.  The kernel scans a fixed
+    number of crossings, but a refusal past the horizon does not surface:
+    at horizon 73/2 the scans answer as the reference does.  A start
+    ``MAX_ERR_ULPS - 36`` ulps wide, far from the walls, passes the safety
+    margin of :meth:`Walls.locate` at crossing 37 instead.
+    """
+    rotation = golden()
+    roof = Roof([0, HALF], [1, 1], rotation)
+    f = PhaseFunction.from_base_values(roof, [1, -1])
+    a_m = rotation.alpha.resolved.mantissa
+    start = SpecialFlowState(
+        FixedReal((ONE // 2 - 37 * a_m) % ONE) if not wide
+        else FixedReal((3 * ONE // 4 - 37 * a_m) % ONE, MAX_ERR_ULPS - 36)
+    )
+    scans = [
+        lambda t: flow_zero_set_returns(roof, f, start, t, TargetSet.whole()),
+        lambda t: flow_zero_near_returns(roof, f, start, t, 1),
+        lambda t: cocycles.integral_profile(roof, f, start, t),
+    ]
+    for scan in scans:
+        with pytest.raises(PrecisionExhaustedError, match="margin" if wide else "wall") as refused:
+            scan(Fraction(75, 2))
+        assert refused.value.step == 37
+    early = Fraction(73, 2)
+    assert flow_rows(flow_zero_set_returns(roof, f, start, early, TargetSet.whole()), "in_set") == (
+        reference_flow_set_rows(roof, f, start, early, TargetSet.whole())
+    )
+
+
+def test_an_exchange_flow_refusal_names_its_roof_crossing():
+    """Over an interval exchange the walk tags the crossing too.
+
+    The start, one ulp wide, is the exchange's preimage of the roof wall
+    1/2, so crossing 1 cannot be placed.
+    """
+    roof = Roof([0, HALF], [1, 1], IntervalExchange(*DYADIC_IET))
+    f = PhaseFunction.from_base_values(roof, [1, -1])
+    start = SpecialFlowState(FixedReal(roof.base.inverse_apply(FixedReal(ONE // 2)).mantissa, 1))
+    for scan in (
+        lambda: flow_zero_set_returns(roof, f, start, Fraction(3, 2), TargetSet.whole()),
+        lambda: cocycles.integral_profile(roof, f, start, Fraction(3, 2)),
+    ):
+        with pytest.raises(PrecisionExhaustedError, match="wall") as refused:
+            scan()
+        assert refused.value.step == 1
+    assert cocycles.integral_profile(roof, f, start, HALF).nodes[-1] == (HALF, -HALF)
+
+
+def test_a_flow_membership_refusal_names_its_roof_crossing():
+    """A target ending at a zero's base point, one ulp from the 1-ulp start, cannot decide it."""
+    roof, f = halves_flow(AngleSpec.preset("golden"))
+    start = SpecialFlowState(Fraction(1, 10))
+    zeros = flow_zero_set_returns(roof, f, start, 50, TargetSet.whole())
+    k = int(next(t for t in zeros.times if t.denominator == 1))  # on the floor of crossing k
+    point = (start.a.mantissa + k * roof.base.alpha.resolved.mantissa) % ONE
+    with pytest.raises(PrecisionExhaustedError, match="ambiguous") as refused:
+        flow_zero_set_returns(roof, f, start, 50, TargetSet([(0, Fraction(point, ONE))]))
+    assert refused.value.step == k
 
 
 def test_flow_zero_on_the_roof_at_the_horizon_is_located_after_gluing():
@@ -1530,12 +1652,28 @@ FLOW_STARTS = [Fraction(k, 64) for k in range(64)] + [Fraction(k, 99) for k in r
 TARGET_CUTS = [Fraction(0), Fraction(1, 5), THIRD, HALF, Fraction(3, 4), Fraction(1)]
 
 
+def roof_times(roof, start, t_max):
+    """The times up to ``t_max`` at which the reference walk meets the roof."""
+    times, a, t = [], start.a, roof.height_at(start.a) - start.b
+    try:
+        while t <= t_max:
+            times.append(t)
+            a = roof.base.apply(a)
+            t += roof.height_at(a)
+    except PrecisionExhaustedError:
+        pass
+    return times
+
+
 @st.composite
 def flow_cases(draw):
     """A dyadic roof with non-dyadic band tops, a start under it, a horizon, a budget.
 
-    The horizon is free, or lands on a node (a band top or the roof) or on
-    a zero of the reference profile.
+    The start is rational, or a ``FixedReal`` a few ulps from a roof wall at
+    a seeded crossing, exact or one ulp wide, so the scans meet that wall
+    at the crossing's radius: before, at or past the horizon.  The horizon
+    is free, or lands on a node (a band top or the roof), on a zero of the
+    reference profile or on the roof.
     """
     angle = draw(st.sampled_from(FLOW_ANGLES))
     angle = AngleSpec.preset(angle) if isinstance(angle, str) else AngleSpec.rational(*angle)
@@ -1556,17 +1694,28 @@ def flow_cases(draw):
     mean = sum(w * h * v for w, cell in zip(widths, bands) for h, v in cell)
     last[1] = -mean / (widths[-1] * last[0])
     f = PhaseFunction(roof, bands)
-    x = draw(st.sampled_from(FLOW_STARTS))
-    height = heights[roof.cell_of(SpecialFlowState(x).a)]
+    x = SpecialFlowState(draw(st.sampled_from(FLOW_STARTS))).a
+    if draw(st.booleans()):
+        crossing, wall = draw(st.integers(1, 60)), draw(st.sampled_from(roof.walls.mantissas))
+        shift = draw(st.integers(-3, 3)) - crossing * angle.resolved.mantissa
+        x = FixedReal((wall + shift) % ONE, draw(st.integers(0, 1)))
+    try:
+        height = heights[roof.cell_of(x)]
+    except PrecisionExhaustedError:  # the scans refuse this start, as the reference does
+        height = min(heights)
     start = SpecialFlowState(x, height * Fraction(draw(st.integers(0, 5)), 6))
     t_max = Fraction(draw(st.integers(1, 120)), draw(st.sampled_from([1, 2, 3, 7, 10])))
-    landing = draw(st.sampled_from(["free", "node", "zero"]))
+    landing = draw(st.sampled_from(["free", "node", "zero", "roof"]))
     if landing != "free":
         try:
             nodes = reference_profile_nodes(roof, f, start, t_max)
         except PrecisionExhaustedError:
             nodes = [(0, 0)]
-        times = [t for t, _ in nodes[1:]] if landing == "node" else IntegralProfile(nodes).zeros()
+        times = {
+            "node": lambda: [t for t, _ in nodes[1:]],
+            "zero": lambda: IntegralProfile(nodes).zeros(),
+            "roof": lambda: roof_times(roof, start, t_max) if len(nodes) > 1 else [],
+        }[landing]()
         if times:
             t_max = draw(st.sampled_from(times))
     cuts = sorted(draw(st.sets(st.sampled_from(TARGET_CUTS), min_size=2, max_size=4)))
@@ -1604,6 +1753,25 @@ def test_one_flow_walk_matches_the_two_walk_reference(case):
     assert nodes == outcome(lambda: reference_profile_nodes(roof, f, start, t_max))
     assert in_set == outcome(lambda: reference_flow_set_rows(roof, f, start, t_max, target))
     assert near == outcome(lambda: reference_flow_near_rows(roof, f, start, t_max, eps))
+
+
+def test_a_flow_scan_across_kernel_blocks_matches_the_walk():
+    """About 70,000 roof crossings take two blocks of the kernel; the zeros are the walk's.
+
+    Heights 1/2 and 3/2 under a phase of two bands per cell: the rotation
+    engine's prefix sums carry time and integral across the block boundary
+    at crossing ``2**16``, and every zero equals one of the profile that
+    :func:`~ergolab.cocycles.integral_profile` walks crossing by crossing.
+    """
+    roof = Roof([0, HALF], [HALF, Fraction(3, 2)], golden())
+    f = PhaseFunction(roof, [[(Fraction(1, 4), 2), (Fraction(1, 4), 4)],
+                             [(HALF, -2), (1, Fraction(-1, 2))]])
+    start, t_max = SpecialFlowState(Fraction(1, 10), Fraction(1, 8)), Fraction(140_001, 2)
+    zeros = cocycles.integral_profile(roof, f, start, t_max).zeros()
+    found = flow_zero_set_returns(roof, f, start, t_max, TargetSet.whole())
+    near = flow_zero_near_returns(roof, f, start, t_max, 1)
+    assert found.times == near.times == zeros
+    assert len(zeros) > 1000 and zeros[-1] > 2**16
 
 
 def test_winding_near_returns_unit_eps_gives_half_grid():
