@@ -22,14 +22,17 @@ steps of the excess sweep.  Zero-sum scans, dense near-return times
 (cells of the displacement ``n alpha`` against walls at the eps
 boundaries) and the roof crossings of special flows over rotations
 (:func:`_rotation_walk`) run on the kernel, and its cells equal those of
-:func:`guarded_walk`.
+:func:`guarded_walk`.  Its certificate in word form, :func:`word_cells`,
+places the top words of many starts on the ``2**-64`` grid at once and
+leaves those near a wall to a 192-bit test: the induced statistics over
+an irrational rotation step every excursion on it.
 
 A special flow over an interval exchange walks every roof crossing
 (:func:`_flow_walk`), as :func:`integral_profile` does on any base.  Every
 other orbit runs on one of two per-step walks.  :func:`guarded_walk`
 places each point on the 192-bit grid or refuses with its step (Birkhoff
-sums, interval-exchange scans, induced excursions, skew orbits; a near
-scan walks without a cocycle).  Its exact integer twin
+sums, interval-exchange scans, single induced excursions, skew orbits; a
+near scan walks without a cocycle).  Its exact integer twin
 :func:`rational_walk` steps a rational angle from a rational start and
 never refuses (rational zero-sum laps, induced excursions and Birkhoff
 sums).
@@ -40,7 +43,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -206,39 +209,70 @@ _BLOCK = 1 << 16
 def certified_cells(
     rotation: CircleRotation, walls: Walls, start: FixedReal, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(offset, cells)``: the cells of ``S^i x``, ``x = start``, from step ``offset`` on.
+    """Iterate ``(offset, cells)``: the cells of ``S^i x``, ``x = start``, from step ``offset`` on.
 
     ``cells`` is an int64 array of at most ``2**16`` consecutive steps.
 
     Certificate: the top-64-bit word of step ``i``, stepped in uint64, lags
     the point's own word by at most ``i`` words, and the point's error
     interval is below ``2**128`` ulps (or the scan is refused, as is a
-    horizon of ``2**62`` steps).  So a step whose nominal point lies more
-    than ``R = (count + 2) 2**128`` ulps from every wall has its word on
-    the point's side of every wall word, and its interval clear of every
-    wall.  :func:`steps_within` lists the other steps, wall by wall; they
-    are decided at 192 bits in step order, and the first that cannot be
-    raises :class:`PrecisionExhaustedError` with its step.  Every other word
-    is placed among the wall words by one search.
+    horizon of ``2**62`` steps, at the call, before any block).  So a step
+    whose nominal point lies more than ``R = (count + 2) 2**128`` ulps from
+    every wall has its word on the point's side of every wall word, and its
+    interval clear of every wall.  :func:`steps_within` lists the other
+    steps, wall by wall; they are decided at 192 bits in step order, and the
+    first that cannot be raises :class:`PrecisionExhaustedError` with its
+    step.  Every other word is placed among the wall words by one search.
     """
-    if count <= 0:
-        return
     a_m, a_e = rotation.alpha.resolved.mantissa, rotation.alpha.resolved.err_ulps
     x_m, x_e = start.mantissa % ONE, start.err_ulps
-    if count >= 1 << 62 or x_e + count * a_e >= 1 << _LOW_BITS:
+    if count > 0 and (count >= 1 << 62 or x_e + count * a_e >= 1 << _LOW_BITS):
         raise PrecisionExhaustedError(PAST_MARGIN)
-    reach = (count + 2) << _LOW_BITS
-    listed = sorted({
-        n for w in walls.mantissas for n in steps_within(a_m, ONE, x_m, w, reach, count)
-    })
-    wall_words = np.array([w >> _LOW_BITS for w in walls.mantissas], dtype=np.uint64)
-    a64, x64 = np.uint64(a_m >> _LOW_BITS), np.uint64(x_m >> _LOW_BITS)
-    for offset in range(0, count, _BLOCK):
-        words = np.arange(offset, min(offset + _BLOCK, count), dtype=np.uint64) * a64 + x64
-        cells = np.searchsorted(wall_words, words, side="right") - 1
-        for i in listed[bisect_left(listed, offset):bisect_left(listed, offset + len(cells))]:
-            cells[i - offset] = _exact_cell(walls, (x_m + i * a_m) % ONE, x_e + i * a_e, i)
-        yield offset, cells
+
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        reach = (count + 2) << _LOW_BITS
+        listed = sorted({
+            n for w in walls.mantissas for n in steps_within(a_m, ONE, x_m, w, reach, count)
+        })
+        wall_words = np.array([w >> _LOW_BITS for w in walls.mantissas], dtype=np.uint64)
+        a64, x64 = np.uint64(a_m >> _LOW_BITS), np.uint64(x_m >> _LOW_BITS)
+        for offset in range(0, count, _BLOCK):
+            words = np.arange(offset, min(offset + _BLOCK, count), dtype=np.uint64) * a64 + x64
+            cells = np.searchsorted(wall_words, words, side="right") - 1
+            for i in listed[bisect_left(listed, offset):bisect_left(listed, offset + len(cells))]:
+                cells[i - offset] = _exact_cell(walls, (x_m + i * a_m) % ONE, x_e + i * a_e, i)
+            yield offset, cells
+
+    return blocks()
+
+
+def word_cells(
+    rotation: CircleRotation, walls: Walls
+) -> tuple[np.uint64, Callable[[np.ndarray, int], np.ndarray]]:
+    """The word form of :func:`certified_cells`' certificate: ``(a64, cells)`` for starts on the 2**-64 grid.
+
+    ``a64`` is the top word of the angle's mantissa, so the exact start
+    ``u 2**-64`` has the word ``u + n a64 mod 2**64`` at step ``n``: stepped
+    in uint64, it lags the point's own word by at most ``n``.
+    ``cells(words, lag)`` places such words among the exact ``walls``; the
+    caller keeps the points' radius below ``2**128`` ulps.  Each point's
+    interval then lies within the words ``word - 1`` to ``word + lag + 1``,
+    so a word at least 3 above the wall word below it and at least ``lag +
+    5`` below the next one, wall 0 counted again at the seam, has the
+    interval inside its word's cell: it lies outside every band ``[w - (lag
+    + 4), w + 3)`` of a wall word ``w``.  ``cells`` returns the int64 cell
+    per word, -1 in a band; those points are the caller's to decide at 192
+    bits.
+    """
+    below = np.array([m >> _LOW_BITS for m in walls.mantissas], dtype=np.uint64)
+    above = np.roll(below, -1)  # past the last wall, 0 - word wraps to 2**64 - word
+
+    def cells(words: np.ndarray, lag: int) -> np.ndarray:
+        cell = np.searchsorted(below, words, side="right") - 1
+        clear = (words - below[cell] >= 3) & (above[cell] - words >= lag + 5)
+        return np.where(clear, cell, -1)
+
+    return np.uint64(rotation.alpha.resolved.mantissa >> _LOW_BITS), cells
 
 
 # --------------------------------------------------------------------------- #

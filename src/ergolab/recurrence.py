@@ -213,19 +213,19 @@ class TargetSet:
     full-height cylinder over the base intervals, unless ``band=(lo, hi)``
     restricts it to a height window (an exact rectangle union).
 
-    Guarded membership is a :class:`Walls` partition with an in/out label
-    per cell.  An integer mantissa ``m`` satisfies ``m >= r * 2**192`` iff
-    ``m >= ceil(r * 2**192)``, so exact walls at ``ceil(r * 2**192) < 2**192``
-    for the endpoints ``0 < r < 1``, plus 0, decide every arc exactly.  Cells
-    with equal labels stay apart: a wall shared by two endpoints less than an
-    ulp apart must still raise.  An arc across the 0/1 seam takes the label
+    Guarded membership is a :class:`Walls` partition, ``walls``, with an
+    in/out label per cell.  An integer mantissa ``m`` satisfies
+    ``m >= r * 2**192`` iff ``m >= ceil(r * 2**192)``, so exact walls at
+    ``ceil(r * 2**192) < 2**192`` for the endpoints ``0 < r < 1``, plus 0,
+    decide every arc exactly.  Cells with equal labels stay apart: a wall
+    shared by two endpoints less than an ulp apart must still raise.  An arc across the 0/1 seam takes the label
     of the first and last cells unless the seam is a boundary (the labels
     differ, or an endpoint below 1 rounds up to ``2**192``).
     :meth:`contains_fraction` tests a rational point exactly; an excursion of
     a rational angle tests the integer positions of its walk instead.
     """
 
-    __slots__ = ("intervals", "band", "_walls", "_labels", "_seam_label")
+    __slots__ = ("intervals", "band", "walls", "_labels", "_seam_label")
 
     def __init__(
         self,
@@ -258,7 +258,7 @@ class TargetSet:
         self.band = band
         edges = {math.ceil(r * ONE) for pair in merged for r in pair if 0 < r < 1}
         walls = [0, *sorted(w for w in edges if w < ONE)]
-        self._walls = Walls([FixedReal(w) for w in walls])
+        self.walls = Walls([FixedReal(w) for w in walls])
         self._labels = [self.contains_fraction(Fraction(w, ONE)) for w in walls]
         seam_open = self._labels[0] == self._labels[-1] and ONE not in edges
         self._seam_label = self._labels[0] if seam_open else None
@@ -285,10 +285,10 @@ class TargetSet:
         p = p.frac()
         m, e = p.mantissa, p.err_ulps
         if e <= m < ONE - e:
-            return self._labels[self._walls.locate(p)]
+            return self._labels[self.walls.locate(p)]
         # an arc across the seam needs its ends in the last and first cells
-        ends = [self._walls.locate(FixedReal((m + s) % ONE)) for s in (-e, e)]
-        if self._seam_label is None or ends != [len(self._walls) - 1, 0]:
+        ends = [self.walls.locate(FixedReal((m + s) % ONE)) for s in (-e, e)]
+        if self._seam_label is None or ends != [len(self.walls) - 1, 0]:
             raise PrecisionExhaustedError("ambiguous target-set membership")
         return self._seam_label
 
@@ -476,11 +476,11 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     Sparse scans take :func:`_near_walk` instead, which visits only the
     returns to that arc: its iterations are at most ``count / min(t1, t2)``
     (:func:`~ergolab.cocycles.return_gaps`, computed once per scan), so it
-    runs where that gap is at least ``_WALK_MIN_GAP``, and checks that count
-    against :data:`MAX_ROWS` before it lists.  Both engines give the
+    runs where that gap is at least ``_WALK_MIN_GAP``.  Both engines check
+    that count against :data:`MAX_ROWS` before they list, and give the
     same times, refusal step and message.  The kernel refuses ``2**62``
-    steps or more, with no step; the walk answers up to the detectors'
-    ``2**63``.
+    steps or more, with no step, before its row check; the walk answers up
+    to the detectors' ``2**63``.
     """
     if eps > Fraction(1, 2):
         return _lap_times([1], 1, count)
@@ -498,14 +498,14 @@ def _rotation_near_times(base: CircleRotation, count: int, eps: Fraction) -> np.
     widen = count * alpha.err_ulps + 2
     start, length = (1 - lo - widen) % ONE, min(2 * (lo + widen) - 1, ONE)
     t1, t2 = gaps = return_gaps(alpha.mantissa, ONE, length)
-    if min(t1, t2 or t1) >= _WALK_MIN_GAP:  # t2 None: every gap is t1
-        _check_rows(count // min(t1, t2 or t1) + 1)
+    gap = min(t1, t2 or t1)  # t2 None: every gap is t1
+    if gap >= _WALK_MIN_GAP:
+        _check_rows(count // gap + 1)
         candidates = arc_returns(alpha.mantissa, ONE, start, length, count, gaps)
         return _near_walk(alpha, walls, lo, candidates)
-    chunks = [
-        np.flatnonzero(cells == 0) + offset
-        for offset, cells in certified_cells(base, walls, FixedReal(lo - 1), count + 1)
-    ]
+    blocks = certified_cells(base, walls, FixedReal(lo - 1), count + 1)  # refuses 2**62 steps first
+    _check_rows(count // gap + 1)
+    chunks = [np.flatnonzero(cells == 0) + offset for offset, cells in blocks]
     return _concat_times(chunks)[1:]  # step 0 is the start itself
 
 

@@ -436,6 +436,38 @@ def test_a_listing_past_the_row_limit_exits_four(tmp_path, monkeypatch):
         assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 4
 
 
+def test_a_dense_kernel_near_scan_past_the_row_limit_exits_four(tmp_path, monkeypatch):
+    """Golden near its start at eps 3/7 returns at least every other step: the certified kernel's side.
+
+    Its least return gap is below the walk's minimum, so the scan runs on
+    the kernel, and ``10**6`` steps could list ``10**6 + 1`` times.  With
+    ``MAX_ROWS`` cut to 1,000 the scan is refused after the kernel's own
+    checks and before it lists a block (the blocks are patched to fail);
+    the run leaves an error manifest, and the command line exits with
+    code 4.
+    """
+    kernel = recurrence.certified_cells
+
+    def unlisted(*args):
+        kernel(*args)  # the kernel's horizon and margin refusals still come first
+        return (refuse_guarded_walk() for _ in [None])  # fails at the first block
+
+    monkeypatch.setattr(recurrence, "MAX_ROWS", 1000)
+    monkeypatch.setattr(recurrence, "certified_cells", unlisted)
+    config = {
+        "system": {"kind": "rotation", "angle": "preset:golden"},
+        "detector": {"kind": "near_returns", "start": "0", "count": 10**6, "eps": "3/7"},
+        "output": {"directory": "dense", "formats": ["csv"]},
+    }
+    with pytest.raises(RowLimitError, match="1000001 rows"):
+        run_experiment(config, out_root=tmp_path / "api")
+    stored = json.loads((tmp_path / "api" / "dense" / "manifest.json").read_text())
+    assert stored["status"] == "error" and stored["error"].startswith("RowLimitError: ")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 4
+
+
 def test_a_failed_flow_run_records_its_roof_crossing(tmp_path):
     """An eps equal to a zero's base distance lies inside that distance's error interval.
 

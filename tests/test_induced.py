@@ -2,19 +2,21 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from ergolab import fixedpoint, induced
 from ergolab.angles import AngleSpec
 from ergolab.cocycles import StepCocycle, birkhoff_sums
-from ergolab.errors import RationalAngleWarning, ReturnBudgetError
+from ergolab.errors import PrecisionExhaustedError, RationalAngleWarning, ReturnBudgetError
 from ergolab.fixedpoint import ONE, FixedReal
 from ergolab.induced import induce_point, induced_statistics
 from ergolab.recurrence import TargetSet
 from ergolab.systems import CircleRotation
 
-from _oracles import rational_excursion, step_value
+from _oracles import rational_excursion, step_value, surd_orbit_cells
 
 HALF = Fraction(1, 2)
 LEFT_HALF = TargetSet([(0, HALF)])
@@ -247,3 +249,194 @@ def test_fully_censored_run_is_an_error():
 def test_sample_floor_enforced():
     with pytest.raises(ValueError):
         induced_statistics(golden(), pm_one(), LEFT_HALF, samples=20)
+
+
+# --------------------------------------------------------------------------- #
+# every excursion at once over an irrational rotation
+# --------------------------------------------------------------------------- #
+
+
+NON_SQUARES = [c for c in range(2, 200) if math.isqrt(c) ** 2 != c]
+GRID = 1 << 64
+
+
+@st.composite
+def rotation_excursions(draw):
+    """A quadratic-surd angle, a cocycle, a target, starts on the ``2**-64`` grid and a budget.
+
+    The angle is golden, sqrt2 or a random surd.  The cocycle is
+    integer-valued on dyadic walls ``k/64`` or rational-valued on two cells.
+    The target is one arc, several, or one across the 0/1 seam, with ends
+    at multiples of ``1/97`` or ``1/64``.  The starts are uniform draws from
+    the target, grid points within 3 grid steps of a target end, a cocycle
+    wall or the seam, and grid points whose orbit passes within 3 grid
+    steps of one of them at a chosen step; only those in the target are
+    kept.
+    """
+    surd = draw(st.sampled_from([(-1, 1, 5, 2), (0, 1, 2, 1), None]))
+    if surd is None:
+        surd = (draw(st.integers(-20, 20)), draw(st.sampled_from([*range(-12, 0), *range(1, 13)])),
+                draw(st.sampled_from(NON_SQUARES)), draw(st.integers(1, 40)))
+    if draw(st.booleans()):
+        inner = sorted(draw(st.sets(st.integers(1, 63), min_size=1, max_size=3)))
+        walls = [Fraction(0)] + [Fraction(k, 64) for k in inner]
+        widths = [hi - lo for lo, hi in zip([0, *inner], [*inner, 64])]
+        head = draw(st.lists(st.integers(-5, 5), min_size=len(inner), max_size=len(inner)))
+        values = [v * widths[-1] for v in head] + [-sum(w * v for w, v in zip(widths, head))]
+    else:
+        w = Fraction(draw(st.integers(1, 63)), 64)
+        v = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        walls, values = [Fraction(0), w], [v, -v * w / (1 - w)]
+    den = draw(st.sampled_from([97, 64]))
+    cuts = [Fraction(k, den) for k in sorted(draw(st.sets(st.integers(1, den - 1), min_size=2, max_size=6)))]
+    shape = draw(st.sampled_from(["one-arc", "multi-arc", "seam"]))
+    if shape == "one-arc":
+        pairs = [(cuts[0], cuts[-1])]
+    elif shape == "multi-arc":
+        pairs = list(zip(cuts[::2], cuts[1::2]))
+    else:
+        pairs = [(0, cuts[0]), (cuts[-1], 1)]
+    target = TargetSet(pairs)
+    budget = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    starts = induced._uniform_in_target(target, draw(st.integers(1, 20)), rng).tolist()
+    a_m = AngleSpec.quadratic(*surd).resolved.mantissa
+    ends = [*walls, *(end for pair in pairs for end in pair if 0 < end < 1)]  # the seam too
+    step = draw(st.one_of(st.just(1), st.integers(1, budget)))  # at step 1 the word has no lag
+    for end in draw(st.lists(st.sampled_from(ends), max_size=4)):
+        delta = draw(st.integers(-3, 3))
+        starts.append(math.ceil(end * GRID) + delta)
+        starts.append((((math.ceil(end * ONE) - step * a_m) % ONE) >> 128) + delta)
+    starts = [u % GRID for u in starts if target.contains_fraction(Fraction(u % GRID, GRID))]
+    return surd, walls, values, target, np.array(starts, dtype=np.uint64), budget
+
+
+UNDER_AN_END = ((math.ceil(Fraction(62, 97) * ONE) - golden().alpha.resolved.mantissa) % ONE) >> 128
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=rotation_excursions())
+@example(case=(  # at step 1 the point lies just under the end 62/97, inside, in the end's own word
+    (-1, 1, 5, 2), [Fraction(0), HALF], [1, -1], TargetSet([(Fraction(1, 97), Fraction(62, 97))]),
+    np.array([UNDER_AN_END], dtype=np.uint64), 5,
+))
+def test_batched_excursions_match_induce_point(case):
+    """Every start steps at once, yet each gets the ``n`` and ``f~`` of its own ``induce_point``, or is censored as it is.
+
+    A batch that meets a refusal gives up, and then the per-sample loop
+    must refuse too.
+    """
+    surd, walls, values, target, grid, budget = case
+    base, f = CircleRotation(AngleSpec.quadratic(*surd)), StepCocycle(walls, values)
+    batch = induced._rotation_excursions(base, f, target, grid, budget)
+    if batch is None:
+        event("refused")
+        with pytest.raises(PrecisionExhaustedError):
+            induced._sample_excursions(base, f, target, grid, budget)
+        return
+    assert batch == induced._sample_excursions(base, f, target, grid, budget)
+    event("censored" if batch[2] else "returned")
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=rotation_excursions())
+def test_batched_excursions_match_the_exact_surd_orbit(case):
+    """Wherever the batch answers, its return times and ``f~`` are those of the true surd orbit.
+
+    The oracle places ``{x + n alpha}`` in ``Q(sqrt c)`` against the merged
+    cocycle walls and target ends themselves, so each of its cells has one
+    cocycle value and one membership label.
+    """
+    surd, walls, values, target, grid, budget = case
+    base, f = CircleRotation(AngleSpec.quadratic(*surd)), StepCocycle(walls, values)
+    batch = induced._rotation_excursions(base, f, target, grid, budget)
+    if batch is None:
+        event("refused")
+        return
+    merged = sorted({*walls, *(end for pair in target.intervals for end in pair if end < 1)})
+    value = [step_value(w, walls, values) for w in merged]
+    label = [target.contains_fraction(w) for w in merged]
+    times, sums, censored = [], [], 0
+    for u in grid.tolist():
+        cells, total = surd_orbit_cells(surd, Fraction(u, GRID), merged, budget + 1), 0
+        for n in range(1, budget + 1):
+            total += value[cells[n - 1]]
+            if label[cells[n]]:
+                times.append(float(n))
+                sums.append(float(total))
+                break
+        else:
+            censored += 1
+    assert batch == (times, sums, censored)
+
+
+@pytest.mark.parametrize("name, target", [
+    ("golden", LEFT_HALF),
+    ("sqrt2", TargetSet([(0, Fraction(1, 10)), (Fraction(9, 10), 1)])),
+])
+def test_a_budget_of_two_censors_as_the_per_sample_loop_does(name, target, monkeypatch):
+    """With budget 2 the batch censors the starts, and averages the rest, that ``induce_point`` does."""
+    rotation, f = CircleRotation(AngleSpec.preset(name)), pm_one()
+    batched = induced_statistics(rotation, f, target, samples=500, seed=9, budget=2)
+    monkeypatch.setattr(induced, "_rotation_excursions", lambda *args: None)
+    assert induced_statistics(rotation, f, target, samples=500, seed=9, budget=2) == batched
+    assert batched.censored > 0
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        induced_statistics(rotation, f, target, samples=500, seed=9, budget=0)
+
+
+@pytest.mark.parametrize("wall", ["target end", "cocycle wall"])
+def test_a_refused_batch_step_raises_as_the_per_sample_loop_does(wall, monkeypatch):
+    """A wall on the nominal point ``x + 3 A`` of one grid start, whose radius is 3 ulps.
+
+    From ``x = 1/16`` golden visits about 0.68, 0.30 and 0.92, outside the
+    target ``[1/20, 1/10)``.  A target end at the third point is refused by
+    ``target.contains``, with no step; a cocycle wall there by the walk, at
+    step 3.  The batch gives up, and the statistics raise the error of that
+    start's ``induce_point``.
+    """
+    rotation = golden()
+    u = GRID // 16
+    end = Fraction(((u << 128) + 3 * rotation.alpha.resolved.mantissa) % ONE, ONE)
+    near = (Fraction(1, 20), Fraction(1, 10))
+    if wall == "target end":
+        f, target = pm_one(), TargetSet([near, (end, end + Fraction(1, 100))])
+    else:
+        f, target = StepCocycle([0, end], [1 - end, -end]), TargetSet([near])
+    with pytest.raises(PrecisionExhaustedError) as single:
+        induce_point(rotation, f, target, Fraction(u, GRID))
+    assert single.value.step == (None if wall == "target end" else 3)
+    draw = induced._uniform_in_target
+
+    def with_the_start(target, samples, rng):
+        grid = draw(target, samples, rng)
+        grid[50] = u
+        return grid
+
+    monkeypatch.setattr(induced, "_uniform_in_target", with_the_start)
+    grid = with_the_start(target, 200, np.random.default_rng(4))
+    assert induced._rotation_excursions(rotation, f, target, grid, 10**6) is None
+    with pytest.raises(PrecisionExhaustedError) as batched:
+        induced_statistics(rotation, f, target, samples=200, seed=4)
+    assert (str(batched.value), batched.value.step) == (str(single.value), single.value.step)
+
+
+def test_a_radius_past_the_safety_margin_raises_as_the_per_sample_loop_does(monkeypatch):
+    """With the margin cut to 2 ulps, a start still outside after two steps is refused at its third point.
+
+    Each golden step adds an ulp of radius.  From ``1/16`` the first
+    return to ``[1/20, 1/10)`` takes more than 3 steps, and so does that of
+    every start in the statistics that does not return within 2: the batch
+    gives up before step 3 and the per-sample loop raises there.
+    """
+    monkeypatch.setattr(fixedpoint, "MAX_ERR_ULPS", 2)
+    monkeypatch.setattr(induced, "MAX_ERR_ULPS", 2)
+    target = TargetSet([(Fraction(1, 20), Fraction(1, 10))])
+    with pytest.raises(PrecisionExhaustedError) as single:
+        induce_point(golden(), pm_one(), target, Fraction(1, 16))
+    grid = induced._uniform_in_target(target, 100, np.random.default_rng(0))
+    assert induced._rotation_excursions(golden(), pm_one(), target, grid, 10**6) is None
+    with pytest.raises(PrecisionExhaustedError) as batched:
+        induced_statistics(golden(), pm_one(), target, samples=100, seed=0)
+    assert (str(batched.value), batched.value.step) == (str(single.value), single.value.step)

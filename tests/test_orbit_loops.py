@@ -13,7 +13,10 @@ on the exact integer twin, :func:`ergolab.cocycles.rational_walk`, from a
 few named functions only, so a second rational orbit loop cannot creep back.
 Near times, rational or irrational, and the kernel's near-wall steps are
 listed by one three-gap walk, :func:`ergolab.cocycles.arc_returns`, from
-one function in each module, so the near listing keeps one home.
+one function in each module, so the near listing keeps one home.  The
+word classifier of grid starts, :func:`ergolab.cocycles.word_cells`, has
+one caller, the batch of excursions that only ``induced_statistics`` runs,
+and ``induce_point`` stays the one per-sample walk in ``induced.py``.
 """
 import ast
 from pathlib import Path
@@ -163,3 +166,14 @@ def test_one_function_per_module_lists_arc_returns():
         for name in ("recurrence.py", "cocycles.py")
     }
     assert owners == {"recurrence.py": {"_rotation_near_times"}, "cocycles.py": {"steps_within"}}
+
+
+def test_one_batch_classifies_words_and_one_function_walks_an_excursion():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    owners = {name: callers(source, "word_cells") for name, source in sources.items()}
+    assert {name: found for name, found in owners.items() if found} == {
+        "induced.py": {"_rotation_excursions"}
+    }
+    assert callers(sources["induced.py"], "_rotation_excursions") == {"induced_statistics"}
+    walks = {walk: callers(sources["induced.py"], walk) for walk in ("guarded_walk", "rational_walk")}
+    assert walks == {"guarded_walk": {"induce_point"}, "rational_walk": {"induce_point"}}

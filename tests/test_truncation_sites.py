@@ -1,8 +1,9 @@
-"""Only the certified kernel may cut a 192-bit mantissa down to a 64-bit word.
+"""Only the certified kernels may cut a 192-bit mantissa down to a 64-bit word.
 
 A 64-bit word decides a cell only for a step far enough from every wall
 that the word's lag cannot cross one; the kernel lists the other steps and
-decides them exactly.  Anywhere else a word would certify a perturbed
+decides them exactly, and its word form for grid starts, ``word_cells``,
+leaves the words in a wall's band to its caller's 192-bit test.  Anywhere else a word would certify a perturbed
 system.  These tests read the package source and fail on any other
 truncation site.
 """
@@ -12,7 +13,7 @@ from pathlib import Path
 import ergolab
 
 PACKAGE = Path(ergolab.__file__).parent
-KERNELS = {("cocycles.py", "certified_cells")}
+KERNELS = {("cocycles.py", "certified_cells"), ("cocycles.py", "word_cells")}
 
 
 def _is_low_bits(node: ast.AST) -> bool:
