@@ -49,11 +49,9 @@ from .induced import (
     induced_statistics,
 )
 from .recurrence import (
-    CascadeState,
     ReturnRecord,
     Returns,
     TargetSet,
-    cascade_apply,
     find_zero_sums,
     flow_zero_near_returns,
     flow_zero_set_returns,
@@ -61,11 +59,10 @@ from .recurrence import (
     near_returns,
     sublinearity_estimate,
 )
-from .skew import ProductState, SkewOrbitStats, SkewSystem, orbit_statistics, skew_step
+from .skew import ProductState, SkewOrbitStats, SkewSystem, orbit_statistics
 from .stats import (
     decimal_string,
     dkw_epsilon,
-    interval_cell_fractions,
     mean_and_se,
 )
 from .systems import (
@@ -84,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleSpec",
     "BudgetExceededError",
-    "CascadeState",
     "CircleRotation",
     "Cmp",
     "ConfigError",
@@ -120,7 +116,6 @@ __all__ = [
     "Walls",
     "ZeroValueStartError",
     "birkhoff_sums",
-    "cascade_apply",
     "cf_convergents",
     "check_run_directory",
     "circle_distance",
@@ -135,7 +130,6 @@ __all__ = [
     "induce_point",
     "induced_statistics",
     "integral_profile",
-    "interval_cell_fractions",
     "joint_zero_returns",
     "list_presets",
     "mean_and_se",
@@ -145,7 +139,6 @@ __all__ = [
     "parse_angle",
     "preset_config",
     "run_experiment",
-    "skew_step",
     "special_flow_step",
     "sublinearity_estimate",
     "validate_config",

@@ -839,6 +839,58 @@ def winding_integral(
     return _winding_sum(_winding_modes(winding, f, p), t)
 
 
+#: grid points per block of a winding zero scan
+_WINDING_BLOCK = 1 << 16
+
+
+def _winding_signs(modes: list[tuple[float, ...]], margin: float, t: np.ndarray) -> np.ndarray:
+    """The sign of :func:`_winding_sum` at every ``t``, as a float array of -1, 0 and 1.
+
+    numpy evaluates the scalar expression mode by mode in the same order,
+    so only its sines and cosines may differ from libm's, by a few ulps.
+    The sum is at most ``B = 2 sum (|c| + |s|) / |2 pi omega|`` in size, so
+    the two sums differ by a few ulps of ``B`` per mode, far below the
+    ``margin`` of ``2**-39 B``.  Beyond the margin numpy's sign is libm's;
+    within it the scalar sum decides, exact zeros included.
+    """
+    total = np.zeros_like(t)
+    for c, s, phi0, scale, sin0, cos0 in modes:
+        phi1 = phi0 + scale * t
+        total += c * (np.sin(phi1) - sin0) / scale
+        total += s * (cos0 - np.cos(phi1)) / scale
+    signs = np.sign(total)
+    for i in np.flatnonzero(np.abs(total) <= margin).tolist():
+        v = _winding_sum(modes, float(t[i]))
+        signs[i] = (v > 0) - (v < 0)
+    return signs
+
+
+def _bisect_brackets(
+    modes: list[tuple[float, ...]], margin: float,
+    lo: np.ndarray, hi: np.ndarray, lo_signs: np.ndarray, tol: float,
+) -> np.ndarray:
+    """Bisect every sign-change bracket ``[lo, hi]`` in lockstep until it is ``tol`` wide.
+
+    Each bracket takes the steps of the scalar bisection: the midpoint
+    ``0.5 * (lo + hi)`` replaces the end whose sign it shares, and an exact
+    zero closes the bracket on itself.  A bracket also stops when no float
+    lies strictly between its ends, which happens only where one ulp of
+    ``t`` exceeds ``tol`` (``t >= 2**13``).  Returns the final midpoints.
+    """
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        inside = (lo[active] < mid) & (mid < hi[active])
+        active, mid = active[inside], mid[inside]
+        signs = _winding_signs(modes, margin, mid)
+        same = lo_signs[active]
+        lo_side, hi_side = signs != -same, signs != same  # a zero moves both ends
+        lo[active[lo_side]] = mid[lo_side]
+        hi[active[hi_side]] = mid[hi_side]
+        active = active[hi[active] - lo[active] > tol]
+    return 0.5 * (lo + hi)
+
+
 def winding_zero_times(
     winding: TorusWinding,
     f: TrigPolynomial,
@@ -852,47 +904,42 @@ def winding_zero_times(
     1e-12 in t.  Tangential zeros that do not change sign across a grid
     cell can be missed; that limitation is inherent to bracketing and is
     acceptable for the transversal-crossing integrals this package studies.
+
+    The grid runs in numpy blocks of ``2**16`` points, and each block's
+    brackets are bisected together (:func:`_bisect_brackets`).  Every sign
+    is the scalar integral's: numpy's sum decides it only where it lies
+    beyond a margin far above libm's rounding, and :func:`_winding_sum`
+    decides the rest (:func:`_winding_signs`), so the times are those of
+    a point-by-point scan, bit for bit.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     grid_step = 1.0 / (8 * f.max_frequency() * (1 + abs(winding.slope)))
     tol = 1e-12
 
     modes = _winding_modes(winding, f, p)
-
-    def sigma(t: float) -> float:
-        return _winding_sum(modes, t)
+    margin = 2.0**-38 * sum((abs(c) + abs(s)) / abs(scale) for c, s, _, scale, _, _ in modes)
 
     # scan one grid step past the horizon so a zero sitting exactly at t_max
     # still gets a sign-change bracket (float residue there can have either
     # sign); accepted zeros are clamped back to the horizon.
-    zeros: list[float] = []
     steps = int(math.ceil(t_max / grid_step)) + 1
     slack = 8 * tol
-    prev_t, prev_v = 0.0, 0.0  # sigma(0) = 0 by definition; not a reported zero
-    for i in range(1, steps + 1):
-        t = i * grid_step
-        v = sigma(t)
-        if v == 0.0:
-            if t <= t_max + slack:
-                zeros.append(min(t, t_max))
-        elif prev_v == 0.0:
-            pass  # zero already handled at the previous grid point (or t=0)
-        elif (prev_v < 0 < v) or (v < 0 < prev_v):
-            lo, hi = prev_t, t
-            flo = prev_v
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fmid = sigma(mid)
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if (flo < 0) == (fmid < 0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            root = 0.5 * (lo + hi)
-            if root <= t_max + slack:
-                zeros.append(min(root, t_max))
-        prev_t, prev_v = t, v
-    return [z for z in zeros if z > 0]
+    chunks = []
+    prev = 0.0  # sigma(0) = 0 by definition; not a reported zero
+    for first in range(1, steps + 1, _WINDING_BLOCK):
+        # grid points first - 1 .. last: each point with the one before it
+        t = np.arange(first - 1, min(first + _WINDING_BLOCK, steps + 1), dtype=np.float64) * grid_step
+        signs = _winding_signs(modes, margin, t[1:])
+        before = np.concatenate(([prev], signs[:-1]))
+        prev = signs[-1]
+        # a zero after a zero is already reported; a sign change is bracketed
+        bracket = signs * before < 0
+        roots = t[1:].copy()
+        roots[bracket] = _bisect_brackets(
+            modes, margin, t[:-1][bracket], roots[bracket], before[bracket], tol
+        )
+        roots = roots[(signs == 0) | bracket]
+        chunks.append(np.minimum(roots[roots <= t_max + slack], t_max))
+    zeros = np.concatenate(chunks)
+    return zeros[zeros > 0].tolist()

@@ -102,21 +102,6 @@ Number = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True, slots=True)
-class CascadeState:
-    """A point ``(x, z)`` of the cylinder: base point and exact integer fiber."""
-
-    x: FixedReal
-    z: int
-
-
-def cascade_apply(base: BaseMap, f: StepCocycle, state: CascadeState) -> CascadeState:
-    """One cascade step ``(x, z) -> (Sx, z + f(x))``."""
-    if not f.is_integer:
-        raise ValueError("the cascade fiber needs an integer-valued cocycle")
-    return CascadeState(base.apply(state.x), state.z + f.value_at(state.x))
-
-
-@dataclass(frozen=True, slots=True)
 class ReturnRecord:
     """One detected recurrence event: a row of a :class:`Returns` table.
 
@@ -718,6 +703,34 @@ def flow_zero_set_returns(
     return Returns(times, value=Fraction(0), in_set=True)
 
 
+def _winding_near(
+    system: TorusWinding, start: TorusPoint, zeros: list[float], eps: float
+) -> list[tuple[float, float]]:
+    """``(t, d)`` for each zero ``t`` whose distance ``d`` from the start is below ``eps``.
+
+    ``d`` is the float of :meth:`TorusWinding.distance` after the exact
+    flow.  The start cancels from both circle distances, so they are
+    ``||t||`` and ``||gamma t||``; computed in floats from ``t`` and the
+    float slope they are within ``|t| (1 + |gamma|) 2**-52`` of the exact
+    ones, and ``d`` is the larger up to the radii.  A zero farther than
+    ``eps + (|t| (1 + |gamma|) + 4) 2**-40`` in floats is therefore far,
+    and skips the exact flow.  No skipped zero could refuse: a flow's
+    radius is about ``|t|`` ulps, past the safety margin only from
+    ``|t| = 2**96``, and from ``|t| = 2**39`` that bound exceeds every
+    distance.  So the exact tests meet the refusals in time order, and
+    the first one surfaces, as when every zero is flowed.
+    """
+    ts, gamma = np.array(zeros), system.slope
+    turns = gamma * ts
+    far = np.maximum(np.abs(ts - np.rint(ts)), np.abs(turns - np.rint(turns)))
+    rows = []
+    for t in ts[far < eps + (np.abs(ts) * (1 + abs(gamma)) + 4) * 2.0**-40].tolist():
+        d = float(system.distance(start, system.flow(start, t)))
+        if d < eps:
+            rows.append((t, d))
+    return rows
+
+
 def flow_zero_near_returns(
     system: Union[Roof, TorusWinding],
     f: Union[PhaseFunction, TrigPolynomial],
@@ -745,8 +758,10 @@ def flow_zero_near_returns(
     * torus winding: zeros of the closed-form trigonometric integral by
       sign-change bracketing (tolerance 1e-12 in t; tangential zeros
       between grid points are missed by design), distances as the max of
-      the two coordinate distances; times, residuals and distances are
-      float lists.
+      the two coordinate distances, after a float screen that skips the
+      exact flow of zeros clearly farther than ``eps``
+      (:func:`_winding_near`); times, residuals and distances are float
+      lists.
     """
     if isinstance(system, TorusWinding):
         if not allow_zero_value and f.value(start) == 0:
@@ -758,13 +773,11 @@ def flow_zero_near_returns(
         if eps_f <= 0:
             raise ValueError("eps must be positive")
         times, residuals, distances = [], [], []
-        for t in winding_zero_times(system, f, start, float(t_max)):
-            moved = system.flow(start, t)
-            d = float(system.distance(start, moved))
-            if d < eps_f:
-                times.append(t)
-                residuals.append(winding_integral(system, f, start, t))
-                distances.append(d)
+        zeros = winding_zero_times(system, f, start, float(t_max))
+        for t, d in _winding_near(system, start, zeros, eps_f):
+            times.append(t)
+            residuals.append(winding_integral(system, f, start, t))
+            distances.append(d)
         return Returns(times, value=residuals, distance=distances)
     eps = as_fraction(eps)
     if eps <= 0:

@@ -66,10 +66,6 @@ class SkewSystem:
         return f"SkewSystem({self.base!r}, fiber={self.fiber!r})"
 
 
-def skew_step(system: SkewSystem, state: ProductState) -> ProductState:
-    return system.step(state)[0]
-
-
 @dataclass(frozen=True, slots=True)
 class SkewOrbitStats:
     """Time-averages of rectangle indicators along a skew orbit.

@@ -51,15 +51,3 @@ def decimal_string(value: Fraction | int, digits: int = 30) -> str:
     whole, frac = divmod(units, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
-
-def interval_cell_fractions(samples: Sequence[float], n_cells: int) -> list[float]:
-    """Fraction of circle samples in each cell of a uniform partition of [0, 1)."""
-    if n_cells <= 0:
-        raise ValueError("need a positive cell count")
-    counts = [0] * n_cells
-    for x in samples:
-        counts[min(int(x * n_cells), n_cells - 1)] += 1
-    n = len(samples)
-    if n == 0:
-        raise ValueError("empty sample")
-    return [c / n for c in counts]

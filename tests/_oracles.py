@@ -19,7 +19,13 @@ refusals included, and :func:`rational_excess`, the former rational-angle
 estimator, kept to pin the sweep on the exact rational grid; it takes each
 start's period from ``rational_walk``, which the ``Fraction`` oracles here
 pin in turn (:func:`rational_excursion`, the former rational induction, is
-one of them).
+one of them).  The winding references are the former point-by-point scan,
+:func:`reference_winding_zero_times` (libm sums, one bisection after the
+other), and the per-zero exact near test on its zeros,
+:func:`reference_winding_near_rows`, kept to pin the numpy scan and the
+float distance screen.  Last come the small reference helpers that no
+detector calls: the one-step cascade and skew maps, and the cell
+fractions of a sample.
 """
 from __future__ import annotations
 
@@ -27,7 +33,9 @@ import csv
 import io
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -37,7 +45,7 @@ from ergolab.cocycles import IntegralProfile
 from ergolab.errors import PrecisionExhaustedError, ReturnBudgetError
 from ergolab.fixedpoint import ONE, SCALE, FixedReal
 from ergolab.stats import decimal_string
-from ergolab.systems import special_flow_step
+from ergolab.systems import BaseMap, special_flow_step
 
 HALF = Fraction(1, 2)
 
@@ -319,6 +327,80 @@ def reference_flow_near_rows(roof, f, start, t_max, eps):
 
 
 # --------------------------------------------------------------------------- #
+# torus-winding references
+# --------------------------------------------------------------------------- #
+
+
+def reference_winding_zero_times(winding, f, p, t_max: float) -> list[float]:
+    """Zeros of the winding orbit integral in ``(0, t_max]``, one grid point at a time.
+
+    The former :func:`ergolab.cocycles.winding_zero_times`, unchanged: the
+    scalar libm sum at each grid point, and each sign-change bracket
+    bisected to 1e-12 before the scan moves on.  Past ``t = 2**13`` one
+    ulp exceeds 1e-12 and a bisection never ends, so compare horizons
+    below that.
+    """
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    grid_step = 1.0 / (8 * f.max_frequency() * (1 + abs(winding.slope)))
+    tol = 1e-12
+
+    modes = cocycles._winding_modes(winding, f, p)
+
+    def sigma(t: float) -> float:
+        return cocycles._winding_sum(modes, t)
+
+    # scan one grid step past the horizon so a zero sitting exactly at t_max
+    # still gets a sign-change bracket (float residue there can have either
+    # sign); accepted zeros are clamped back to the horizon.
+    zeros: list[float] = []
+    steps = int(math.ceil(t_max / grid_step)) + 1
+    slack = 8 * tol
+    prev_t, prev_v = 0.0, 0.0  # sigma(0) = 0 by definition; not a reported zero
+    for i in range(1, steps + 1):
+        t = i * grid_step
+        v = sigma(t)
+        if v == 0.0:
+            if t <= t_max + slack:
+                zeros.append(min(t, t_max))
+        elif prev_v == 0.0:
+            pass  # zero already handled at the previous grid point (or t=0)
+        elif (prev_v < 0 < v) or (v < 0 < prev_v):
+            lo, hi = prev_t, t
+            flo = prev_v
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                fmid = sigma(mid)
+                if fmid == 0.0:
+                    lo = hi = mid
+                    break
+                if (flo < 0) == (fmid < 0):
+                    lo, flo = mid, fmid
+                else:
+                    hi = mid
+            root = 0.5 * (lo + hi)
+            if root <= t_max + slack:
+                zeros.append(min(root, t_max))
+        prev_t, prev_v = t, v
+    return [z for z in zeros if z > 0]
+
+
+def reference_winding_near_rows(winding, f, start, t_max: float, eps: float):
+    """``(time, residual, distance)`` rows of the winding zero/near scan, zero by zero.
+
+    Every zero of :func:`reference_winding_zero_times` takes the exact flow
+    on the 192-bit grid and the guarded distance, whose float is tested
+    against ``eps``; the residual is the closed-form integral there.
+    """
+    rows = []
+    for t in reference_winding_zero_times(winding, f, start, t_max):
+        d = float(winding.distance(start, winding.flow(start, t)))
+        if d < eps:
+            rows.append((t, cocycles.winding_integral(winding, f, start, t), d))
+    return rows
+
+
+# --------------------------------------------------------------------------- #
 # per-step cascade references
 # --------------------------------------------------------------------------- #
 
@@ -457,3 +539,41 @@ def rational_excess(alpha: Fraction, f, n_list, eps: Fraction, xs) -> dict[int, 
             total = n // q * prefix[q] + prefix[n % q]
             counts[n] += abs(total) * eps.denominator > eps.numerator * n
     return counts
+
+
+# --------------------------------------------------------------------------- #
+# one-step maps and sample histograms
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True, slots=True)
+class CascadeState:
+    """A point ``(x, z)`` of the cylinder: base point and exact integer fiber."""
+
+    x: FixedReal
+    z: int
+
+
+def cascade_apply(base: BaseMap, f, state: CascadeState) -> CascadeState:
+    """One cascade step ``(x, z) -> (Sx, z + f(x))``."""
+    if not f.is_integer:
+        raise ValueError("the cascade fiber needs an integer-valued cocycle")
+    return CascadeState(base.apply(state.x), state.z + f.value_at(state.x))
+
+
+def skew_step(system, state):
+    """One skew-product step ``(x, y) -> (Sx, T^{n(x)} y)``, without the exponent."""
+    return system.step(state)[0]
+
+
+def interval_cell_fractions(samples: Sequence[float], n_cells: int) -> list[float]:
+    """Fraction of circle samples in each cell of a uniform partition of [0, 1)."""
+    if n_cells <= 0:
+        raise ValueError("need a positive cell count")
+    counts = [0] * n_cells
+    for x in samples:
+        counts[min(int(x * n_cells), n_cells - 1)] += 1
+    n = len(samples)
+    if n == 0:
+        raise ValueError("empty sample")
+    return [c / n for c in counts]

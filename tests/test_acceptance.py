@@ -19,7 +19,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from _oracles import excess_fraction_exact, first_return, piecewise_classes, step_value
+from _oracles import (
+    excess_fraction_exact,
+    first_return,
+    interval_cell_fractions,
+    piecewise_classes,
+    step_value,
+)
 from ergolab.angles import AngleSpec
 from ergolab.cocycles import (
     PhaseFunction,
@@ -43,7 +49,7 @@ from ergolab.recurrence import (
     sublinearity_estimate,
 )
 from ergolab.skew import ProductState, SkewSystem, orbit_statistics
-from ergolab.stats import dkw_epsilon, interval_cell_fractions
+from ergolab.stats import dkw_epsilon
 from ergolab.systems import (
     CircleRotation,
     IntervalExchange,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -44,7 +44,7 @@ from ergolab.systems import (
 )
 
 from _oracles import birkhoff_sums as oracle_sums
-from _oracles import rotation_orbit, surd_orbit_cells
+from _oracles import reference_winding_zero_times, rotation_orbit, surd_orbit_cells
 
 
 HALF = Fraction(1, 2)
@@ -721,3 +721,119 @@ def test_winding_zero_bracketing_matches_half_grid():
     for got, want in zip(zeros, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]):
         assert abs(got - want) < 1e-9
 
+
+def sqrt2_winding() -> TorusWinding:
+    return TorusWinding(AngleSpec.preset("sqrt2"))
+
+
+def grid_step(w: TorusWinding, f: TrigPolynomial) -> float:
+    """The bracketing grid's step, as the scan computes it."""
+    return 1.0 / (8 * f.max_frequency() * (1 + abs(w.slope)))
+
+
+@st.composite
+def winding_scans(draw):
+    """A rational or surd slope, 1-4 non-resonant modes, a dyadic start, a horizon on or off the grid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a rational slope warns
+        if draw(st.booleans()):
+            slope = AngleSpec.rational(draw(st.integers(-12, 12)), draw(st.integers(1, 12)))
+        else:
+            slope = AngleSpec.quadratic(draw(st.integers(-9, 9)), draw(st.sampled_from([-2, -1, 1, 2, 3])),
+                                        draw(st.sampled_from(NON_SQUARES[:12])), draw(st.integers(1, 6)))
+        w = TorusWinding(slope)
+    amplitude = st.sampled_from([0.0, 0.25, -0.5, 1.0, 1.75])
+    pairs = st.sampled_from([(j, k) for j in range(-3, 4) for k in range(-3, 4) if (j, k) != (0, 0)])
+    terms = draw(st.lists(st.tuples(pairs, amplitude, amplitude), min_size=1, max_size=4))
+    f = TrigPolynomial([(j, k, c, s) for (j, k), c, s in terms])
+    gamma = w.slope
+    assume(all(abs(j + k * gamma) >= 1e-9 for j, k, _, _ in f.terms))
+    start = TorusPoint(Fraction(draw(st.integers(0, 63)), 64), Fraction(draw(st.integers(0, 63)), 64))
+    if draw(st.booleans()):
+        t_max = draw(st.integers(1, 3000)) * grid_step(w, f)
+    else:
+        t_max = draw(st.floats(1e-3, 40.0))
+    return w, f, start, t_max
+
+
+GAMMA_20 = TorusWinding(AngleSpec.quadratic(19, 1, 2, 1))  # 19 + sqrt(2): a fine grid
+COS_X = TrigPolynomial.cos_x()
+CANCELLING = TrigPolynomial([(1, 0, 1.0, 0.0), (-1, 0, -1.0, 0.0)])  # libm's terms cancel exactly
+# cos(2 pi x) integrates to 0 at t = 1/2 - 2 x0 mod 1: put that zero in the grid
+# cell from the first block's last point to the second block's first
+SEAM_X = Fraction((0.5 - (2**16 + 0.5) * grid_step(GAMMA_20, COS_X)) / 2) % HALF
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=winding_scans())
+@example(case=(sqrt2_winding(), COS_X, TorusPoint(0, 0), 30.0))  # theorem-b-winding
+@example(case=(GAMMA_20, COS_X, TorusPoint(Fraction(1, 3), 0), 1200.0))  # four blocks
+@example(case=(GAMMA_20, COS_X, TorusPoint(0, 0), 3 * 2**16 * grid_step(GAMMA_20, COS_X)))
+@example(case=(GAMMA_20, COS_X, TorusPoint(SEAM_X, 0), 400.0))  # a sign change across blocks
+@example(case=(sqrt2_winding(), CANCELLING, TorusPoint(Fraction(1, 7), 0), 2.0))
+def test_winding_zero_scan_equals_the_point_by_point_scan(case):
+    """The numpy block scan gives the scalar scan's times, float for float.
+
+    The examples are the ``theorem-b-winding`` preset; a horizon spanning
+    four ``2**16``-point blocks; a horizon on the last grid point of the
+    third block, so the fourth block holds one point; a zero between the
+    first block's last point and the second block's first; and two modes
+    whose libm terms cancel exactly, so every grid point is an exact zero
+    and no sign change is bracketed.
+    """
+    w, f, start, t_max = case
+    got = winding_zero_times(w, f, start, t_max)
+    assert got == reference_winding_zero_times(w, f, start, t_max)
+    assert all(type(t) is float for t in got)
+
+
+def test_winding_zero_scan_keeps_its_signs_when_numpy_sines_drift(monkeypatch):
+    """Sines and cosines a few ulps off libm's change no time: the margin hands those signs to libm.
+
+    Drifted sines no longer cancel, so numpy's sum for ``CANCELLING`` is a
+    few ulps from 0 with either sign, where libm's is exactly 0.
+    """
+    sin, cos = np.sin, np.cos
+    monkeypatch.setattr(np, "sin", lambda x: np.nextafter(np.nextafter(sin(x), 2.0), 2.0))
+    monkeypatch.setattr(np, "cos", lambda x: np.nextafter(np.nextafter(cos(x), -2.0), -2.0))
+    w = sqrt2_winding()
+    cases = [(TrigPolynomial([(1, 0, 1.0, 0.0), (0, 1, 0.5, 0.25), (1, -1, 0.75, 0.5)]), start)
+             for start in (TorusPoint(0, 0), TorusPoint(Fraction(1, 3), Fraction(2, 7)))]
+    for f, start in [*cases, (CANCELLING, TorusPoint(Fraction(1, 7), 0))]:
+        assert winding_zero_times(w, f, start, 200.0) == reference_winding_zero_times(w, f, start, 200.0)
+
+
+def test_a_long_winding_scan_holds_one_block_at_a_time():
+    """About 10**6 grid points (100k zeros) stay under 16 MB of traced memory."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        zeros = winding_zero_times(sqrt2_winding(), COS_X, TorusPoint(0, 0), 5e4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 5e4 / grid_step(sqrt2_winding(), COS_X) > 960_000
+    assert len(zeros) == 100_000
+    assert peak < 16 * 2**20
+
+
+def test_bisection_past_two_to_the_13_ends_on_adjacent_floats():
+    """Past ``t = 2**13`` one ulp exceeds the 1e-12 tolerance; each bracket ends on two adjacent floats."""
+    zeros = winding_zero_times(sqrt2_winding(), COS_X, TorusPoint(0, 0), 8200.0)
+    assert len(zeros) == 16_400
+    late = np.array([z for z in zeros if z > 2**13])
+    assert late.size == 16 and np.all(np.abs(late - np.round(2 * late) / 2) <= 4 * np.spacing(late))
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+def test_winding_scan_refuses_a_horizon_that_is_not_positive_and_finite(t_max):
+    """The horizon is checked before any mode is built: a resonant mode would raise otherwise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        w = TorusWinding(AngleSpec.rational(1, 2))
+    resonant = TrigPolynomial([(1, -2, 1.0, 0.0)])
+    with pytest.raises(ValueError, match="^t_max must be positive and finite$"):
+        winding_zero_times(w, resonant, TorusPoint(0, 0), t_max)
+    with pytest.raises(ValueError, match="^t_max must be positive and finite$"):
+        winding_zero_times(sqrt2_winding(), COS_X, TorusPoint(0, 0), t_max)

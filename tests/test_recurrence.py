@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import cocycles, recurrence
@@ -26,13 +26,11 @@ from ergolab.errors import (
 )
 from ergolab.fixedpoint import MAX_ERR_ULPS, ONE, SCALE, FixedReal
 from ergolab.recurrence import (
-    CascadeState,
     Returns,
     TargetSet,
     _eps_bound,
     _excess_rotation,
     _near_side,
-    cascade_apply,
     find_zero_sums,
     flow_zero_near_returns,
     flow_zero_set_returns,
@@ -52,6 +50,8 @@ from ergolab.systems import (
 from _oracles import birkhoff_sums as oracle_sums
 from _oracles import circle_distance as oracle_distance
 from _oracles import (
+    CascadeState,
+    cascade_apply,
     excess_fraction_exact,
     kernel_excess,
     near_return_times,
@@ -63,10 +63,12 @@ from _oracles import (
     reference_near_times,
     reference_profile_nodes,
     reference_rotation_near_times,
+    reference_winding_near_rows,
     reference_zero_times,
     rational_excess,
     rotation_orbit,
     step_value,
+    surd_orbit_cells,
     target_arc_membership,
     walk_points,
     zero_sum_times,
@@ -546,6 +548,43 @@ LONG_ANGLES = {
     "sqrt2": AngleSpec.preset("sqrt2"),
     "(2+sqrt11)/7": AngleSpec.quadratic(2, 1, 11, 7),
 }
+
+
+@st.composite
+def surd_near_cases(draw):
+    """A true quadratic-surd angle ``(a + b sqrt c)/d``, a rational eps below 1/2 and a horizon."""
+    c = draw(st.sampled_from([c for c in range(2, 60) if math.isqrt(c) ** 2 != c]))
+    surd = (draw(st.integers(-20, 20)), draw(st.sampled_from([*range(-12, 0), *range(1, 13)])),
+            c, draw(st.integers(1, 40)))
+    eps = Fraction(draw(st.integers(1, 9)), draw(st.integers(19, 20_000)))
+    return surd, eps, draw(st.integers(100, 4000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=surd_near_cases())
+def test_near_times_match_the_exact_surd_orbit(case):
+    """Near times from 0 on both engines are the true surd orbit's, up to any refusal.
+
+    The oracle places ``{n alpha}`` against the walls ``0, eps, 1 - eps``
+    in ``Q(sqrt c)``: a step is near where it lies in the first or the last
+    cell.  The scan runs as chosen by the return gap, then forced onto the
+    three-gap walk and onto the cell kernel; a refusal at step ``s`` is
+    compared on the steps before it.
+    """
+    surd, eps, count = case
+    rotation = CircleRotation(AngleSpec.quadratic(*surd))
+    outcomes = [scan_outcome(near_list, rotation, 0, count, eps),
+                *(engine_outcome(engine, rotation, count, eps) for engine in ("walk", "kernel"))]
+    refusals = [outcome[-1] for outcome in outcomes if isinstance(outcome, tuple)]
+    if refusals:
+        event("refused")
+        assert len(refusals) == 3 and len(set(refusals)) == 1
+        count = refusals[0] - 1
+        outcomes = [engine_outcome(engine, rotation, count, eps) for engine in ("walk", "kernel")]
+    cells = surd_orbit_cells(surd, Fraction(0), [Fraction(0), eps, 1 - eps], count + 1)
+    want = [n for n in range(1, count + 1) if cells[n] != 1]
+    event("near" if want else "never near")
+    assert all(outcome == want for outcome in outcomes)
 
 
 @pytest.mark.parametrize("angle", LONG_ANGLES)
@@ -1791,6 +1830,75 @@ def test_winding_near_returns_small_eps_filters_by_both_coordinates():
     assert [round(r.time) for r in longer] == [12, 17, 29]
     for rec in longer:
         assert rec.distance < 0.05
+
+
+@st.composite
+def winding_near_cases(draw):
+    """A surd or rational slope, 1-3 non-resonant modes, a dyadic start, a horizon and an eps."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a rational slope warns
+        if draw(st.booleans()):
+            slope = AngleSpec.rational(draw(st.integers(-12, 12)), draw(st.integers(1, 12)))
+        else:
+            slope = AngleSpec.quadratic(draw(st.integers(-9, 9)), draw(st.sampled_from([-2, -1, 1, 2])),
+                                        draw(st.sampled_from([2, 3, 5, 7, 11])), draw(st.integers(1, 6)))
+        w = TorusWinding(slope)
+    amplitude = st.sampled_from([0.25, -0.5, 1.0, 1.75])
+    pairs = st.sampled_from([(j, k) for j in range(-2, 3) for k in range(-2, 3) if (j, k) != (0, 0)])
+    terms = draw(st.lists(st.tuples(pairs, amplitude, amplitude), min_size=1, max_size=3))
+    f = TrigPolynomial([(j, k, c, s) for (j, k), c, s in terms])
+    assume(all(abs(j + k * w.slope) >= 1e-9 for j, k, _, _ in f.terms))
+    start = TorusPoint(Fraction(draw(st.integers(0, 63)), 64), Fraction(draw(st.integers(0, 63)), 64))
+    eps = draw(st.one_of(st.sampled_from([1e-3, 0.05, 0.2, 0.5, 0.75]), st.floats(1e-4, 0.6)))
+    return w, f, start, draw(st.floats(0.5, 60.0)), eps
+
+
+def winding_rows(w, f, start, t_max, eps) -> list[tuple[float, float, float]]:
+    found = flow_zero_near_returns(w, f, start, t_max, eps, allow_zero_value=True)
+    return [(r.time, r.value, r.distance) for r in found]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=winding_near_cases())
+@example(case=(TorusWinding(AngleSpec.preset("sqrt2")), TrigPolynomial.cos_x(), TorusPoint(0, 0), 30.0, 0.05))
+def test_winding_near_rows_match_the_per_zero_exact_test(case):
+    """The float distance screen drops only zeros that the exact 192-bit test drops.
+
+    Times, residuals and distances equal those of the per-zero reference,
+    which flows every zero on the grid and tests the float of its guarded
+    distance; the example is ``theorem-b-winding``.
+    """
+    w, f, start, t_max, eps = case
+    assert winding_rows(w, f, start, t_max, eps) == reference_winding_near_rows(w, f, start, t_max, eps)
+
+
+def test_winding_near_eps_at_a_zeros_own_distance():
+    """eps equal to a zero's float distance leaves that zero out, and one ulp above keeps it."""
+    w, f, start = TorusWinding(AngleSpec.preset("sqrt2")), TrigPolynomial.cos_x(), TorusPoint(0, 0)
+    every = reference_winding_near_rows(w, f, start, 30.0, 1.0)
+    t, _, d = next(row for row in every if round(row[0]) == 17)
+    at, above = winding_rows(w, f, start, 30.0, d), winding_rows(w, f, start, 30.0, math.nextafter(d, 1.0))
+    assert at == reference_winding_near_rows(w, f, start, 30.0, d)
+    assert above == reference_winding_near_rows(w, f, start, 30.0, math.nextafter(d, 1.0))
+    assert t not in [row[0] for row in at] and t in [row[0] for row in above]
+
+
+def test_winding_near_refusal_is_the_first_zeros():
+    """Zeros whose flows refuse take the exact test in order, so the earliest refusal surfaces.
+
+    With the slope ``10**-20``, ``gamma t`` lies about 0.28 from an integer
+    at both ``t = 2**97`` and ``t = 2**100``, but the screen's bound grows
+    with ``t`` past every distance, so neither zero is skipped.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a rational slope warns
+        w = TorusWinding(AngleSpec.rational(1, 10**20))
+    start = TorusPoint(0, 0)
+    with pytest.raises(PrecisionExhaustedError) as first:
+        w.flow(start, 2.0**97)
+    with pytest.raises(PrecisionExhaustedError) as refused:
+        recurrence._winding_near(w, start, [0.5, 2.0**97, 2.0**100], 0.1)
+    assert str(refused.value) == str(first.value)
 
 
 # --------------------------------------------------------------------------- #
