@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import PrecisionExhaustedError, ResonantFrequencyError
-from .fixedpoint import MAX_ERR_ULPS, ONE, SCALE, FixedReal, Real, Walls, as_fraction
+from .fixedpoint import MAX_ERR_ULPS, ONE, SCALE, FixedReal, Real, Walls, as_fraction, orbit_point
 from .systems import (
     BaseMap,
     CircleRotation,
@@ -211,36 +211,44 @@ def certified_cells(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Iterate ``(offset, cells)``: the cells of ``S^i x``, ``x = start``, from step ``offset`` on.
 
-    ``cells`` is an int64 array of at most ``2**16`` consecutive steps.
+    ``cells`` is a nonempty int64 array of at most ``2**16`` consecutive
+    steps.  A horizon of ``2**62`` steps or more is refused at the call;
+    every other refusal is that of :func:`birkhoff_sums`, with its step and
+    message, raised only when the caller reads past the steps before it.
 
     Certificate: the top-64-bit word of step ``i``, stepped in uint64, lags
-    the point's own word by at most ``i`` words, and the point's error
-    interval is below ``2**128`` ulps (or the scan is refused, as is a
-    horizon of ``2**62`` steps, at the call, before any block).  So a step
-    whose nominal point lies more than ``R = (count + 2) 2**128`` ulps from
+    the point's own word by at most ``i`` words.  The scan ends at the
+    first step whose radius passes ``MAX_ERR_ULPS = 2**96`` ulps, so a step
+    whose nominal point lies more than ``R = (steps + 2) 2**128`` ulps from
     every wall has its word on the point's side of every wall word, and its
     interval clear of every wall.  :func:`steps_within` lists the other
-    steps, wall by wall; they are decided at 192 bits in step order, and the
-    first that cannot be raises :class:`PrecisionExhaustedError` with its
-    step.  Every other word is placed among the wall words by one search.
+    steps, and that last one; :meth:`Walls.locate` decides them in step
+    order.  Every other word is placed among the wall words by one search.
     """
     a_m, a_e = rotation.alpha.resolved.mantissa, rotation.alpha.resolved.err_ulps
     x_m, x_e = start.mantissa % ONE, start.err_ulps
-    if count > 0 and (count >= 1 << 62 or x_e + count * a_e >= 1 << _LOW_BITS):
+    if count >= 1 << 62:
         raise PrecisionExhaustedError(PAST_MARGIN)
+    room = MAX_ERR_ULPS - x_e
+    past = 0 if room < 0 else room // a_e + 1 if a_e else count  # the first step past the margin
+    steps = min(count, past + 1)
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        reach = (count + 2) << _LOW_BITS
-        listed = sorted({
-            n for w in walls.mantissas for n in steps_within(a_m, ONE, x_m, w, reach, count)
-        })
+        reach = (steps + 2) << _LOW_BITS
+        near = (n for w in walls.mantissas for n in steps_within(a_m, ONE, x_m, w, reach, steps))
+        listed = sorted({past, *near})
         wall_words = np.array([w >> _LOW_BITS for w in walls.mantissas], dtype=np.uint64)
         a64, x64 = np.uint64(a_m >> _LOW_BITS), np.uint64(x_m >> _LOW_BITS)
-        for offset in range(0, count, _BLOCK):
-            words = np.arange(offset, min(offset + _BLOCK, count), dtype=np.uint64) * a64 + x64
+        for offset in range(0, steps, _BLOCK):
+            words = np.arange(offset, min(offset + _BLOCK, steps), dtype=np.uint64) * a64 + x64
             cells = np.searchsorted(wall_words, words, side="right") - 1
             for i in listed[bisect_left(listed, offset):bisect_left(listed, offset + len(cells))]:
-                cells[i - offset] = _exact_cell(walls, (x_m + i * a_m) % ONE, x_e + i * a_e, i)
+                try:
+                    cells[i - offset] = _exact_cell(walls, (x_m + i * a_m) % ONE, x_e + i * a_e, i)
+                except PrecisionExhaustedError:
+                    if i > offset:
+                        yield offset, cells[:i - offset]
+                    raise
             yield offset, cells
 
     return blocks()
@@ -589,12 +597,9 @@ def _rotation_walk(
     Sums are int64 while ``max |value| * (crossings + 1) < 2**62`` and
     Python integers past that.
 
-    The scan refuses at its first crossing whose cell it cannot decide,
-    with that step.  A refusal past the horizon must not surface, so the
-    scan is then rerun up to that crossing, and the refusal raised only
-    if the horizon lies at or past it.  The first crossing whose radius
-    passes ``MAX_ERR_ULPS``, where :meth:`Walls.locate` refuses, ends the
-    scan the same way.
+    The scan reads no kernel block past the one that holds the horizon, so
+    a kernel refusal, past the safety margin too, surfaces exactly where
+    the horizon lies at or past its crossing, as in the full walk.
     """
     den, vden, end, tops, vals, b, cell = _flow_units(roof, f, state, t_max)
     partials = [  # per cell, the integral at 0, at each band top and at the roof
@@ -614,46 +619,27 @@ def _rotation_walk(
         np.array(col, dtype=dtype)
         for col in zip(*((ps[-1], min(ps), max(ps), min(ps[:-1]), max(ps[:-1])) for ps in partials))
     )
-
-    def starts(count: int) -> list[tuple] | None:
-        """``(k, cell, t, sigma)`` per crossing to walk, or None if the horizon lies past ``count``."""
-        out, t, sigma = [], 0, 0
-        for offset, cells in certified_cells(roof.base, roof.walls, state.a, count):
-            dt, ds = height[cells], full[cells]
-            if offset == 0:
-                dt[0], ds[0] = room, rest
-            t_end, s_end = np.cumsum(dt) + t, np.cumsum(ds) + sigma
-            t_at, s_at = t_end - dt, s_end - ds
-            # crossing 0 is a hit: its integral starts at 0, at a piece start
-            hit = ((s_at + least[cells] < 0) & (s_at + most[cells] > 0)
-                   | (s_at + least_start[cells] == 0) | (s_at + most_start[cells] == 0))
-            stop = int(np.searchsorted(t_end, end))  # the crossing that reaches the horizon
-            if stop < len(cells):
-                hit[stop], hit[stop + 1:] = True, False
-            i = np.flatnonzero(hit)
-            out += zip((i + offset).tolist(), cells[i].tolist(), t_at[i].tolist(), s_at[i].tolist())
-            if stop < len(cells):
-                return out
-            t, sigma = t_end[-1], s_end[-1]
-        return None
-
-    x_m, x_e = state.a.mantissa, state.a.err_ulps
-    a_m, a_e = roof.base.alpha.resolved.mantissa, roof.base.alpha.resolved.err_ulps
-    # Walls.locate refuses a radius past MAX_ERR_ULPS, well inside the kernel's margin
-    limit = min(count, (MAX_ERR_ULPS - x_e) // a_e + 1) if a_e else count
-    try:
-        crossings = starts(limit)
-    except PrecisionExhaustedError as exc:
-        if exc.step is None or (crossings := starts(exc.step)) is None:
-            raise
-    if crossings is None:
-        raise PrecisionExhaustedError(
-            f"error bound {x_e + limit * a_e} ulps exceeds the safety margin", step=limit
-        )
+    crossings, t, sigma = [], 0, 0  # (k, cell, t, sigma) per crossing to walk
+    for offset, cells in certified_cells(roof.base, roof.walls, state.a, count):
+        dt, ds = height[cells], full[cells]
+        if offset == 0:
+            dt[0], ds[0] = room, rest
+        t_end, s_end = np.cumsum(dt) + t, np.cumsum(ds) + sigma
+        t_at, s_at = t_end - dt, s_end - ds
+        # crossing 0 is a hit: its integral starts at 0, at a piece start
+        hit = ((s_at + least[cells] < 0) & (s_at + most[cells] > 0)
+               | (s_at + least_start[cells] == 0) | (s_at + most_start[cells] == 0))
+        stop = int(np.searchsorted(t_end, end))  # the crossing that reaches the horizon
+        hit[stop:stop + 1], hit[stop + 1:] = True, False  # both empty if it lies past the block
+        i = np.flatnonzero(hit)
+        crossings += zip((i + offset).tolist(), cells[i].tolist(), t_at[i].tolist(), s_at[i].tolist())
+        if stop < len(cells):
+            break
+        t, sigma = t_end[-1], s_end[-1]
 
     def segments() -> Iterator[tuple]:
-        for k, c, t, sigma in crossings:
-            a = FixedReal((x_m + k * a_m) % ONE, x_e + k * a_e)
+        for k, c, t, sigma in crossings:  # every crossing read lies within the safety margin
+            a = orbit_point(roof.base.alpha.resolved, k, state.a)
             yield from _crossing(tops[c], vals[c], end, k, a, t, sigma, 0 if k else b)
 
     return den, vden, segments()
@@ -891,6 +877,19 @@ def _bisect_brackets(
     return 0.5 * (lo + hi)
 
 
+def _winding_grid(winding: TorusWinding, f: TrigPolynomial, t_max: float) -> tuple[float, int]:
+    """``(grid_step, points)``: the bracketing grid of :func:`winding_zero_times` past 0.
+
+    The step is ``1 / (8 * max_frequency * (1 + |gamma|))``, and the grid
+    runs one step past ``t_max``, so a zero sitting exactly there still gets
+    a sign-change bracket (float residue there can have either sign).
+    """
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
+    grid_step = 1.0 / (8 * f.max_frequency() * (1 + abs(winding.slope)))
+    return grid_step, int(math.ceil(t_max / grid_step)) + 1
+
+
 def winding_zero_times(
     winding: TorusWinding,
     f: TrigPolynomial,
@@ -899,11 +898,11 @@ def winding_zero_times(
 ) -> list[float]:
     """Zeros of the winding orbit integral in ``(0, t_max]``.
 
-    Sign-change bracketing on a uniform grid of step
-    ``1 / (8 * max_frequency * (1 + |gamma|))`` followed by bisection to
-    1e-12 in t.  Tangential zeros that do not change sign across a grid
-    cell can be missed; that limitation is inherent to bracketing and is
-    acceptable for the transversal-crossing integrals this package studies.
+    Sign-change bracketing on the uniform grid of :func:`_winding_grid`
+    followed by bisection to 1e-12 in t.  Tangential zeros that do not
+    change sign across a grid cell can be missed; that limitation is
+    inherent to bracketing and is acceptable for the transversal-crossing
+    integrals this package studies.
 
     The grid runs in numpy blocks of ``2**16`` points, and each block's
     brackets are bisected together (:func:`_bisect_brackets`).  Every sign
@@ -912,19 +911,12 @@ def winding_zero_times(
     decides the rest (:func:`_winding_signs`), so the times are those of
     a point-by-point scan, bit for bit.
     """
-    if not 0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
-    grid_step = 1.0 / (8 * f.max_frequency() * (1 + abs(winding.slope)))
+    grid_step, steps = _winding_grid(winding, f, t_max)
     tol = 1e-12
-
     modes = _winding_modes(winding, f, p)
     margin = 2.0**-38 * sum((abs(c) + abs(s)) / abs(scale) for c, s, _, scale, _, _ in modes)
 
-    # scan one grid step past the horizon so a zero sitting exactly at t_max
-    # still gets a sign-change bracket (float residue there can have either
-    # sign); accepted zeros are clamped back to the horizon.
-    steps = int(math.ceil(t_max / grid_step)) + 1
-    slack = 8 * tol
+    slack = 8 * tol  # a zero bracketed just past the horizon is clamped back to it
     chunks = []
     prev = 0.0  # sigma(0) = 0 by definition; not a reported zero
     for first in range(1, steps + 1, _WINDING_BLOCK):

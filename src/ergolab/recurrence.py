@@ -62,6 +62,7 @@ from .cocycles import (
     TrigPolynomial,
     _exact_cell,
     _flow_zeros,
+    _winding_grid,
     arc_returns,
     certified_cells,
     grid_edges,
@@ -392,6 +393,18 @@ def _concat_times(chunks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks).astype(np.int64, copy=False)
 
 
+def _zero_scan_start(f: StepCocycle, x: Real, count: int) -> FixedReal:
+    """Check a zero scan's cocycle and int64 horizon; reduce its start mod 1, radius unchecked."""
+    if not f.is_integer:
+        raise ValueError("zero-sum detection needs an integer-valued cocycle")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if count >= 1 << 63:
+        raise PrecisionExhaustedError(PAST_MARGIN)
+    x = FixedReal.of(x)
+    return FixedReal(x.mantissa % ONE, x.err_ulps)
+
+
 def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Returns:
     """All times ``1 <= n <= count`` with exact Birkhoff sum ``S_n(x) = 0``.
 
@@ -402,16 +415,13 @@ def find_zero_sums(base: BaseMap, f: StepCocycle, x: Real, count: int) -> Return
     kernel, summing in int64 while ``max |v| * count < 2**62`` and in
     Python integers past it.  Interval exchanges run :func:`_exchange_scan`.
     The result has an int64 ``times`` column, so a scan of ``2**63`` steps
-    or more is refused before its first step, with no step named.
+    or more is refused before its first step, with no step named.  Every
+    other refusal carries the step and message of
+    :func:`~ergolab.cocycles.birkhoff_sums`, a start past the safety margin
+    at step 0.
     """
-    if not f.is_integer:
-        raise ValueError("zero-sum detection needs an integer-valued cocycle")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if count >= 1 << 63:
-        raise PrecisionExhaustedError(PAST_MARGIN)
     x_exact = exact_fraction(x)
-    x = FixedReal.of(x).frac()
+    x = _zero_scan_start(f, x, count)
     if isinstance(base, CircleRotation) and base.is_rational:
         _warn_rational("the zero-sum scan")
         if x_exact is not None:  # one period, or the whole scan if shorter, is one lap
@@ -567,13 +577,7 @@ def joint_zero_returns(
         displacements = [n * a_m % ONE for n in times.tolist()]
         distances = [min(d, ONE - d) / ONE for d in displacements]
         return Returns(times, distance=np.array(distances, dtype=np.float64))
-    if not f.is_integer:
-        raise ValueError("zero-sum detection needs an integer-valued cocycle")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if count >= 1 << 63:
-        raise PrecisionExhaustedError(PAST_MARGIN)
-    return _exchange_scan(base, f, FixedReal.of(x).frac(), count, eps)
+    return _exchange_scan(base, f, _zero_scan_start(f, x, count), count, eps)
 
 
 def _exchange_scan(
@@ -748,7 +752,9 @@ def flow_zero_near_returns(
       (:func:`~ergolab.cocycles.iter_flow_zeros`), distances in the
       product chart ``max(base circle distance, height difference)``, as
       exact ``Fraction`` columns with the constant value ``Fraction(0)``.
-      The height difference is tested against ``eps`` in integers first;
+      A refusal of the walk comes first, over a rotation only at a crossing
+      at or before the horizon (the certified kernel's).  Then the height
+      difference is tested against ``eps`` in integers;
       the base distance's test uses its error interval and raises
       :class:`PrecisionExhaustedError`, naming the zero's roof crossing,
       when that interval straddles ``eps`` (no circle distance exceeds
@@ -761,7 +767,8 @@ def flow_zero_near_returns(
       the two coordinate distances, after a float screen that skips the
       exact flow of zeros clearly farther than ``eps``
       (:func:`_winding_near`); times, residuals and distances are float
-      lists.
+      lists.  A grid of more than :data:`MAX_ROWS` points raises
+      :class:`RowLimitError` before its first block.
     """
     if isinstance(system, TorusWinding):
         if not allow_zero_value and f.value(start) == 0:
@@ -772,6 +779,7 @@ def flow_zero_near_returns(
         eps_f = float(eps)
         if eps_f <= 0:
             raise ValueError("eps must be positive")
+        _check_rows(_winding_grid(system, f, float(t_max))[1])  # a grid point ends at most one zero
         times, residuals, distances = [], [], []
         zeros = winding_zero_times(system, f, start, float(t_max))
         for t, d in _winding_near(system, start, zeros, eps_f):
@@ -828,9 +836,10 @@ def sublinearity_estimate(
     instead of a cell per step.  A rational angle ``p/q`` is swept exactly,
     on ``q 2**64`` points, over one period.  A point that cannot be placed
     raises :class:`PrecisionExhaustedError` with the ``step`` and message
-    that the certified cell kernel gives.  Interval exchanges walk one lap
-    per sample (:func:`_exchange_lap`), which ends where the walk returns
-    exactly to its start, so a periodic orbit costs one lap.
+    that the certified cell kernel gives; a lap of ``2**63`` steps or more is
+    refused first, with no step, as scans refuse it.  Interval exchanges
+    walk one lap per sample (:func:`_exchange_lap`), which ends where the
+    walk returns exactly to its start, so a periodic orbit costs one lap.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
@@ -893,18 +902,17 @@ def _excess_rotation(
     kernel's ``_exact_cell`` in step order, then start order, so a refusal
     carries the message and ``step`` of the earliest refusal of
     :func:`~ergolab.cocycles.certified_cells` among the starts, the first
-    such start on a tie; its error margin is kept as well.  The rational
-    grid has radius 0, and the neighbours ``u <= a < u'`` of a bisection
-    are never within 0 of ``a``: it lists no step.  Every comparison is on
-    exact integers.
+    such start on a tie.  The rational grid has radius 0, and the
+    neighbours ``u <= a < u'`` of a bisection are never within 0 of ``a``:
+    it lists no step.  Every comparison is on exact integers.
     """
     if base.is_rational:
         alpha = base.alpha.as_fraction()
         circle, a_m, a_e = alpha.denominator << 64, alpha.numerator << 64, 0
     else:
         circle, a_m, a_e = ONE, base.alpha.resolved.mantissa, base.alpha.resolved.err_ulps
-    lap = min(max(n_list), circle >> 64)  # a rational period q; 2**128 fails the margin
-    if lap * a_e >= 1 << 128:  # past the margin of certified_cells
+    lap = min(max(n_list), circle >> 64)  # a rational period q
+    if lap >= 1 << 63:  # the scans' horizon; err(alpha) <= 1 keeps shorter laps in the margin
         raise PrecisionExhaustedError(PAST_MARGIN)
     values = f.values
     # wall 0 first with jump 0: it only guards, and its bisection places y

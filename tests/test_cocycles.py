@@ -29,7 +29,7 @@ from ergolab.errors import (
     PrecisionExhaustedError,
     ResonantFrequencyError,
 )
-from ergolab.fixedpoint import ONE, FixedReal, Walls
+from ergolab.fixedpoint import MAX_ERR_ULPS, ONE, FixedReal, Walls
 from ergolab.induced import induce_point
 from ergolab.recurrence import TargetSet, find_zero_sums, joint_zero_returns
 from ergolab.skew import ProductState, SkewSystem, orbit_statistics
@@ -401,6 +401,39 @@ def test_certified_cells_refuse_past_the_error_margin():
     wide = FixedReal(ONE // 3, 1 << 128)
     with pytest.raises(PrecisionExhaustedError, match="margin"):
         next(certified_cells(rot, f.walls, wide, 10))
+
+
+@pytest.mark.parametrize("step", [0, 7, 1 << 16])
+@pytest.mark.parametrize("refusal", ["wall", "margin"])
+def test_certified_cells_yield_every_step_before_a_refusal(refusal, step):
+    """The kernel raises a refusal only when its caller reads past the last certified step.
+
+    ``wall``: the point at ``step`` lies 5 ulps above the wall 1/2, with a
+    radius of ``2**20`` ulps.  ``margin``: a start far from the walls whose
+    radius first passes ``MAX_ERR_ULPS`` at ``step``.  The blocks read
+    before the refusal are nonempty and hold the guarded cells of steps
+    ``0 .. step - 1``, and the refusal carries the step and message of
+    :func:`birkhoff_sums`.
+    """
+    rot, f = CircleRotation(AngleSpec.preset("golden")), pm_one()
+    a_m, a_e = rot.alpha.resolved.mantissa, rot.alpha.resolved.err_ulps
+    if refusal == "wall":
+        start = FixedReal((ONE // 2 + 5 - step * a_m) % ONE, 1 << 20)
+    else:
+        start = FixedReal(ONE // 3, MAX_ERR_ULPS + 1 - step * a_e)
+    with pytest.raises(PrecisionExhaustedError) as reference:
+        list(birkhoff_sums(rot, f, start, step + 9))
+    assert reference.value.step == step
+    blocks = certified_cells(rot, f.walls, start, step + 9)
+    read = [next(blocks) for _ in range(-(-step // (1 << 16)))]
+    with pytest.raises(PrecisionExhaustedError) as refused:
+        next(blocks)
+    assert (refused.value.step, str(refused.value)) == (step, str(reference.value))
+    assert [offset for offset, _ in read] == list(range(0, step, 1 << 16))
+    assert all(len(cells) for _, cells in read)
+    cells = np.concatenate([np.empty(0, dtype=np.int64), *(c for _, c in read)]).tolist()
+    points = [FixedReal((start.mantissa + i * a_m) % ONE, start.err_ulps + i * a_e) for i in range(step)]
+    assert cells == [f.walls.locate(p) for p in points]
 
 
 @pytest.mark.parametrize("step, words", [(299, 20), (3000, 100), (50000, 1000)])

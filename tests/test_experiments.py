@@ -449,7 +449,7 @@ def test_a_dense_kernel_near_scan_past_the_row_limit_exits_four(tmp_path, monkey
     kernel = recurrence.certified_cells
 
     def unlisted(*args):
-        kernel(*args)  # the kernel's horizon and margin refusals still come first
+        kernel(*args)  # the kernel's horizon refusal still comes first
         return (refuse_guarded_walk() for _ in [None])  # fails at the first block
 
     monkeypatch.setattr(recurrence, "MAX_ROWS", 1000)
@@ -462,6 +462,25 @@ def test_a_dense_kernel_near_scan_past_the_row_limit_exits_four(tmp_path, monkey
     with pytest.raises(RowLimitError, match="1000001 rows"):
         run_experiment(config, out_root=tmp_path / "api")
     stored = json.loads((tmp_path / "api" / "dense" / "manifest.json").read_text())
+    assert stored["status"] == "error" and stored["error"].startswith("RowLimitError: ")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 4
+
+
+def test_a_winding_grid_past_the_row_limit_exits_four(tmp_path, monkeypatch):
+    """``t_max = 10**12`` along the sqrt2 winding has about ``2 10**13`` grid points, past ``MAX_ROWS``.
+
+    Each grid point ends at most one zero, so the scan is refused before
+    its first block (the scan is patched to fail); the run leaves an error
+    manifest, and the command line exits with code 4.
+    """
+    monkeypatch.setattr(recurrence, "winding_zero_times", refuse_guarded_walk)
+    config = preset_config("theorem-b-winding")
+    config["detector"]["t_max"] = str(10**12)
+    with pytest.raises(RowLimitError, match="MAX_ROWS"):
+        run_experiment(config, out_root=tmp_path / "api")
+    stored = json.loads((tmp_path / "api" / "theorem-b-winding" / "manifest.json").read_text())
     assert stored["status"] == "error" and stored["error"].startswith("RowLimitError: ")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

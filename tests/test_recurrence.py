@@ -619,7 +619,8 @@ def test_the_walk_refuses_where_the_kernel_does_past_a_long_horizon(angle, ulps)
 def test_a_radius_past_the_safety_margin_keeps_the_kernel(monkeypatch):
     """A horizon whose radius reaches ``2**128`` ulps is refused up front, with no step.
 
-    The refusal carries the kernel's margin message, as before.  From
+    On golden that horizon lies past ``2**62`` steps, the kernel's horizon
+    refusal, which carries the kernel's margin message, as before.  From
     ``2**63`` steps ``near_returns`` refuses before either engine runs (the
     walk's listing is patched too, since it would list about ``2 eps count``
     times); a sparse scan just below takes the walk, since the engine is
@@ -648,6 +649,33 @@ def test_a_radius_past_the_safety_margin_keeps_the_kernel(monkeypatch):
     a_m = rotation.alpha.resolved.mantissa
     assert times[-1] > 2**62
     assert all(min(n * a_m % ONE, -n * a_m % ONE) + n * a_e < _eps_bound(sparse) for n in times)
+
+
+@pytest.mark.parametrize(
+    "ulps, step",
+    [(MAX_ERR_ULPS - 5, 6), (MAX_ERR_ULPS, 1), (MAX_ERR_ULPS + 1, 0)],
+    ids=["margin-5", "margin", "margin+1"],
+)
+def test_zero_scans_refuse_past_the_margin_where_the_reference_does(ulps, step):
+    """A golden start 1/10 whose radius first passes ``MAX_ERR_ULPS`` at ``step``.
+
+    :func:`birkhoff_sums` refuses there, with the message of
+    :meth:`Walls.locate`, and so do the zero and joint scans: the kernel
+    refuses the first radius past the margin at its step, and a start
+    already past it at step 0.
+    """
+    rotation, start = golden(), FixedReal(ONE // 10, ulps)
+    with pytest.raises(PrecisionExhaustedError, match="safety margin") as reference:
+        list(birkhoff_sums(rotation, pm_one(), start, 20))
+    assert reference.value.step == step
+    scans = [
+        lambda: find_zero_sums(rotation, pm_one(), start, 20),
+        lambda: joint_zero_returns(rotation, pm_one(), start, 20, Fraction(1, 3)),
+    ]
+    for scan in scans:
+        with pytest.raises(PrecisionExhaustedError) as refused:
+            scan()
+        assert (refused.value.step, str(refused.value)) == (step, str(reference.value))
 
 
 def refuse_guarded_walk(*args, **kwargs):
@@ -752,6 +780,29 @@ def test_a_listing_past_the_row_limit_is_refused_before_it_lists(monkeypatch):
         assert near_list(third, 0, 18, Fraction(1, 7)) == [3, 6, 9, 12, 15, 18]
         with pytest.raises(RowLimitError):
             near_returns(third, 0, 19, Fraction(1, 7))
+
+
+def test_a_winding_grid_past_the_row_limit_is_refused_before_its_first_block(monkeypatch):
+    """Each grid point of a winding scan past 0 ends at most one zero, so the grid bounds the rows.
+
+    With ``MAX_ROWS`` cut to the grid of ``t_max = 30`` the near scan
+    answers as before; one below, it is refused before the scan runs (the
+    scan is patched to fail), and so is ``t_max = 10**12`` at the real
+    limit: about ``2 10**13`` grid points.
+    """
+    w, f, start = TorusWinding(AngleSpec.preset("sqrt2")), TrigPolynomial.cos_x(), TorusPoint(0, 0)
+    want = flow_zero_near_returns(w, f, start, 30, 0.05)
+    points = cocycles._winding_grid(w, f, 30.0)[1]
+    limit = recurrence.MAX_ROWS
+    monkeypatch.setattr(recurrence, "MAX_ROWS", points)
+    assert flow_zero_near_returns(w, f, start, 30, 0.05) == want
+    monkeypatch.setattr(recurrence, "winding_zero_times", refuse_listing)
+    monkeypatch.setattr(recurrence, "MAX_ROWS", points - 1)
+    with pytest.raises(RowLimitError, match=f"up to {points} rows"):
+        flow_zero_near_returns(w, f, start, 30, 0.05)
+    monkeypatch.setattr(recurrence, "MAX_ROWS", limit)
+    with pytest.raises(RowLimitError, match="MAX_ROWS"):
+        flow_zero_near_returns(w, f, start, 10**12, 0.05)
 
 
 def test_sparse_rotation_near_scans_skip_the_cell_kernel(monkeypatch):
@@ -2188,6 +2239,26 @@ def test_rational_sweep_matches_the_orbit_class_estimator(case):
     counts = rational_excess(angle.as_fraction(), f, n_list, eps, xs)
     assert got == [(n, counts[n] / 100) for n in n_list]
     event("past one period" if max(n_list) > angle.q else "within one period")
+
+
+def test_the_excess_sweep_refuses_a_lap_past_the_scans_horizon(monkeypatch):
+    """A swept lap of ``2**63`` steps or more is refused before the first block, with no step.
+
+    Golden at ``n = 2**97`` would sweep every step (the sweep's bisection is
+    patched to fail, so it cannot start); a rational angle sweeps one
+    period at most, so ``1/3`` at ``n = 2**100`` answers.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(recurrence, "bisect_right", refuse_listing)
+        for n in (2**63, 2**97):
+            with pytest.raises(PrecisionExhaustedError) as refused:
+                sublinearity_estimate(golden(), pm_one(), [7, n], Fraction(1, 20), samples=100)
+            assert str(refused.value) == recurrence.PAST_MARGIN and refused.value.step is None
+    with pytest.warns(RationalAngleWarning):
+        got = sublinearity_estimate(
+            CircleRotation(AngleSpec.rational(1, 3)), pm_one(), [2**100], Fraction(1, 20), samples=100
+        )
+    assert got == [(2**100, 1.0)]  # every orbit of 1/3 sums to ±1 per period: |S_n| ~ n/3
 
 
 def test_excess_probability_rejects_an_empty_n_list():

@@ -6,6 +6,11 @@ decides them exactly, and its word form for grid starts, ``word_cells``,
 leaves the words in a wall's band to its caller's 192-bit test.  Anywhere else a word would certify a perturbed
 system.  These tests read the package source and fail on any other
 truncation site.
+
+They also keep ``fixedpoint.MAX_ERR_ULPS`` the only radius margin: no
+module compares anything against ``2**128`` ulps, the word size, which
+would refuse at a radius of its own instead of where
+:meth:`~ergolab.fixedpoint.Walls.locate` refuses.
 """
 import ast
 from pathlib import Path
@@ -78,3 +83,46 @@ def test_only_the_certified_kernels_truncate_mantissas():
                 offenders.append(f"{path.name}:{line} in {owner or 'module scope'}")
     assert offenders == []
     assert kernel_sites == KERNELS  # the rule still names the real kernels
+
+
+def _is_word_size(node: ast.AST) -> bool:
+    """``1 << 128``, ``1 << _LOW_BITS``, ``1 << (SCALE - 64)`` or ``2 ** 128``."""
+    if not isinstance(node, ast.BinOp) or not isinstance(node.left, ast.Constant):
+        return False
+    if isinstance(node.op, ast.LShift):
+        return node.left.value == 1 and _is_low_bits(node.right)
+    return isinstance(node.op, ast.Pow) and node.left.value == 2 and _is_low_bits(node.right)
+
+
+def word_margin_sites(source: str) -> set[tuple[str | None, int]]:
+    """``(top-level definition or None, line)`` of every comparison against the word size."""
+    sites = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(
+                map(_is_word_size, [node.left, *node.comparators])
+            ):
+                sites.add((owner, node.lineno))
+    return sites
+
+
+def test_finder_sees_every_word_margin_form():
+    snippet = (
+        "def f(x_e, n, a_e):\n"
+        "    a = x_e + n * a_e >= 1 << _LOW_BITS\n"
+        "    b = n * a_e >= 1 << 128\n"
+        "    c = 2**128 <= x_e\n"
+        "    d = x_e < 1 << (SCALE - 64) < n\n"
+        "    return x_e >= 1 << 96, x_e + (1 << 128), n >= 1 << 63\n"
+    )
+    assert sorted(word_margin_sites(snippet)) == [("f", line) for line in (2, 3, 4, 5)]
+
+
+def test_no_module_keeps_a_radius_margin_of_its_own():
+    offenders = [
+        f"{path.name}:{line} in {owner or 'module scope'}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, line in word_margin_sites(path.read_text())
+    ]
+    assert offenders == []
