@@ -20,9 +20,9 @@ listing rests on one exact integer primitive, the three-gap walk
 lists the near times of sparse and rational near scans and the suspect
 steps of the excess sweep.  Zero-sum scans, dense near-return times
 (cells of the displacement ``n alpha`` against walls at the eps
-boundaries) and the roof crossings of special flows over rotations
-(:func:`_rotation_walk`) run on the kernel, and its cells equal those of
-:func:`guarded_walk`.  Its certificate in word form, :func:`word_cells`,
+boundaries), the roof crossings of special flows over rotations
+(:func:`_rotation_walk`) and the base cells of telescoped skew orbits run
+on the kernel, and its cells equal those of :func:`guarded_walk`.  Its certificate in word form, :func:`word_cells`,
 places the top words of many starts on the ``2**-64`` grid at once and
 leaves those near a wall to a 192-bit test: the induced statistics over
 an irrational rotation step every excursion on it.
@@ -31,8 +31,8 @@ A special flow over an interval exchange walks every roof crossing
 (:func:`_flow_walk`), as :func:`integral_profile` does on any base.  Every
 other orbit runs on one of two per-step walks.  :func:`guarded_walk`
 places each point on the 192-bit grid or refuses with its step (Birkhoff
-sums, interval-exchange scans, single induced excursions, skew orbits; a
-near scan walks without a cocycle).  Its exact integer twin
+sums, interval-exchange scans, single induced excursions, skew orbits
+that do not telescope; a near scan walks without a cocycle).  Its exact integer twin
 :func:`rational_walk` steps a rational angle from a rational start and
 never refuses (rational zero-sum laps, induced excursions and Birkhoff
 sums).
@@ -59,7 +59,7 @@ from .systems import (
 )
 
 _LOW_BITS = SCALE - 64  # coarse kernel keeps the top 64 of 192 bits
-PAST_MARGIN = "accumulated orbit error exceeds the coarse kernel's margin"
+PAST_HORIZON = "the orbit horizon exceeds the scans' step limit"
 
 
 class StepCocycle:
@@ -228,7 +228,7 @@ def certified_cells(
     a_m, a_e = rotation.alpha.resolved.mantissa, rotation.alpha.resolved.err_ulps
     x_m, x_e = start.mantissa % ONE, start.err_ulps
     if count >= 1 << 62:
-        raise PrecisionExhaustedError(PAST_MARGIN)
+        raise PrecisionExhaustedError(PAST_HORIZON)
     room = MAX_ERR_ULPS - x_e
     past = 0 if room < 0 else room // a_e + 1 if a_e else count  # the first step past the margin
     steps = min(count, past + 1)
@@ -288,6 +288,12 @@ def word_cells(
 # --------------------------------------------------------------------------- #
 
 
+def _one_cell(p: FixedReal) -> int:
+    if p.err_ulps > MAX_ERR_ULPS:
+        p.frac()  # refuses it, with the message of Walls.locate
+    return 0
+
+
 def guarded_walk(base: BaseMap, f: StepCocycle | None, x: FixedReal, count: int) -> Iterator:
     """Yield ``(S_n f(x), S^n x)`` for ``n = 1, ..., count``: the guarded orbit walk.
 
@@ -295,9 +301,10 @@ def guarded_walk(base: BaseMap, f: StepCocycle | None, x: FixedReal, count: int)
     ``S^i x``, raising :class:`PrecisionExhaustedError` with ``step=i``
     where it cannot, then applies ``base`` once; a refusal inside
     ``base.apply`` (an interval exchange's own walls) passes through
-    without a step.  ``f=None`` steps the orbit alone, every sum 0.  O(1) memory.
+    without a step.  ``f=None`` steps the orbit alone, every sum 0, and
+    still refuses a radius past the safety margin at its step.  O(1) memory.
     """
-    locate, values = (lambda p: 0, (0,)) if f is None else (f.walls.locate, f.values)
+    locate, values = (_one_cell, (0,)) if f is None else (f.walls.locate, f.values)
     total, p, apply = 0, x, base.apply
     for i in range(count):
         try:

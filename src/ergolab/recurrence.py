@@ -56,7 +56,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .cocycles import (
-    PAST_MARGIN,
+    PAST_HORIZON,
     PhaseFunction,
     StepCocycle,
     TrigPolynomial,
@@ -400,7 +400,7 @@ def _zero_scan_start(f: StepCocycle, x: Real, count: int) -> FixedReal:
     if count < 1:
         raise ValueError("count must be at least 1")
     if count >= 1 << 63:
-        raise PrecisionExhaustedError(PAST_MARGIN)
+        raise PrecisionExhaustedError(PAST_HORIZON)
     x = FixedReal.of(x)
     return FixedReal(x.mantissa % ONE, x.err_ulps)
 
@@ -530,10 +530,12 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> Returns:
     ``_WALK_MIN_GAP`` steps apart, a walk over the returns of ``n alpha`` to
     the eps arc that costs one step per near time
     (:func:`_rotation_near_times`).  Interval exchanges run
-    :func:`_exchange_scan` without a cocycle.  No circle distance exceeds
-    1/2, so an eps above 1/2 takes every step on any base.  The result has
-    an int64 ``times`` column and no distances, so a scan of ``2**63`` steps
-    or more is refused before its first step, with no step named.
+    :func:`_exchange_scan` without a cocycle, and refuse a start past the
+    safety margin at step 0, as :func:`find_zero_sums` does.  No circle
+    distance exceeds 1/2, so an eps above 1/2 takes every step on any
+    base.  The result has an int64 ``times`` column and no distances, so a
+    scan of ``2**63`` steps or more is refused before its first step, with
+    no step named.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -541,10 +543,11 @@ def near_returns(base: BaseMap, x: Real, count: int, eps: Real) -> Returns:
     if count < 0:
         raise ValueError("count must be non-negative")
     if count >= 1 << 63:
-        raise PrecisionExhaustedError(PAST_MARGIN)
+        raise PrecisionExhaustedError(PAST_HORIZON)
     if isinstance(base, CircleRotation):
         return Returns(_rotation_near_times(base, count, eps))
-    return _exchange_scan(base, None, FixedReal.of(x).frac(), count, eps)
+    x = FixedReal.of(x)
+    return _exchange_scan(base, None, FixedReal(x.mantissa % ONE, x.err_ulps), count, eps)
 
 
 def joint_zero_returns(
@@ -913,7 +916,7 @@ def _excess_rotation(
         circle, a_m, a_e = ONE, base.alpha.resolved.mantissa, base.alpha.resolved.err_ulps
     lap = min(max(n_list), circle >> 64)  # a rational period q
     if lap >= 1 << 63:  # the scans' horizon; err(alpha) <= 1 keeps shorter laps in the margin
-        raise PrecisionExhaustedError(PAST_MARGIN)
+        raise PrecisionExhaustedError(PAST_HORIZON)
     values = f.values
     # wall 0 first with jump 0: it only guards, and its bisection places y
     jumps = (v - u for u, v in zip(values, values[1:]))

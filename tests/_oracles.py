@@ -24,8 +24,8 @@ one of them).  The winding references are the former point-by-point scan,
 other), and the per-zero exact near test on its zeros,
 :func:`reference_winding_near_rows`, kept to pin the numpy scan and the
 float distance screen.  Last come the small reference helpers that no
-detector calls: the one-step cascade and skew maps, and the cell
-fractions of a sample.
+detector calls: the one-step cascade and skew maps, an interval exchange
+on exact rationals, and the cell fractions of a sample.
 """
 from __future__ import annotations
 
@@ -564,6 +564,24 @@ def cascade_apply(base: BaseMap, f, state: CascadeState) -> CascadeState:
 def skew_step(system, state):
     """One skew-product step ``(x, y) -> (Sx, T^{n(x)} y)``, without the exponent."""
     return system.step(state)[0]
+
+
+def fraction_exchange(lengths: Sequence[Fraction], permutation: Sequence[int], y: Fraction, n: int) -> Fraction:
+    """``T^n y`` in exact rationals for the exchange of ``lengths`` by ``permutation``; negative ``n`` inverts.
+
+    ``y`` lies in ``[0, 1)``.  Interval ``i`` starts at the sum of the
+    lengths before it and lands at the sum of the lengths whose image comes
+    before its own.
+    """
+    m = len(lengths)
+    starts = [sum(lengths[:i], Fraction(0)) for i in range(m)]
+    images = [sum((lengths[j] for j in range(m) if permutation[j] < permutation[i]), Fraction(0))
+              for i in range(m)]
+    source, target = (starts, images) if n > 0 else (images, starts)
+    for _ in range(abs(n)):
+        i = next(i for i in range(m) if source[i] <= y < source[i] + lengths[i])
+        y += target[i] - source[i]
+    return y
 
 
 def interval_cell_fractions(samples: Sequence[float], n_cells: int) -> list[float]:

@@ -379,7 +379,7 @@ def test_a_horizon_past_the_64_bit_words_exits_two(
 ):
     """A count of ``2**64`` is a precision refusal, not a crash nor an empty answer.
 
-    The run records the kernel's margin message with no step, and the
+    The run records the kernel's horizon message with no step, and the
     command line exits with code 2.  On the golden rotation the kernel
     refuses it; a sparse near scan, which would walk the three-gap returns,
     is refused the same way.  A lap scan, on a rational angle or a dyadic
@@ -404,7 +404,7 @@ def test_a_horizon_past_the_64_bit_words_exits_two(
     stored = json.loads((tmp_path / "api" / "far" / "manifest.json").read_text())
     assert stored["status"] == "error" and stored["error_step"] is None
     assert stored["error"] == (
-        "PrecisionExhaustedError: accumulated orbit error exceeds the coarse kernel's margin"
+        "PrecisionExhaustedError: the orbit horizon exceeds the scans' step limit"
     )
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -619,14 +619,14 @@ def test_the_walk_refuses_where_the_kernel_does_past_a_long_horizon(angle, ulps)
 def test_a_radius_past_the_safety_margin_keeps_the_kernel(monkeypatch):
     """A horizon whose radius reaches ``2**128`` ulps is refused up front, with no step.
 
-    On golden that horizon lies past ``2**62`` steps, the kernel's horizon
-    refusal, which carries the kernel's margin message, as before.  From
+    On golden that horizon lies past ``2**62`` steps, so the kernel
+    refuses it with its horizon message.  From
     ``2**63`` steps ``near_returns`` refuses before either engine runs (the
     walk's listing is patched too, since it would list about ``2 eps count``
     times); a sparse scan just below takes the walk, since the engine is
     chosen by the return gap alone.
     """
-    margin = "accumulated orbit error exceeds the coarse kernel's margin"
+    horizon = "the orbit horizon exceeds the scans' step limit"
     rotation = golden()
     a_e = rotation.alpha.resolved.err_ulps
     eps = Fraction(1, 1_000_003)
@@ -636,12 +636,12 @@ def test_a_radius_past_the_safety_margin_keeps_the_kernel(monkeypatch):
     count = -(-(1 << 128) // a_e) - 1  # the least with (count + 1) err >= 2**128
     with pytest.raises(PrecisionExhaustedError) as refused:
         near_returns(rotation, 0, count, eps)
-    assert str(refused.value) == margin
+    assert str(refused.value) == horizon
     assert refused.value.step is None
     monkeypatch.setattr(recurrence, "certified_cells", refuse_kernel)
     with pytest.raises(PrecisionExhaustedError) as refused:
         near_returns(rotation, 0, 2**63, eps)
-    assert str(refused.value) == margin and refused.value.step is None
+    assert str(refused.value) == horizon and refused.value.step is None
     monkeypatch.undo()
     monkeypatch.setattr(recurrence, "certified_cells", refuse_kernel)
     sparse = Fraction(1, 10**18)
@@ -678,6 +678,24 @@ def test_zero_scans_refuse_past_the_margin_where_the_reference_does(ulps, step):
         assert (refused.value.step, str(refused.value)) == (step, str(reference.value))
 
 
+def test_exchange_scans_refuse_a_start_past_the_margin_at_step_zero():
+    """A start whose radius is already past ``MAX_ERR_ULPS`` is refused at step 0 by the zero and near scans alike.
+
+    The near scan walks without a cocycle, and its walk still refuses the
+    start's radius with its step.
+    """
+    iet, start = IntervalExchange(*DYADIC_IET), FixedReal(ONE // 7, MAX_ERR_ULPS + 1)
+    refusals = []
+    for scan in (
+        lambda: find_zero_sums(iet, pm_one(), start, 10),
+        lambda: near_returns(iet, start, 10, Fraction(1, 7)),
+    ):
+        with pytest.raises(PrecisionExhaustedError, match="safety margin") as refused:
+            scan()
+        refusals.append((refused.value.step, str(refused.value)))
+    assert refusals[0] == refusals[1] and refusals[0][0] == 0
+
+
 def refuse_guarded_walk(*args, **kwargs):
     raise AssertionError("the scan walked before it was refused")
 
@@ -700,7 +718,7 @@ def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count, monkeypatch)
     3/10 and 1/5 round to the grid) is refused at once instead of walking
     without end; the guarded walk is patched to fail if any scan reaches it.
     """
-    margin = "accumulated orbit error exceeds the coarse kernel's margin"
+    horizon = "the orbit horizon exceeds the scans' step limit"
     monkeypatch.setattr(recurrence, "guarded_walk", refuse_guarded_walk)
     scans = [
         lambda: find_zero_sums(golden(), pm_one(), Fraction(1, 10), count),
@@ -730,7 +748,7 @@ def test_a_horizon_past_the_64_bit_words_is_refused_up_front(count, monkeypatch)
         with pytest.raises(PrecisionExhaustedError) as refused, warnings.catch_warnings():
             warnings.simplefilter("ignore", RationalAngleWarning)
             scan()
-        assert str(refused.value) == margin and refused.value.step is None
+        assert str(refused.value) == horizon and refused.value.step is None
     eps = Fraction(1, 10**18)
     times = near_list(golden(), 0, 2**62, eps)
     a_m = golden().alpha.resolved.mantissa
@@ -2253,7 +2271,7 @@ def test_the_excess_sweep_refuses_a_lap_past_the_scans_horizon(monkeypatch):
         for n in (2**63, 2**97):
             with pytest.raises(PrecisionExhaustedError) as refused:
                 sublinearity_estimate(golden(), pm_one(), [7, n], Fraction(1, 20), samples=100)
-            assert str(refused.value) == recurrence.PAST_MARGIN and refused.value.step is None
+            assert str(refused.value) == recurrence.PAST_HORIZON and refused.value.step is None
     with pytest.warns(RationalAngleWarning):
         got = sublinearity_estimate(
             CircleRotation(AngleSpec.rational(1, 3)), pm_one(), [2**100], Fraction(1, 20), samples=100
