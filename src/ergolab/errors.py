@@ -23,6 +23,12 @@ class PrecisionExhaustedError(ErgolabError):
         super().__init__(message)
         self.step = step
 
+    def at_step(self, step: int) -> "PrecisionExhaustedError":
+        """This refusal, naming ``step`` unless it already names one."""
+        if self.step is None:
+            self.step = step
+        return self
+
 
 class RowLimitError(ErgolabError):
     """A scan could list more rows than ``recurrence.MAX_ROWS``; it is refused before it lists any."""

@@ -21,7 +21,6 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -663,11 +662,14 @@ def run_experiment(
 def _column_text(column: np.ndarray | Sequence, digits: int) -> list[str]:
     """The cells of one CSV column, rendered in one pass chosen by the column's type.
 
-    Integers print through ``str``, exact rationals through
-    :func:`decimal_string` with ``digits`` fractional digits, floats as the
-    ``repr`` of the Python float (never a numpy scalar repr), flags as
-    ``1``/``0`` and ``None`` as an empty cell.  Text cells are written as
-    they are, so they must not need CSV quoting.
+    The one per-type switch of the writer; :func:`_write_csv` sends every
+    column here except an int64 array, which :func:`_int_block` renders
+    to the same digits.  Integers print through ``str``, exact rationals
+    through :func:`decimal_string` with ``digits`` fractional digits,
+    floats as the ``repr`` of the Python float (never a numpy scalar
+    repr), flags as ``1``/``0`` and ``None`` as an empty cell.  Text cells
+    are written as they are, so they must be ASCII and not need CSV
+    quoting.  Any other cell type raises :class:`TypeError`.
     """
     if isinstance(column, np.ndarray):
         column = column.tolist()
@@ -689,6 +691,44 @@ def _column_text(column: np.ndarray | Sequence, digits: int) -> list[str]:
     raise TypeError(f"no CSV rendering for {type(first).__name__} cells")
 
 
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _int_block(values: np.ndarray) -> np.ndarray:
+    """The decimal text of an int64 array as a ``(rows, width)`` uint8 block, NUL-padded on the left.
+
+    A value's digit count is one more than the number of powers of 10 at
+    or below its magnitude, which is taken in uint64 so that ``-2**63``
+    has one.  Digits are written right to left, one position per pass
+    over the whole column, and a ``-`` precedes each negative value.  The
+    passes reuse two buffers: a fresh temporary per pass costs more than
+    the arithmetic.
+    """
+    negative = values < 0
+    rest = values.astype(np.uint64)
+    np.negative(rest, out=rest, where=negative)  # wraps to |v|, also for -2**63
+    ndigits = np.searchsorted(_POWERS_OF_TEN, rest, side="right") + 1
+    width = int((ndigits + negative).max(initial=1))
+    block = np.zeros((width, len(values)), dtype=np.uint8)  # one row per position
+    quotient, digit = np.empty_like(rest), np.empty_like(rest)
+    for position in range(width - 1, width - 1 - int(ndigits.max(initial=1)), -1):
+        np.floor_divide(rest, 10, out=quotient)
+        np.subtract(rest, np.multiply(quotient, 10, out=digit), out=digit)
+        block[position] = digit
+        rest, quotient = quotient, rest
+    block += ord("0")
+    # clear the zeros left of each value's leading digit, then sign the negatives
+    block[np.arange(width)[:, None] < width - ndigits] = 0
+    block[width - 1 - ndigits[negative], negative] = ord("-")
+    return block.T
+
+
+def _cell_block(cells: list[str]) -> np.ndarray:
+    """ASCII cells as a ``(rows, width)`` uint8 block, NUL-padded on the right."""
+    text = np.array(cells, dtype=bytes)
+    return text.view(np.uint8).reshape(len(cells), text.itemsize)
+
+
 def _write_csv(path: Path, header: list[str], columns: list, digits: int) -> None:
     """Write a table given column by column; a scalar column repeats on every row.
 
@@ -696,19 +736,37 @@ def _write_csv(path: Path, header: list[str], columns: list, digits: int) -> Non
     the length of the sequence columns, so a table of scalars alone has no
     rows.
 
+    Each column becomes one ``(rows, width)`` uint8 block of its cells'
+    ASCII, NUL-padded to the widest cell: an int64 array through
+    :func:`_int_block`, anything else through :func:`_column_text`, with a
+    scalar rendered once and broadcast down the rows.  The blocks are laid
+    side by side with a ``,`` column after each and a ``\\n`` column after
+    the last, and the body is the table's bytes with every NUL dropped: no
+    ASCII cell holds one, so the padding is the mask.  The whole table is
+    rendered before the file is opened, so a column that cannot be
+    rendered leaves no file.
+
     Rows end in a newline and no cell is quoted, which matches
     ``csv.writer`` for every cell the detectors produce.
     """
     rows = max((len(column) for column in columns if is_column(column)), default=0)
-    cells = [
-        _column_text(column, digits) if is_column(column)
-        else repeat(_column_text([column], digits)[0])
-        for column in columns
-    ]
-    with open(path, "w", newline="", encoding="ascii") as handle:
-        handle.write(",".join(header) + "\n")
-        if rows:
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    comma, newline = (np.full((rows, 1), ord(end), dtype=np.uint8) for end in ",\n")
+    blocks = []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.dtype == np.int64:
+            block = _int_block(column)
+        elif is_column(column):
+            block = _cell_block(_column_text(column, digits))
+        else:
+            cell = _cell_block(_column_text([column], digits))
+            block = np.broadcast_to(cell, (rows, cell.shape[1]))
+        blocks += [block, comma]
+    blocks[-1] = newline
+    table = np.hstack(blocks)
+    head, body = (",".join(header) + "\n").encode("ascii"), table[table != 0].tobytes()
+    with open(path, "wb") as handle:
+        handle.write(head)
+        handle.write(body)
 
 
 def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:

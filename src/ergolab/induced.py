@@ -80,8 +80,9 @@ def induce_point(
     The excursion runs on :func:`~ergolab.cocycles.guarded_walk`, so a
     point that cannot be placed against the cocycle's walls raises
     :class:`PrecisionExhaustedError` with its ``step``.  Membership at every
-    step is a guarded comparison (an ambiguous point is a precision error,
-    never silently accepted).  A rational angle from an exact start runs on
+    step is a guarded comparison (an ambiguous point is a precision error
+    with its step, the start being step 0, never silently accepted).  A
+    rational angle from an exact start runs on
     :func:`~ergolab.cocycles.rational_walk` instead, where every cell and
     membership test is exact.  No return within ``budget`` steps raises
     :class:`ReturnBudgetError` — with a positive-measure target that
@@ -103,11 +104,19 @@ def induce_point(
                 point = FixedReal.from_fraction(Fraction(pos, scale))
                 return InducedSample(FixedReal.from_fraction(x), n, point, total)
     else:
-        x = FixedReal.of(x).frac()
-        if not target.contains(x):
+        try:
+            x = FixedReal.of(x).frac()
+            inside = target.contains(x)
+        except PrecisionExhaustedError as exc:
+            raise exc.at_step(0)
+        if not inside:
             raise ValueError(outside)
         for n, (total, p) in enumerate(guarded_walk(base, f, x, budget), start=1):
-            if target.contains(p):
+            try:
+                inside = target.contains(p)
+            except PrecisionExhaustedError as exc:
+                raise exc.at_step(n)
+            if inside:
                 return InducedSample(x=x, n=n, return_point=p, f_tilde=total)
     raise ReturnBudgetError(
         f"no return to the target within {budget} steps "

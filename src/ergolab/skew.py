@@ -112,8 +112,9 @@ def orbit_statistics(
     exchange fiber or an unreduced start takes the per-step loop
     (:func:`_orbit_loop`), as does every orbit that the telescoped pass
     refuses.  Both give the same statistics, and every refusal is the
-    loop's: a base point that cannot be placed against the exponent's
-    walls carries its step, one at a rectangle or fiber wall none.
+    loop's: a point that cannot be placed against the exponent's walls or
+    a rectangle's sides carries its step, one at a fiber exchange's wall
+    none.
     Standard errors use the i.i.d. formula ``sqrt(p(1-p)/(steps-1))`` — a
     heuristic scale for correlated orbits, reported for calibration rather
     than inference.
@@ -156,7 +157,8 @@ def _orbit_loop(
 
     The base orbit runs on :func:`~ergolab.cocycles.guarded_walk`, so a
     point that cannot be placed against the exponent's walls is refused
-    with its step.
+    with its step; a membership test that refuses names its step too (the
+    start is step 0).
     """
     hits = [0] * len(sides)
     # For rotation fibers the telescoping identity lets us place the fiber
@@ -166,10 +168,13 @@ def _orbit_loop(
     telescoped = isinstance(system.fiber, CircleRotation)
     state, displacement = start, 0
     walk = guarded_walk(system.base, system.exponent, start.x, steps)
-    for _ in range(steps):
-        for i, (sx, sy) in enumerate(sides):
-            if sx.contains(state.x) and sy.contains(state.y):
-                hits[i] += 1
+    for step in range(steps):
+        try:
+            for i, (sx, sy) in enumerate(sides):
+                if sx.contains(state.x) and sy.contains(state.y):
+                    hits[i] += 1
+        except PrecisionExhaustedError as exc:
+            raise exc.at_step(step)
         total, x = next(walk)
         y, n = (start.y, total) if telescoped else (state.y, total - displacement)
         state, displacement = ProductState(x, system.fiber_power(y, n)), total

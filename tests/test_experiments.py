@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ergolab
 from _oracles import reference_csv_bytes
-from ergolab import recurrence
+from ergolab import experiments, recurrence
 from ergolab.cli import main
 from ergolab.errors import (
     ConfigError,
@@ -765,6 +765,12 @@ SUMMARY_TEXT = [
     "rectangle_0", "rectangle_12", "fiber_displacement", "0.2629", "-1.5e-07", "",
 ]
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, 1e300, 0.1]
+# every digit count of int64 from 1 to 19, at the powers of 10 on either side, with both signs
+INT64_EDGES = sorted({
+    sign * v
+    for v in [0, 2**63 - 1, *(10**k for k in range(19)), *(10**k - 1 for k in range(1, 19))]
+    for sign in (1, -1)
+} | {-(2**63)})
 
 
 def half_up_fractions(digits):
@@ -787,7 +793,9 @@ def csv_column(draw, rows, digits):
         return draw(st.lists(elements, min_size=rows, max_size=rows))
 
     if kind == "int64":
-        cells = cells_of(st.integers(-(2**63), 2**63 - 1) | st.integers(2**31, 2**40))
+        cells = cells_of(
+            st.integers(-(2**63), 2**63 - 1) | st.integers(2**31, 2**40) | st.sampled_from(INT64_EDGES)
+        )
         return kind, np.array(cells, dtype=np.int64), cells
     if kind == "zero":
         constant = draw(st.sampled_from([0, Fraction(0)]))
@@ -834,3 +842,38 @@ def test_column_writer_matches_per_cell_csv(data, csv_path):
     want = reference_csv_bytes(header, zip(*(cells for _, _, cells in columns)), digits)
     assert written == want
     assert b"np." not in written
+
+
+@pytest.mark.parametrize("increasing", [False, True], ids=["unsorted", "increasing"])
+def test_column_writer_matches_per_cell_csv_at_scale(increasing, csv_path):
+    """10**5 rows of int64 edges beside a float distance, exact rationals and every kind of scalar."""
+    rows, digits = 10**5, 12
+    rng = np.random.default_rng(7)
+    times = np.resize(np.array(INT64_EDGES, dtype=np.int64), rows)
+    times = np.sort(times) if increasing else rng.permutation(times)
+    distance = rng.random(rows) * 10.0 ** rng.integers(-12, 3, rows)
+    rationals = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-10**6, 10**6, rows),
+                                                          rng.integers(1, 10**4, rows))]
+    scalars = [0, Fraction(0), True, None]
+    header = ["time", "distance", "value", "zero", "exact_zero", "flag", "empty"]
+    _write_csv(csv_path, header, [times, distance, rationals, *scalars], digits)
+    cells = [times.tolist(), distance.tolist(), rationals, *([c] * rows for c in scalars)]
+    assert csv_path.read_bytes() == reference_csv_bytes(header, zip(*cells), digits)
+
+
+@pytest.mark.parametrize("column", [[1j, 2j, 3j], 1j], ids=["sequence", "scalar"])
+def test_a_column_the_writer_cannot_render_leaves_no_results_file(column, tmp_path, monkeypatch):
+    """The table is rendered before the file is opened: a ``TypeError``, no ``results.csv``, an error manifest."""
+    path = tmp_path / "results.csv"
+    with pytest.raises(TypeError, match="no CSV rendering for complex cells"):
+        _write_csv(path, ["time", "z"], [np.arange(3), column], 12)
+    assert not path.exists()
+    monkeypatch.setattr(
+        experiments, "_execute", lambda config: (["time", "z"], [np.arange(3), column], None)
+    )
+    with pytest.raises(TypeError):
+        run_experiment(small_zero_sum_config(), out_root=tmp_path)
+    assert not (tmp_path / "zs" / "results.csv").exists()
+    stored = json.loads((tmp_path / "zs" / "manifest.json").read_text())
+    assert stored["status"] == "error" and stored["outputs"] == ["config.json"]
+    assert stored["error"] == "TypeError: no CSV rendering for complex cells"

@@ -392,9 +392,9 @@ def test_a_refused_batch_step_raises_as_the_per_sample_loop_does(wall, monkeypat
 
     From ``x = 1/16`` golden visits about 0.68, 0.30 and 0.92, outside the
     target ``[1/20, 1/10)``.  A target end at the third point is refused by
-    ``target.contains``, with no step; a cocycle wall there by the walk, at
-    step 3.  The batch gives up, and the statistics raise the error of that
-    start's ``induce_point``.
+    ``target.contains``, a cocycle wall there by the walk, both at step 3.
+    The batch gives up, and the statistics raise the error of that start's
+    ``induce_point``.
     """
     rotation = golden()
     u = GRID // 16
@@ -406,7 +406,7 @@ def test_a_refused_batch_step_raises_as_the_per_sample_loop_does(wall, monkeypat
         f, target = StepCocycle([0, end], [1 - end, -end]), TargetSet([near])
     with pytest.raises(PrecisionExhaustedError) as single:
         induce_point(rotation, f, target, Fraction(u, GRID))
-    assert single.value.step == (None if wall == "target end" else 3)
+    assert single.value.step == 3
     draw = induced._uniform_in_target
 
     def with_the_start(target, samples, rng):
@@ -435,8 +435,24 @@ def test_a_radius_past_the_safety_margin_raises_as_the_per_sample_loop_does(monk
     target = TargetSet([(Fraction(1, 20), Fraction(1, 10))])
     with pytest.raises(PrecisionExhaustedError) as single:
         induce_point(golden(), pm_one(), target, Fraction(1, 16))
+    assert single.value.step == 3
     grid = induced._uniform_in_target(target, 100, np.random.default_rng(0))
     assert induced._rotation_excursions(golden(), pm_one(), target, grid, 10**6) is None
     with pytest.raises(PrecisionExhaustedError) as batched:
         induced_statistics(golden(), pm_one(), target, samples=100, seed=0)
     assert (str(batched.value), batched.value.step) == (str(single.value), single.value.step)
+
+
+@pytest.mark.parametrize("radius, step", [(fixedpoint.MAX_ERR_ULPS - 5, 6),
+                                          (fixedpoint.MAX_ERR_ULPS + 1, 0)])
+def test_a_radius_past_the_margin_is_refused_at_its_step(radius, step):
+    """Each golden step adds an ulp of radius, so a start 5 ulps short of the margin passes it at step 6.
+
+    From ``1/10`` the orbit stays outside ``[1/20, 3/20)`` for its first 6
+    steps, and the membership test at step 6 refuses the radius with that
+    step; a start already past the margin is refused at step 0.
+    """
+    target = TargetSet([(Fraction(1, 20), Fraction(3, 20))])
+    with pytest.raises(PrecisionExhaustedError, match="safety margin") as refused:
+        induce_point(golden(), pm_one(), target, FixedReal(ONE // 10, radius))
+    assert refused.value.step == step

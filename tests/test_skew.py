@@ -298,7 +298,7 @@ def test_a_base_start_near_the_margin_is_refused_as_the_loop_refuses():
     """The base radius passes ``MAX_ERR_ULPS`` at step 6: the kernel refuses there, and the loop's refusal surfaces.
 
     The loop tests the rectangle's ``x`` side first, which refuses the
-    radius without a step.
+    radius at the same step.
     """
     system = pm_system(AngleSpec.preset("golden"), AngleSpec.preset("sqrt2"))
     start = ProductState(FixedReal(ONE // 10, MAX_ERR_ULPS - 5), FixedReal.of(Fraction(1, 4)))
@@ -309,7 +309,7 @@ def test_a_base_start_near_the_margin_is_refused_as_the_loop_refuses():
     run = lambda: orbit_statistics(system, start, 20, rects)  # noqa: E731
     refusal = outcome(run)
     assert refusal == looped(run)
-    assert refusal[1].endswith("exceeds the safety margin") and refusal[2] is None
+    assert refusal[1].endswith("exceeds the safety margin") and refusal[2] == 6
 
 
 @pytest.mark.parametrize("x_side, refused", [((HALF, 1), True), ((0, HALF), False)],
@@ -320,8 +320,8 @@ def test_a_fiber_point_on_a_y_wall_is_tested_only_while_x_is_inside(x_side, refu
     From ``x = 1/10`` the golden orbit has exponent ``+1`` at step 0, so
     step 1 is at ``S = 1``, with ``x`` near 0.72; step 2 is back at
     ``S = 0``.  With the ``x`` side ``[1/2, 1)`` the loop tests that fiber
-    point and refuses it, and so must the statistics; with ``[0, 1/2)`` it
-    never tests it, and both answer.
+    point and refuses it at step 1, and so must the statistics; with
+    ``[0, 1/2)`` it never tests it, and both answer.
     """
     system = pm_system(AngleSpec.preset("golden"), AngleSpec.preset("sqrt2"))
     b_m = system.fiber.alpha.resolved.mantissa
@@ -332,7 +332,7 @@ def test_a_fiber_point_on_a_y_wall_is_tested_only_while_x_is_inside(x_side, refu
     assert result == looped(run)
     assert isinstance(result, tuple) == refused
     if refused:
-        assert result == (PrecisionExhaustedError, "ambiguous classification against a cell wall", None)
+        assert result == (PrecisionExhaustedError, "ambiguous classification against a cell wall", 1)
         with pytest.raises(PrecisionExhaustedError):
             skew._telescoped_orbit(system, start, 2, sides_of(rects))
     else:
